@@ -52,6 +52,20 @@ def _positive_int_range(text: str) -> range:
     return values  # type: ignore[return-value]
 
 
+def _log_grid(text: str) -> tuple[float, float, int]:
+    """Parse 'lo:hi:count' for a log-spaced return-period grid."""
+    try:
+        lo, hi, count = text.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'lo:hi:count', got {text!r}") from None
+    if not (0.0 < lo < hi and count >= 1):
+        raise argparse.ArgumentTypeError(
+            f"need 0 < lo < hi and count >= 1, got {text!r}")
+    return lo, hi, count
+
+
 def _read_text(path) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -117,6 +131,10 @@ def _cmd_fit(args) -> int:
         excesses = excesses_from_csv_text(_read_text(args.excesses))
         n_total = args.n_total if args.n_total is not None else excesses.size
     else:
+        if not args.meta:
+            print("fit: --events needs --meta (the catalog metadata JSON)",
+                  file=sys.stderr)
+            return 2
         catalog = _load_catalog(args.events, args.meta)
         excesses = catalog.excesses_over(args.threshold)
         n_total = catalog.n_total_observations
@@ -170,8 +188,7 @@ def _cmd_returns(args) -> int:
         did_something = True
     if args.out:
         if args.m_grid:
-            lo, hi, count = args.m_grid.split(":")
-            grid = default_m_grid(float(lo), float(hi), int(count))
+            grid = default_m_grid(*args.m_grid)
         else:
             m_min = 1.0 / (cal.obs_per_year * fit.exceedance_rate)
             grid = default_m_grid(max(1.0, m_min * 1.001))
@@ -261,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--excesses", help="serialized excess list CSV")
     group.add_argument("--events", help="event catalog CSV (with --meta)")
-    p.add_argument("--meta", help="catalog metadata JSON")
+    p.add_argument("--meta", help="catalog metadata JSON (required with --events)")
     p.add_argument("--threshold", type=float, required=True)
     p.add_argument("--n-total", type=int,
                    help="total observation count (only with --excesses)")
@@ -283,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit", required=True)
     p.add_argument("--level", type=float, help="flux level to invert (W/m^2)")
     p.add_argument("--years", type=float, help="return period to evaluate")
-    p.add_argument("--m-grid", help="'lo:hi:count' log-spaced grid for --out")
+    p.add_argument("--m-grid", type=_log_grid,
+                   help="'lo:hi:count' log-spaced grid for --out")
     p.add_argument("--obs-per-year", type=float, default=525_600.0)
     p.add_argument("--ci", type=float, default=0.95)
     p.add_argument("--out", help="return curve CSV")
@@ -306,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="*", help="flux CSV files")
     p.add_argument("--config", help="pipeline config JSON")
     p.add_argument("--out", help="output directory (overrides config)")
-    p.add_argument("--seed", type=int, help="accepted for symmetry; the "
-                   "pipeline itself is deterministic")
     p.add_argument("--fixed-clock", action="store_true",
                    help="omit timestamps for byte-reproducible reports")
     p.set_defaults(handler=_cmd_run, stage="run")

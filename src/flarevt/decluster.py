@@ -17,7 +17,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .errors import DomainError, InsufficientDataError, ZeroVarianceError
 from .ingest import FluxSeries
 
@@ -37,6 +36,8 @@ DEFAULT_THRESHOLD = 1e-4   # X1
 DEFAULT_GAP_MINUTES = 15
 
 MISSING_MINUTES_POLICY = "missing-or-absent-minutes-count-as-quiet"
+
+_I64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -168,19 +169,31 @@ def decluster(series: FluxSeries, threshold: float = DEFAULT_THRESHOLD,
     if gap < 1:
         raise DomainError("gap_minutes must be >= 1")
 
-    ts = series.timestamps
-    first, last, peak, counts = _kernels.decluster_scan(
-        ts.astype(np.int64), series.flux, float(threshold), gap)
+    ts, flux = series.timestamps, series.flux
+    # an exceedance more than `gap` minutes after the previous one opens a
+    # new cluster; `starts` indexes each cluster's first entry in `exc`
+    exc = np.flatnonzero(flux >= threshold)
+    is_new = np.ones(exc.size, dtype=bool)
+    np.greater(np.diff(ts[exc].astype(np.int64)), gap, out=is_new[1:])
+    starts = np.flatnonzero(is_new)
+    counts = np.diff(np.append(starts, exc.size))
+    ends = exc[starts + counts - 1]
+
+    # the peak is the first occurrence of the cluster maximum
+    flux_exc = flux[exc]
+    peak_val = np.repeat(np.maximum.reduceat(flux_exc, starts), counts)
+    candidate = np.where(flux_exc == peak_val, exc, _I64_MAX)
+    peaks = np.minimum.reduceat(candidate, starts)
 
     events = tuple(
         FlareEvent(
-            peak_time=ts[peak[i]],
-            peak_flux=float(series.flux[peak[i]]),
-            cluster_start=ts[first[i]],
-            cluster_end=ts[last[i]],
-            cluster_sample_count=int(counts[i]),
+            peak_time=ts[peak],
+            peak_flux=float(flux[peak]),
+            cluster_start=ts[first],
+            cluster_end=ts[last],
+            cluster_sample_count=int(n),
         )
-        for i in range(first.size)
+        for first, last, peak, n in zip(exc[starts], ends, peaks, counts)
     )
     return EventCatalog(
         events=events,

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from . import _kernels
-from ._kernels import SHAPE_SWITCH_TOL
 from .errors import ConvergenceError, DomainError, InsufficientDataError
 
 __all__ = [
@@ -37,6 +35,7 @@ __all__ = [
     "fit_from_json_dict",
 ]
 
+SHAPE_SWITCH_TOL = 1e-6  # |shape| below this uses the exponential limit
 _FD_REL_STEP = 1e-5     # relative step for the finite-difference Hessian
 _XATOL = 1e-9           # simplex displacement tolerance
 _RETRY_SCALE_FACTORS = (0.5, 1.0, 2.0)
@@ -127,6 +126,22 @@ def _as_excess_array(y) -> np.ndarray:
     return arr
 
 
+def _gpd_nll(excesses: np.ndarray, scale: float, shape: float) -> float:
+    """Negative log-likelihood of nonnegative excesses under GPD(scale, shape).
+
+    Returns +inf when any excess lies outside the support (only possible
+    for shape < 0), which lets the optimizer treat the support boundary as
+    a hard wall.
+    """
+    k = excesses.size
+    if abs(shape) < SHAPE_SWITCH_TOL:
+        return k * np.log(scale) + float(excesses.sum()) / scale
+    z = shape * excesses / scale
+    if z.min(initial=np.inf) <= -1.0:
+        return np.inf
+    return k * np.log(scale) + (1.0 + 1.0 / shape) * float(np.log1p(z).sum())
+
+
 def gpd_cdf(y, params: GpdParams):
     """Distribution function H(y) of the excess model.
 
@@ -182,7 +197,7 @@ def gpd_loglik(excesses, params: GpdParams) -> float:
         raise InsufficientDataError("need at least one excess")
     if np.any(~np.isfinite(y)) or np.any(y < 0.0):
         raise DomainError("excesses must be finite and >= 0")
-    return -float(_kernels.gpd_nll(y, params.scale, params.shape))
+    return -float(_gpd_nll(y, params.scale, params.shape))
 
 
 def gpd_sample(params: GpdParams, count: int, seed: int) -> np.ndarray:
@@ -227,7 +242,7 @@ _NM_OPTIONS = {"xatol": _XATOL, "fatol": 1e-8, "maxiter": 2000, "maxfev": 4000}
 
 def _minimize_nll_2d(y: np.ndarray, start: np.ndarray):
     def objective(theta):
-        value = _kernels.gpd_nll(y, math.exp(theta[0]), theta[1])
+        value = _gpd_nll(y, math.exp(theta[0]), theta[1])
         return value if value < _PENALTY else _PENALTY
 
     return minimize(objective, start, method="Nelder-Mead", options=_NM_OPTIONS)
@@ -235,7 +250,7 @@ def _minimize_nll_2d(y: np.ndarray, start: np.ndarray):
 
 def _minimize_nll_1d(y: np.ndarray, start: float, shape: float):
     def objective(theta):
-        value = _kernels.gpd_nll(y, math.exp(theta[0]), shape)
+        value = _gpd_nll(y, math.exp(theta[0]), shape)
         return value if value < _PENALTY else _PENALTY
 
     return minimize(objective, np.array([start]), method="Nelder-Mead",
@@ -247,7 +262,7 @@ def _hessian_2d(y: np.ndarray, scale: float, shape: float) -> np.ndarray:
     def ll(s, x):
         if s <= 0.0:
             return -np.inf
-        return -_kernels.gpd_nll(y, s, x)
+        return -_gpd_nll(y, s, x)
 
     hs = _FD_REL_STEP * scale
     hx = _FD_REL_STEP * max(abs(shape), 1e-2)
@@ -275,7 +290,7 @@ def _covariance_2d(y, scale, shape):
 
 def _covariance_fixed_shape(y, scale, shape):
     def ll(s):
-        return -_kernels.gpd_nll(y, s, shape)
+        return -_gpd_nll(y, s, shape)
 
     h = _FD_REL_STEP * scale
     d2 = (ll(scale + h) - 2.0 * ll(scale) + ll(scale - h)) / h**2

@@ -45,7 +45,7 @@ __all__ = [
 STAGES = ("ingest", "decluster", "sweep", "excesses", "fit",
           "diagnose", "returns", "report")
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 X_CLASS_UNIT = 1e-4  # W/m^2 per X-class unit
 
@@ -565,7 +565,6 @@ def run_pipeline(config: PipelineConfig, inputs, out_dir=None,
                 "config_sha256": config.config_hash(),
                 "inputs": [{"file": info["file"], "sha256": info["sha256"]}
                            for info in ingest_infos],
-                "kernel_backend": _backend_name(),
             },
             artifacts=artifacts,
         )
@@ -579,8 +578,3 @@ def run_pipeline(config: PipelineConfig, inputs, out_dir=None,
     except Exception as exc:
         fail("report", exc)
     return report
-
-
-def _backend_name() -> str:
-    from . import _kernels
-    return _kernels.backend()

@@ -25,9 +25,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.stats import norm
 
-from ._kernels import SHAPE_SWITCH_TOL
 from .errors import CiUnavailableError, DomainError, InfiniteReturnError
-from .gpd import GpdFit
+from .gpd import SHAPE_SWITCH_TOL, GpdFit
 
 __all__ = [
     "ObservationCalendar",

@@ -2,10 +2,11 @@ import time
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import flarevt as fv
 from flarevt import DomainError, GpdParams, InsufficientDataError
-from flarevt.gpd import fit_from_json_dict, fit_to_json_dict
+from flarevt.gpd import SHAPE_SWITCH_TOL, fit_from_json_dict, fit_to_json_dict
 
 # frozen with 40-digit arithmetic from the closed forms
 CDF_AT_REFERENCE_PARAMS = 0.997224165602     # y=41.5e-4, scale=2.98e-4, shape=0.26
@@ -99,8 +100,20 @@ class TestLoglik:
         assert fv.gpd_loglik([1.0, 2.0], GpdParams(1.0, 1.0)) == pytest.approx(
             LOGLIK_ONE_TWO, rel=1e-9)
 
+    @pytest.mark.parametrize("shape", [-0.4, -0.1, 0.0, 1e-9, 0.26, 1.0])
+    def test_matches_scipy_reference(self, shape):
+        y = np.random.default_rng(42).uniform(0.0, 3.0, 5000)
+        got = fv.gpd_loglik(y, GpdParams(1.3, shape))
+        if abs(shape) < SHAPE_SWITCH_TOL:
+            # inside the switch band the likelihood is the exponential limit
+            expected = stats.expon.logpdf(y, scale=1.3).sum()
+        else:
+            expected = stats.genpareto.logpdf(y, shape, scale=1.3).sum()
+        assert got == pytest.approx(expected, rel=1e-11)
+
     def test_support_violation_is_minus_inf(self):
-        assert fv.gpd_loglik([3.0], GpdParams(1.0, -0.5)) == -np.inf
+        for excesses in ([3.0], [1.0, 9.0]):
+            assert fv.gpd_loglik(excesses, GpdParams(1.0, -0.5)) == -np.inf
 
     def test_empty_rejected(self):
         with pytest.raises(InsufficientDataError):

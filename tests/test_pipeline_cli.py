@@ -163,6 +163,29 @@ class TestCliStages:
         fit = fv.fit_gpd(y, threshold=0.5, n_total=100_000)
         assert out.read_text() == json_text(fit_to_json_dict(fit))
 
+    def test_fit_events_without_meta_is_usage_error(self, tmp_path, capsys):
+        events = tmp_path / "catalog.csv"
+        events.write_text("peak_time,peak_flux,cluster_start,cluster_end,"
+                          "cluster_samples\n")
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--events", str(events), "--threshold", "1e-4",
+                     "--out", str(out)]) == 2
+        assert "--meta" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["1:10", "1:10:x", "0:10:5", "10:1:5"])
+    def test_malformed_m_grid_is_usage_error(self, grid, tmp_path):
+        # a readable fit, so that only the grid can make the command fail
+        fit_path = tmp_path / "fit.json"
+        fit = fv.fit_gpd(fv.gpd_sample(fv.GpdParams(1.0, 0.2), 300, seed=5),
+                         threshold=0.5, n_total=100_000)
+        fit_path.write_text(json_text(fit_to_json_dict(fit)))
+        with pytest.raises(SystemExit) as exc:
+            main(["returns", "--fit", str(fit_path), "--m-grid", grid,
+                  "--out", str(tmp_path / "returns.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "returns.csv").exists()
+
     def test_returns_level_query_prints_period(self, synth_csv, pipeline_config,
                                                tmp_path, capsys):
         out = tmp_path / "out"
