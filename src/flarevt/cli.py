@@ -135,6 +135,10 @@ def _cmd_fit(args) -> int:
             print("fit: --events needs --meta (the catalog metadata JSON)",
                   file=sys.stderr)
             return 2
+        if args.n_total is not None:
+            print("fit: --n-total goes with --excesses; with --events the "
+                  "catalog metadata gives it", file=sys.stderr)
+            return 2
         catalog = _load_catalog(args.events, args.meta)
         excesses = catalog.excesses_over(args.threshold)
         n_total = catalog.n_total_observations

@@ -8,8 +8,10 @@ gap structure survives for declustering.
 
 from __future__ import annotations
 
+import io
+import operator
 from dataclasses import dataclass
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -156,40 +158,114 @@ class IngestConfig:
 # CSV interchange format
 # ---------------------------------------------------------------------------
 
-def _decode(source: str | bytes | IO) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return data
+# The canonical layout, as write_flux_csv produces it: the exact header,
+# then ``YYYY-MM-DDTHH:MM:SSZ,<flux>`` rows made of these bytes alone.
+_CANONICAL_HEADER = (CSV_HEADER + "\n").encode("ascii")
+_CANONICAL_BYTES = b"0123456789.eE+-:TZ,\n"
+_CANONICAL_ROW = np.dtype([("stamp", "S21"), ("flux", "f8")])
+# a canonical stamp field: digits where the template has 0, its other bytes as they are
+_STAMP_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00Z\0", np.uint8)
+_STAMP_DIGITS = _STAMP_TEMPLATE == ord("0")
+_SCAN_CHUNK_BYTES = 1 << 24
+_WRITE_CHUNK_ROWS = 1 << 16
+# the time-of-day part of a stamp, by minute of the day
+_CLOCK_TEXT = np.array([f"T{h:02d}:{m:02d}:00Z," for h in range(24) for m in range(60)],
+                       dtype=object)
 
 
-def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None) -> FluxSeries:
-    """Parse the two-column flux CSV into a series.
+class _Columns(NamedTuple):
+    """Tokenised data rows, before the array-level checks.
 
-    Expects a ``timestamp,flux_wm2`` header, ISO-8601 UTC timestamps with
-    a ``Z`` suffix on the minute grid, and decimal or scientific-notation
-    flux values.  An empty flux field or a configured sentinel value
-    marks the sample missing.
-
-    Raises
-    ------
-    EmptyInputError
-        No content or no data rows.
-    ParseError
-        Malformed row; the message names the offending 1-based line.
-    OrderingError
-        Non-increasing timestamps; names the offending line.
+    ``flux`` is NaN where ``empty`` marks an empty field, and
+    ``row_text(i)`` gives row ``i``'s 1-based line number and its
+    timestamp and flux text for error messages.
     """
-    config = config or IngestConfig()
-    text = _decode(source)
+
+    minutes: np.ndarray  # datetime64[m]
+    flux: np.ndarray
+    empty: np.ndarray
+    row_text: Callable[[int], tuple[int, str, str]]
+
+
+def _scan_canonical(data: str | bytes) -> _Columns | None:
+    """Tokenise canonical input at C speed; None leaves it to the per-line scan.
+
+    Anything else (CRLF, a BOM, blank lines, padded fields, date-only
+    stamps, ``nan`` or ``inf`` text, non-ASCII bytes, malformed rows)
+    returns None, so the per-line scan decides it and names the line.
+    """
+    if isinstance(data, str):
+        if not data.isascii():
+            return None
+        data = data.encode("ascii")
+    start = len(_CANONICAL_HEADER)
+    if not data.startswith(_CANONICAL_HEADER) or len(data) == start:
+        return None
+    stamps, flux = [], []
+    while start < len(data):
+        stop = data.find(b"\n", start + _SCAN_CHUNK_BYTES) + 1 or len(data)
+        chunk = data[start:stop]
+        start = stop
+        if (chunk.translate(None, _CANONICAL_BYTES) or chunk.startswith(b"\n")
+                or b"\n\n" in chunk):
+            return None
+        if not chunk.endswith(b"\n"):
+            chunk += b"\n"
+        # no letters but e/E/T/Z pass the check above, so a NaN read back
+        # can only come from an empty field
+        chunk = chunk.replace(b",\n", b",nan\n")
+        try:
+            rows = np.loadtxt(io.BytesIO(chunk), dtype=_CANONICAL_ROW, delimiter=",",
+                              comments=None, ndmin=1)
+        except ValueError:
+            return None
+        stamp = rows.view(np.uint8).reshape(rows.size, _CANONICAL_ROW.itemsize)[:, :21]
+        if not np.all(np.where(_STAMP_DIGITS, stamp - ord("0") < 10,
+                               stamp == _STAMP_TEMPLATE)):
+            return None
+        try:
+            stamps.append(rows["stamp"].astype("S19").astype("datetime64[s]"))
+        except ValueError:
+            return None
+        flux.append(rows["flux"].copy())
+    stamps, flux = np.concatenate(stamps), np.concatenate(flux)
+
+    def row_text(i: int) -> tuple[int, str, str]:
+        ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+        stop = ends[i + 1] if i + 1 < ends.size else len(data)
+        ts, value = data[ends[i] + 1:stop].decode("ascii").split(",")
+        return i + 2, ts[:-1], value
+
+    return _Columns(_to_minutes(stamps, row_text), flux, np.isnan(flux), row_text)
+
+
+def _to_minutes(stamps: np.ndarray, row_text) -> np.ndarray:
+    """datetime64[s] stamps as datetime64[m]; an off-grid stamp names its line."""
+    minutes = stamps.astype("datetime64[m]")
+    off_grid = minutes.astype("datetime64[s]") != stamps
+    if np.any(off_grid):
+        line_no, ts, _ = row_text(int(np.argmax(off_grid)))
+        raise ParseError(f"timestamp '{ts}' not on the minute grid", line_no)
+    return minutes
+
+
+def _decode(data: str | bytes) -> str:
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # number lines as str.splitlines does in the per-line scan
+        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line_no) from None
+
+
+def _scan_lines(text: str) -> _Columns:
+    """Tokenise line by line, accepting any layout the format allows."""
     lines = text.splitlines()
     if not lines:
         raise EmptyInputError("input is empty")
-    header = lines[0].lstrip("﻿").strip()
+    header = lines[0].lstrip("\ufeff").strip()
     if header != CSV_HEADER:
         raise ParseError(f"expected header '{CSV_HEADER}', got '{header}'", 1)
     rows = [(i + 2, line.strip()) for i, line in enumerate(lines[1:]) if line.strip()]
@@ -217,13 +293,11 @@ def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None)
             except ValueError:
                 raise ParseError(f"bad timestamp '{s}'", line_no) from None
         raise  # pragma: no cover - unreachable
-    ts_min = ts_sec.astype("datetime64[m]")
-    off_grid = ts_min.astype("datetime64[s]") != ts_sec
-    if np.any(off_grid):
-        bad = int(np.flatnonzero(off_grid)[0])
-        raise ParseError(f"timestamp '{ts_strs[bad]}' not on the minute grid",
-                         rows[bad][0])
 
+    def row_text(i: int) -> tuple[int, str, str]:
+        return rows[i][0], ts_strs[i], flux_strs[i]
+
+    minutes = _to_minutes(ts_sec, row_text)
     empty = np.array([s == "" for s in flux_strs])
     try:
         flux = np.array([s if s else "nan" for s in flux_strs], dtype=np.float64)
@@ -235,22 +309,48 @@ def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None)
                 except ValueError:
                     raise ParseError(f"bad flux value '{s}'", line_no) from None
         raise  # pragma: no cover - unreachable
+
+    return _Columns(minutes, flux, empty, row_text)
+
+
+def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None) -> FluxSeries:
+    """Parse the two-column flux CSV into a series.
+
+    Expects a ``timestamp,flux_wm2`` header, ISO-8601 UTC timestamps with
+    a ``Z`` suffix on the minute grid, and decimal or scientific-notation
+    flux values.  An empty flux field or a configured sentinel value
+    marks the sample missing.  Input in the layout ``write_flux_csv``
+    produces is tokenised a chunk at a time in C; any other input is
+    scanned line by line.  Both give the same series or the same error.
+
+    Raises
+    ------
+    EmptyInputError
+        No content or no data rows.
+    ParseError
+        Malformed row or bytes that are not UTF-8; the message names the
+        offending 1-based line.
+    OrderingError
+        Non-increasing timestamps; names the offending line.
+    """
+    config = config or IngestConfig()
+    data = source if isinstance(source, (str, bytes)) else source.read()
+    ts_min, flux, empty, row_text = _scan_canonical(data) or _scan_lines(_decode(data))
+
     for sentinel in config.missing_sentinels:
         empty |= flux == sentinel
     flux[empty] = np.nan
 
     invalid = ~empty & (~np.isfinite(flux) | (flux < 0.0))
     if np.any(invalid):
-        bad = int(np.flatnonzero(invalid)[0])
-        raise ParseError(f"flux value '{flux_strs[bad]}' is not a finite value >= 0",
-                         rows[bad][0])
+        line_no, _, value = row_text(int(np.argmax(invalid)))
+        raise ParseError(f"flux value '{value}' is not a finite value >= 0", line_no)
 
     if ts_min.size > 1:
-        diffs = np.diff(ts_min)
-        if np.any(diffs <= np.timedelta64(0, "m")):
-            bad = int(np.flatnonzero(diffs <= np.timedelta64(0, "m"))[0]) + 1
-            raise OrderingError(
-                f"timestamp '{ts_strs[bad]}' does not increase", rows[bad][0])
+        backwards = np.diff(ts_min) <= np.timedelta64(0, "m")
+        if np.any(backwards):
+            line_no, ts, _ = row_text(int(np.argmax(backwards)) + 1)
+            raise OrderingError(f"timestamp '{ts}' does not increase", line_no)
 
     return FluxSeries(ts_min, flux)
 
@@ -264,20 +364,27 @@ def read_flux_csv(path, config: IngestConfig | None = None) -> FluxSeries:
 def write_flux_csv(series: FluxSeries, path=None) -> str:
     """Serialize a series to the interchange CSV (missing flux = empty field).
 
-    Returns the CSV text; also writes it to ``path`` when given.
+    Each flux is its shortest round-trip ``repr``.  Returns the CSV text;
+    also writes it to ``path`` when given.
     """
-    ts = np.datetime_as_string(series.timestamps.astype("datetime64[s]"), unit="s")
-    flux = series.flux
-    parts = [CSV_HEADER]
-    missing = np.isnan(flux)
-    for i in range(len(series)):
-        value = "" if missing[i] else repr(float(flux[i]))
-        parts.append(f"{ts[i]}Z,{value}")
-    text = "\n".join(parts) + "\n"
+    parts = [CSV_HEADER, "\n"]
+    for lo in range(0, len(series), _WRITE_CHUNK_ROWS):
+        chunk = slice(lo, lo + _WRITE_CHUNK_ROWS)
+        minutes = series.timestamps[chunk]
+        days = minutes.astype("datetime64[D]")
+        day_list, day_of_row = np.unique(days, return_inverse=True)
+        dates = np.datetime_as_string(day_list).astype(object)[day_of_row]
+        clocks = _CLOCK_TEXT[(minutes - days).astype(np.int64)]
+        stamps = map(operator.add, dates.tolist(), clocks.tolist())
+        flux = series.flux[chunk]
+        values = list(map(repr, flux.tolist()))
+        for i in np.flatnonzero(np.isnan(flux)).tolist():
+            values[i] = ""
+        parts += "\n".join(map(operator.add, stamps, values)), "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return text
+            fh.writelines(parts)
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

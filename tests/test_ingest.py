@@ -1,3 +1,6 @@
+import io
+import os
+
 import numpy as np
 import pytest
 
@@ -98,6 +101,114 @@ class TestParse:
         back = fv.parse_flux_csv(fv.write_flux_csv(series))
         np.testing.assert_array_equal(back.timestamps, series.timestamps)
         np.testing.assert_array_equal(back.flux, series.flux)
+
+
+def _flux_csv(rows, newline="\n"):
+    """The interchange CSV of ``(timestamp, flux text)`` rows."""
+    return newline.join(["timestamp,flux_wm2", *(f"{t}Z,{v}" for t, v in rows)]) + newline
+
+
+class TestInputLayouts:
+    """Canonical input takes the columnar scan, everything else the per-line one."""
+
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+    def test_non_finite_flux_names_line(self, value):
+        text = _flux_csv([("2000-01-01T00:00:00", "1e-5"), ("2000-01-01T00:01:00", value)])
+        with pytest.raises(ParseError, match="line 3"):
+            fv.parse_flux_csv(text)
+
+    @pytest.mark.parametrize("last", ["2e-5", ""])
+    def test_missing_trailing_newline(self, last):
+        text = _flux_csv([("2000-01-01T00:00:00", "1e-5"), ("2000-01-01T00:01:00", last)])
+        series = fv.parse_flux_csv(text.rstrip("\n"))
+        assert len(series) == 2
+        np.testing.assert_array_equal(series.flux, [1e-5, float(last or "nan")])
+
+    @pytest.mark.parametrize("tail", ["2000-01-01T00:0", "2000-01-01T00:01:0Z,1e-5",
+                                      "2000-01-01T00:01:00"])
+    def test_row_truncated_mid_timestamp_names_line(self, tail):
+        text = _flux_csv([("2000-01-01T00:00:00", "1e-5")]) + tail
+        with pytest.raises(ParseError, match="line 3"):
+            fv.parse_flux_csv(text)
+
+    @pytest.mark.parametrize("sentinel", ["-9.9999e4", "-99999.0", "-9.9999E+04"])
+    def test_sentinel_spellings_map_to_missing(self, sentinel):
+        text = _flux_csv([("2000-01-01T00:00:00", sentinel), ("2000-01-01T00:01:00", "1e-5")])
+        series = fv.parse_flux_csv(text)
+        assert np.isnan(series.flux[0])
+        assert series.n_observations == 1
+
+    @pytest.mark.parametrize("layout", [
+        lambda t: "\ufeff" + t,                                       # BOM
+        lambda t: t.replace("\n", "\n\n"),                            # blank lines
+        lambda t: t.replace("Z,", "Z , ").replace("\n2", "\n  2"),    # padded fields
+        lambda t: t.replace("2003-10-28T00:00:00Z", "2003-10-28"),    # date-only stamp
+    ])
+    def test_other_layouts_parse_alike(self, layout):
+        text = _flux_csv([("2003-10-28T00:00:00", "1.0e-4"), ("2003-10-28T00:01:00", "")])
+        want = fv.parse_flux_csv(text)
+        got = fv.parse_flux_csv(layout(text))
+        np.testing.assert_array_equal(got.timestamps, want.timestamps)
+        np.testing.assert_array_equal(got.flux, want.flux)
+
+    @pytest.mark.parametrize("crlf", [False, True])
+    def test_non_utf8_bytes_name_line(self, crlf, tmp_path):
+        text = _flux_csv([("2000-01-01T00:00:00", "1e-5"), ("2000-01-01T00:01:00", "2e-5"),
+                          ("2000-01-01T00:02:00", "3e-5")], "\r\n" if crlf else "\n")
+        data = text.encode("ascii").replace(b"2e-5", b"2e-5\xff")
+        with pytest.raises(ParseError, match="line 3"):
+            fv.parse_flux_csv(data)
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="line 3"):
+            fv.read_flux_csv(path)
+
+    @pytest.mark.parametrize("small_chunks", [False, True])
+    def test_columnar_and_per_line_scans_agree(self, small_chunks, monkeypatch):
+        if small_chunks:
+            monkeypatch.setattr(fv.ingest, "_SCAN_CHUNK_BYTES", 1000)
+            monkeypatch.setattr(fv.ingest, "_WRITE_CHUNK_ROWS", 97)
+        rng = np.random.default_rng(17)
+        n = 3000
+        minutes = (np.datetime64("1969-12-30T22:00", "m")
+                   + np.cumsum(rng.integers(1, 6, n)) * np.timedelta64(1, "m"))
+        stamps = np.datetime_as_string(minutes, unit="s").tolist()
+        values = 1e-4 * rng.pareto(2.0, n)
+        kind = rng.integers(0, 5, n)
+        texts = [["", "-99999", repr(v), f"{v:.6e}", f"{v:.9f}"][k]
+                 for k, v in zip(kind, values.tolist())]
+        want = np.array([np.nan if k < 2 else float(t) for k, t in zip(kind, texts)])
+        text = _flux_csv(zip(stamps, texts))
+        assert fv.ingest._scan_canonical(text) is not None
+        assert fv.ingest._scan_canonical(text.replace("\n", "\r\n")) is None
+
+        parsed = [fv.parse_flux_csv(text), fv.parse_flux_csv(text.encode("ascii")),
+                  fv.parse_flux_csv(io.BytesIO(text.encode("ascii"))),
+                  fv.parse_flux_csv(io.StringIO(text)),
+                  fv.parse_flux_csv(text.replace("\n", "\r\n"))]  # per-line scan
+        for series in parsed:
+            np.testing.assert_array_equal(series.timestamps, minutes)
+            np.testing.assert_array_equal(series.flux.view(np.uint64), want.view(np.uint64))
+
+        written = fv.write_flux_csv(parsed[0])
+        reference = _flux_csv((t, "" if np.isnan(v) else repr(v))
+                              for t, v in zip(stamps, want.tolist()))
+        assert written == reference
+        back = fv.parse_flux_csv(written)
+        np.testing.assert_array_equal(back.timestamps, minutes)
+        np.testing.assert_array_equal(back.flux.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.skipif(not os.environ.get("FLAREVT_SLOW_TESTS"),
+                        reason="set FLAREVT_SLOW_TESTS=1 to round-trip 30 years "
+                               "(15.8M rows, ~680 MB) through CSV")
+    def test_thirty_year_csv_round_trip(self, tmp_path):
+        series = fv.synth_clustered_series(3e-4, 0.25, 60.0, 10.0, 30.0, seed=7)
+        path = tmp_path / "flux.csv"
+        fv.write_flux_csv(series, path)
+        back = fv.read_flux_csv(path)
+        np.testing.assert_array_equal(back.timestamps, series.timestamps)
+        np.testing.assert_array_equal(back.flux.view(np.uint64),
+                                      series.flux.view(np.uint64))
 
 
 class TestScaling:

@@ -173,6 +173,18 @@ class TestCliStages:
         assert "--meta" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_fit_events_with_n_total_is_usage_error(self, synth_csv, pipeline_config,
+                                                    tmp_path, capsys):
+        # the catalog metadata fixes n_total, so an explicit one would be dropped
+        run_pipeline(pipeline_config, [synth_csv], out_dir=tmp_path, fixed_clock=True)
+        out = tmp_path / "fit_n_total.json"
+        assert main(["fit", "--events", str(tmp_path / "catalog.csv"),
+                     "--meta", str(tmp_path / "catalog.json"),
+                     "--threshold", "1e-4", "--n-total", "5",
+                     "--out", str(out)]) == 2
+        assert "--n-total" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["1:10", "1:10:x", "0:10:5", "10:1:5"])
     def test_malformed_m_grid_is_usage_error(self, grid, tmp_path):
         # a readable fit, so that only the grid can make the command fail
