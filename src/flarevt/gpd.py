@@ -1,8 +1,9 @@
 """Generalized Pareto distribution over threshold excesses.
 
-Evaluation, simulation, and maximum-likelihood fitting with standard
-errors from the observed information matrix (Coles, 2001, ch. 4).  The
-distribution function used throughout is
+Evaluation, simulation, and maximum-likelihood fitting.  The fit is a
+Newton iteration on the analytic score and observed information, and the
+standard errors come from the same information matrix (Coles, 2001,
+ch. 4).  The distribution function used throughout is
 
     H(y) = 1 - (1 + shape * y / scale) ** (-1 / shape),    y >= 0,
 
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from numpy.polynomial.polynomial import polyval
 
 from .errors import ConvergenceError, DomainError, InsufficientDataError
 
@@ -36,10 +37,6 @@ __all__ = [
 ]
 
 SHAPE_SWITCH_TOL = 1e-6  # |shape| below this uses the exponential limit
-_FD_REL_STEP = 1e-5     # relative step for the finite-difference Hessian
-_XATOL = 1e-9           # simplex displacement tolerance
-_RETRY_SCALE_FACTORS = (0.5, 1.0, 2.0)
-_RETRY_SHAPES = (-0.2, 0.1, 0.5)
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,14 @@ class GpdParams:
 
 @dataclass(frozen=True)
 class FitConvergence:
-    """Optimizer diagnostics attached to a fit."""
+    """Optimizer diagnostics attached to a fit.
+
+    ``iterations`` counts Newton steps, ``function_evals`` likelihood
+    evaluations (each with its score and information), and ``restarts``
+    the step halvings of the line search: the fit has a single start
+    point, and a halving is its retreat from a trial point outside the
+    support or with too little gain.
+    """
 
     converged: bool
     iterations: int
@@ -83,8 +87,8 @@ class GpdFit:
     """A fitted excess model: threshold, parameters, and uncertainty.
 
     ``covariance`` is the 2x2 inverse observed information over
-    (scale, shape), or None when the Hessian at the optimum was not
-    negative definite.  ``n_excesses``/``n_total`` give the exceedance
+    (scale, shape), or None when that information at the optimum was not
+    positive definite.  ``n_excesses``/``n_total`` give the exceedance
     rate used for return-level calculations.
     """
 
@@ -231,56 +235,159 @@ def gpd_mean_excess(params: GpdParams, delta_u: float = 0.0) -> float:
 # maximum-likelihood fitting
 # ---------------------------------------------------------------------------
 
-# support violations become a finite wall: +inf would poison the
-# simplex convergence test with NaN differences
-_PENALTY = 1e300
+# Where every |shape * y / scale| is below _SERIES_TOL, the shape terms of
+# the score and information come from power series: their closed forms
+# cancel there (log1p(a) - a/(1+a) ~ a**2/2), and the series stays exact
+# and continuous through shape = 0.  Twelve terms leave a relative
+# truncation error below 1e-14 at the switch.
+_SERIES_TOL = 0.05
+_J = np.arange(12, dtype=np.float64)
+# sum_j _P_COEF[j] a**j = (log1p(a) - a/(1+a)) / a**2
+_P_COEF = (-1.0) ** _J * (_J + 1.0) / (_J + 2.0)
+# sum_j _Q_COEF[j] a**j = (2 log1p(a) - 2a/(1+a) - (a/(1+a))**2) / a**3
+_Q_COEF = (-1.0) ** _J * (_J + 1.0) * (_J + 2.0) / (_J + 3.0)
 
-# the binding convergence criterion is the simplex displacement (xatol);
-# fatol only needs to be reachable once the simplex has collapsed
-_NM_OPTIONS = {"xatol": _XATOL, "fatol": 1e-8, "maxiter": 2000, "maxfev": 4000}
-
-
-def _minimize_nll_2d(y: np.ndarray, start: np.ndarray):
-    def objective(theta):
-        value = _gpd_nll(y, math.exp(theta[0]), theta[1])
-        return value if value < _PENALTY else _PENALTY
-
-    return minimize(objective, start, method="Nelder-Mead", options=_NM_OPTIONS)
-
-
-def _minimize_nll_1d(y: np.ndarray, start: float, shape: float):
-    def objective(theta):
-        value = _gpd_nll(y, math.exp(theta[0]), shape)
-        return value if value < _PENALTY else _PENALTY
-
-    return minimize(objective, np.array([start]), method="Nelder-Mead",
-                    options=_NM_OPTIONS)
+# converged when the Newton decrement score' info^-1 score, twice the
+# log-likelihood gain the next step predicts, falls below this
+_DECREMENT_TOL = 1e-20
+_MAX_ITER = 100
+_MAX_HALVINGS = 60
+_ARMIJO = 1e-4        # sufficient-increase fraction of the predicted gain
+_QUADRATIC = 1e-4     # below this decrement a full Newton step is taken
 
 
-def _hessian_2d(y: np.ndarray, scale: float, shape: float) -> np.ndarray:
-    """Central finite-difference Hessian of the log-likelihood at the MLE."""
-    def ll(s, x):
-        if s <= 0.0:
-            return -np.inf
-        return -_gpd_nll(y, s, x)
+def _loglik_derivatives(y: np.ndarray, scale: float, shape: float):
+    """Log-likelihood, score and observed information at (scale, shape).
 
-    hs = _FD_REL_STEP * scale
-    hx = _FD_REL_STEP * max(abs(shape), 1e-2)
-    l0 = ll(scale, shape)
-    d_ss = (ll(scale + hs, shape) - 2.0 * l0 + ll(scale - hs, shape)) / hs**2
-    d_xx = (ll(scale, shape + hx) - 2.0 * l0 + ll(scale, shape - hx)) / hx**2
-    d_sx = (ll(scale + hs, shape + hx) - ll(scale + hs, shape - hx)
-            - ll(scale - hs, shape + hx) + ll(scale - hs, shape - hx)) / (4.0 * hs * hx)
-    return np.array([[d_ss, d_sx], [d_sx, d_xx]])
+    The score and information are over (log scale, shape), from the
+    closed forms (Coles, 2001, sec. 4.3; Smith, 1985).  With
+    z = y / scale and a = shape * z:
+
+        d/dlog(scale)   = (1 + shape) sum z/(1+a) - n
+        d/dshape        = sum (log1p(a) - a/(1+a)) / shape**2 - sum z/(1+a)
+
+    and the information is minus the matrix of second derivatives.  The
+    log-likelihood value is ``-_gpd_nll``, so inside the
+    SHAPE_SWITCH_TOL band it is the exponential limit like every other
+    function of the model.  Returns ``(-inf, None, None)`` outside the
+    support.
+    """
+    ll = -_gpd_nll(y, scale, shape)
+    if ll == -math.inf:
+        return ll, None, None
+    z = y / scale
+    a = shape * y / scale      # as _gpd_nll rounds it, so 1 + a > 0
+    u = 1.0 / (1.0 + a)
+    zu = z * u
+    s1 = float(zu.sum())           # sum z/(1+a)
+    s2 = float((zu * u).sum())     # sum z/(1+a)**2
+    s3 = float((zu * zu).sum())    # sum z**2/(1+a)**2
+    if abs(shape) * float(z.max()) < _SERIES_TOL:
+        zz = z * z
+        h = float((zz * polyval(a, _P_COEF)).sum())
+        q = float((zz * z * polyval(a, _Q_COEF)).sum())
+    else:
+        au = a * u
+        r = np.log1p(a) - au
+        h = float(r.sum()) / shape**2
+        q = float((2.0 * r - au * au).sum()) / shape**3
+    w = 1.0 + shape
+    score = np.array([w * s1 - y.size, h - s1])
+    info = np.array([[w * s2, w * s3 - s1],
+                     [w * s3 - s1, q - s3]])
+    return ll, score, info
+
+
+def _ascent_step(score: np.ndarray, info: np.ndarray, fixed_shape: bool):
+    """Newton step, and whether the information was positive definite.
+
+    An indefinite information matrix gets its eigenvalues replaced by
+    their magnitudes, which keeps the step an ascent direction.
+    """
+    if fixed_shape:  # concave in log scale for shape > -1: info[0, 0] > 0
+        return np.array([score[0] / info[0, 0], 0.0]), True
+    (i_tt, i_tx), (_, i_xx) = info
+    det = i_tt * i_xx - i_tx * i_tx
+    if i_tt > 0.0 and det > 0.0:
+        return np.array([i_xx * score[0] - i_tx * score[1],
+                         i_tt * score[1] - i_tx * score[0]]) / det, True
+    lam, vec = np.linalg.eigh(info)
+    lam = np.maximum(np.abs(lam), 1e-12 * np.abs(lam).max())
+    return vec @ ((vec.T @ score) / lam), False
+
+
+def _maximize(y: np.ndarray, scale: float, shape: float, fixed_shape: bool):
+    """Safeguarded Newton ascent of the log-likelihood over (log scale, shape).
+
+    A step is halved until the trial point lies in the support with
+    shape > -1 and gains a fraction of the predicted increase.  Converged
+    when the information is positive definite and the Newton decrement
+    is below _DECREMENT_TOL.  Where the supremum lies on the support edge
+    (shape -> -1, scale -> max(y)) the decrement stays away from 0, so
+    such samples end unconverged.  Returns scale, shape, log-likelihood
+    and diagnostics.
+    """
+    theta = np.array([math.log(scale), shape])
+    ll, score, info = _loglik_derivatives(y, scale, shape)
+    evals, halvings = 1, 0
+    if shape <= -1.0:  # only a pinned shape starts here
+        return None, None, ll, FitConvergence(
+            False, 0, evals, 0, _failure_message(y, theta, "shape <= -1"))
+    for it in range(1, _MAX_ITER + 1):
+        step, regular = _ascent_step(score, info, fixed_shape)
+        decrement = float(score @ step)
+        if regular and decrement < _DECREMENT_TOL:
+            return (math.exp(theta[0]), float(theta[1]), ll,
+                    FitConvergence(True, it, evals, halvings,
+                                   "Newton decrement below tolerance"))
+        # a step of at most 1% of a standard error (decrement 1e-4) lies
+        # where the quadratic model holds; its gain can drown in rounding
+        quadratic = regular and decrement < _QUADRATIC
+        gain = -math.inf if quadratic else _ARMIJO * decrement
+        alpha = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = theta + alpha * step
+            if trial[1] > -1.0:
+                ll_t, score_t, info_t = _loglik_derivatives(
+                    y, math.exp(trial[0]), trial[1])
+                evals += 1
+                if score_t is not None and ll_t >= ll + alpha * gain:
+                    break
+            alpha *= 0.5
+            halvings += 1
+        else:
+            return None, None, ll, FitConvergence(
+                False, it, evals, halvings,
+                _failure_message(y, theta, "no step raised the likelihood"))
+        theta, ll, score, info = trial, ll_t, score_t, info_t
+    return None, None, ll, FitConvergence(
+        False, _MAX_ITER, evals, halvings,
+        _failure_message(y, theta, f"no convergence in {_MAX_ITER} iterations"))
+
+
+def _failure_message(y: np.ndarray, theta: np.ndarray, reason: str) -> str:
+    scale, shape = math.exp(theta[0]), float(theta[1])
+    return (f"{reason}; last iterate scale={scale!r}, shape={shape!r}, "
+            f"1 + shape*max(y)/scale={1.0 + shape * float(y.max()) / scale:.3g}")
+
+
+def _information(y: np.ndarray, scale: float, shape: float):
+    """Observed information over (scale, shape), or None outside the support."""
+    _, score, info = _loglik_derivatives(y, scale, shape)
+    if info is None:
+        return None
+    # chain rule from log scale; the score term vanishes at the optimum
+    return np.array([[(info[0, 0] + score[0]) / scale**2, info[0, 1] / scale],
+                     [info[1, 0] / scale, info[1, 1]]])
 
 
 def _covariance_2d(y, scale, shape):
-    hess = _hessian_2d(y, scale, shape)
-    if not np.all(np.isfinite(hess)):
+    """Inverse observed information, or (None, None) if not positive definite."""
+    info = _information(y, scale, shape)
+    if info is None:
         return None, None
-    info = -hess
     det = info[0, 0] * info[1, 1] - info[0, 1] * info[1, 0]
-    if info[0, 0] <= 0.0 or det <= 0.0:  # not positive definite
+    if info[0, 0] <= 0.0 or det <= 0.0:
         return None, None
     cov = np.array([[info[1, 1], -info[0, 1]],
                     [-info[1, 0], info[0, 0]]]) / det
@@ -288,29 +395,17 @@ def _covariance_2d(y, scale, shape):
     return cov, std
 
 
-def _covariance_fixed_shape(y, scale, shape):
-    def ll(s):
-        return -_gpd_nll(y, s, shape)
-
-    h = _FD_REL_STEP * scale
-    d2 = (ll(scale + h) - 2.0 * ll(scale) + ll(scale - h)) / h**2
-    if not np.isfinite(d2) or d2 >= 0.0:
-        return None, None
-    var = -1.0 / d2
-    cov = np.array([[var, 0.0], [0.0, 0.0]])
-    return cov, (math.sqrt(var), 0.0)
-
-
 def fit_gpd(excesses, *, threshold: float = 0.0, n_total: int | None = None,
             fixed_shape: float | None = None, min_excesses: int = 20) -> GpdFit:
     """Fit the excess model by maximum likelihood.
 
-    The likelihood is maximized by a Nelder-Mead simplex over
-    (log scale, shape), so scale positivity is structural and support
-    violations act as an infinite penalty.  The start point is the
-    exponential fit (scale = mean excess, shape = 0.1); on
-    non-convergence a 3x3 grid of perturbed starts is tried and the best
-    converged optimum kept.
+    The likelihood is maximized by safeguarded Newton iteration over
+    (log scale, shape) on the analytic score and observed information,
+    so scale positivity is structural; steps are halved to stay in the
+    support and to raise the likelihood.  The start point is the
+    exponential fit (scale = mean excess) with shape = 0.1.  Standard
+    errors come from the same analytic information, inverted at the
+    optimum over (scale, shape).
 
     Parameters
     ----------
@@ -334,7 +429,8 @@ def fit_gpd(excesses, *, threshold: float = 0.0, n_total: int | None = None,
     InsufficientDataError
         Fewer than ``min_excesses`` values.
     ConvergenceError
-        No start point converged; diagnostics attached.
+        The iteration did not converge, as when the likelihood's supremum
+        lies on the support edge with shape <= -1; diagnostics attached.
     """
     y = _as_excess_array(excesses)
     if y.size < min_excesses:
@@ -348,42 +444,25 @@ def fit_gpd(excesses, *, threshold: float = 0.0, n_total: int | None = None,
     if n_total is None:
         n_total = y.size
 
-    restarts = 0
-    if fixed_shape is not None:
-        result = _minimize_nll_1d(y, math.log(mean), fixed_shape)
-        if not result.success:
-            raise ConvergenceError(
-                "scale optimization did not converge",
-                diagnostics=FitConvergence(False, result.nit, result.nfev,
-                                           restarts, str(result.message)))
-        scale_hat, shape_hat = math.exp(result.x[0]), fixed_shape
-        cov, std = _covariance_fixed_shape(y, scale_hat, shape_hat)
+    if fixed_shape is None:
+        scale_hat, shape_hat, ll, convergence = _maximize(y, mean, 0.1, False)
     else:
-        result = _minimize_nll_2d(y, np.array([math.log(mean), 0.1]))
-        if not result.success:
-            best = None
-            for factor in _RETRY_SCALE_FACTORS:
-                for shape0 in _RETRY_SHAPES:
-                    restarts += 1
-                    r = _minimize_nll_2d(y, np.array([math.log(mean * factor), shape0]))
-                    if r.success and (best is None or r.fun < best.fun):
-                        best = r
-            if best is None:
-                raise ConvergenceError(
-                    "likelihood maximization did not converge from any start",
-                    diagnostics=FitConvergence(False, result.nit, result.nfev,
-                                               restarts, str(result.message)))
-            result = best
-        scale_hat, shape_hat = math.exp(result.x[0]), float(result.x[1])
+        # start inside the support, which ends at -scale/shape
+        scale0 = max(mean, -2.0 * fixed_shape * float(y.max()))
+        scale_hat, shape_hat, ll, convergence = _maximize(
+            y, scale0, float(fixed_shape), True)
+    if not convergence.converged:
+        raise ConvergenceError("likelihood maximization did not converge",
+                               diagnostics=convergence)
+    if fixed_shape is None:
         cov, std = _covariance_2d(y, scale_hat, shape_hat)
-
-    convergence = FitConvergence(
-        converged=bool(result.success),
-        iterations=int(result.nit),
-        function_evals=int(result.nfev),
-        restarts=restarts,
-        message=str(result.message),
-    )
+    else:
+        info = _information(y, scale_hat, shape_hat)
+        cov = std = None
+        if info[0, 0] > 0.0:
+            var = 1.0 / info[0, 0]
+            cov = np.array([[var, 0.0], [0.0, 0.0]])
+            std = (math.sqrt(var), 0.0)
     return GpdFit(
         threshold=float(threshold),
         params=GpdParams(scale_hat, shape_hat),
@@ -391,7 +470,7 @@ def fit_gpd(excesses, *, threshold: float = 0.0, n_total: int | None = None,
         std_errors=std,
         n_excesses=int(y.size),
         n_total=int(n_total),
-        log_likelihood=-float(result.fun),
+        log_likelihood=float(ll),
         convergence=convergence,
     )
 

@@ -65,6 +65,24 @@ class FluxSeries:
     span_end: np.datetime64 = None
 
     def __post_init__(self):
+        self._check_and_freeze(copy=True)
+
+    @classmethod
+    def _adopt(cls, timestamps, flux, span_start=None, span_end=None):
+        """A series that takes over arrays no caller holds and freezes them.
+
+        For arrays ingest has just built and for the frozen arrays of
+        another series; the constructor copies, so an array a caller may
+        still write is never frozen or aliased.
+        """
+        series = cls.__new__(cls)
+        for name, value in (("timestamps", timestamps), ("flux", flux),
+                            ("span_start", span_start), ("span_end", span_end)):
+            object.__setattr__(series, name, value)
+        series._check_and_freeze(copy=False)
+        return series
+
+    def _check_and_freeze(self, copy: bool):
         ts = np.asarray(self.timestamps)
         if ts.dtype != np.dtype("datetime64[m]"):
             converted = ts.astype("datetime64[m]")
@@ -92,9 +110,9 @@ class FluxSeries:
         if ts.size and not (start <= ts[0] and ts[-1] <= end):
             raise DomainError("every timestamp must lie in [span_start, span_end]")
 
-        # freeze copies, never the caller's own arrays
-        ts = ts.copy() if ts is self.timestamps else ts
-        fx = fx.copy() if fx is self.flux else fx
+        if copy:  # freeze copies, never the caller's own arrays
+            ts = ts.copy() if ts is self.timestamps else ts
+            fx = fx.copy() if fx is self.flux else fx
         ts.setflags(write=False)
         fx.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)
@@ -352,7 +370,7 @@ def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None)
             line_no, ts, _ = row_text(int(np.argmax(backwards)) + 1)
             raise OrderingError(f"timestamp '{ts}' does not increase", line_no)
 
-    return FluxSeries(ts_min, flux)
+    return FluxSeries._adopt(ts_min, flux)
 
 
 def read_flux_csv(path, config: IngestConfig | None = None) -> FluxSeries:
@@ -395,8 +413,8 @@ def apply_scaling(series: FluxSeries, divisor: float) -> FluxSeries:
     """Divide every non-missing flux by ``divisor`` (cross-satellite scaling)."""
     if not divisor > 0.0:
         raise DomainError("scaling divisor must be > 0")
-    return FluxSeries(series.timestamps, series.flux / divisor,
-                      series.span_start, series.span_end)
+    return FluxSeries._adopt(series.timestamps, series.flux / divisor,
+                             series.span_start, series.span_end)
 
 
 def filter_saturation(series: FluxSeries, config: IngestConfig) -> tuple[FluxSeries, int]:
@@ -430,8 +448,8 @@ def filter_saturation(series: FluxSeries, config: IngestConfig) -> tuple[FluxSer
         removed += 1
     if removed == 0:
         return series, 0
-    return FluxSeries(series.timestamps, new_flux,
-                      series.span_start, series.span_end), removed
+    return FluxSeries._adopt(series.timestamps, new_flux,
+                             series.span_start, series.span_end), removed
 
 
 # ---------------------------------------------------------------------------
@@ -510,4 +528,4 @@ def synth_clustered_series(scale: float, shape: float, event_rate: float,
             np.maximum(flux[lo:hi], profile, out=flux[lo:hi])
 
     timestamps = np.datetime64(start, "m") + np.arange(n_minutes) * _MINUTE
-    return FluxSeries(timestamps, flux)
+    return FluxSeries._adopt(timestamps, flux)

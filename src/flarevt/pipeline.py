@@ -279,7 +279,7 @@ def ingest_many(specs: list[InputSpec]) -> tuple[FluxSeries, list[dict]]:
         infos.append(info)
     if len(series_list) == 1:
         return series_list[0], infos
-    combined = FluxSeries(
+    combined = FluxSeries._adopt(
         np.concatenate([s.timestamps for s in series_list]),
         np.concatenate([s.flux for s in series_list]),
     )

@@ -17,6 +17,7 @@ better-calibrated of the two and is the one quoted by the pipeline.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -128,6 +129,15 @@ def _gradient(fit: GpdFit, m: float, cal: ObservationCalendar) -> np.ndarray:
     ])
 
 
+@functools.lru_cache(maxsize=8)
+def _normal_quantile(ci_level: float) -> float:
+    """Two-sided standard normal quantile for ``ci_level``.
+
+    Cached: a period band evaluates the same interval level a dozen times.
+    """
+    return float(norm.ppf(0.5 + ci_level / 2.0))
+
+
 @dataclass(frozen=True)
 class ReturnLevelInterval:
     """Delta-method interval for one return level.
@@ -183,7 +193,7 @@ def return_level_ci(fit: GpdFit, m: float,
     cov[1:, 1:] = fit.covariance
     variance = float(g @ cov @ g)
     se = math.sqrt(max(variance, 0.0))
-    z = float(norm.ppf(0.5 + ci_level / 2.0))
+    z = _normal_quantile(ci_level)
 
     excess = level - fit.threshold
     if se == 0.0 or excess <= 0.0:

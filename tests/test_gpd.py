@@ -1,12 +1,16 @@
+import math
 import time
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.optimize import minimize
 
 import flarevt as fv
-from flarevt import DomainError, GpdParams, InsufficientDataError
-from flarevt.gpd import SHAPE_SWITCH_TOL, fit_from_json_dict, fit_to_json_dict
+from flarevt import (ConvergenceError, DomainError, FitConvergence, GpdParams,
+                     InsufficientDataError)
+from flarevt.gpd import (SHAPE_SWITCH_TOL, _covariance_2d, _loglik_derivatives,
+                         fit_from_json_dict, fit_to_json_dict)
 
 # frozen with 40-digit arithmetic from the closed forms
 CDF_AT_REFERENCE_PARAMS = 0.997224165602     # y=41.5e-4, scale=2.98e-4, shape=0.26
@@ -228,6 +232,169 @@ class TestFit:
         y = fv.gpd_sample(GpdParams(1.0, -0.3), 5000, seed=44)
         fit = fv.fit_gpd(y)
         assert fit.shape == pytest.approx(-0.3, abs=0.05)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_supremum_on_support_edge_raises(self, seed):
+        # uniform excesses: the likelihood grows without bound along the
+        # support edge as the shape passes -1, so there is no regular MLE
+        y = fv.gpd_sample(GpdParams(1.0, -1.0), 200, seed=seed)
+        with pytest.raises(ConvergenceError) as caught:
+            fv.fit_gpd(y)
+        diagnostics = caught.value.diagnostics
+        assert isinstance(diagnostics, FitConvergence)
+        assert not diagnostics.converged
+        assert diagnostics.function_evals >= diagnostics.iterations > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shape_minus_half_fits_with_covariance(self, seed):
+        y = fv.gpd_sample(GpdParams(1.0, -0.5), 200, seed=seed)
+        fit = fv.fit_gpd(y)
+        assert fit.convergence.converged
+        assert -1.0 < fit.shape < 0.0
+        assert fit.covariance is not None
+        assert all(np.isfinite(fit.std_errors)) and min(fit.std_errors) > 0.0
+
+    def test_pinned_shape_at_or_below_minus_one_raises(self):
+        y = fv.gpd_sample(GpdParams(1.0, -0.3), 200, seed=3)
+        for shape in (-1.0, -1.5):
+            with pytest.raises(ConvergenceError):
+                fv.fit_gpd(y, fixed_shape=shape)
+
+    def test_pinned_negative_shape_starts_inside_support(self):
+        # the mean excess lies beyond the support edge -scale/shape = 0.5 * mean
+        y = np.concatenate([np.full(50, 0.01), [2.0]])
+        fit = fv.fit_gpd(y, fixed_shape=-0.9)
+        assert fit.shape == -0.9
+        assert fit.scale > 0.9 * y.max()
+        assert fit.std_errors[1] == 0.0
+
+
+def _exponential_limit_information(y, scale):
+    """Observed information over (scale, shape) of the shape -> 0 limit.
+
+    From the expansion of the log-likelihood to second order in shape,
+    with z = y / scale:
+    -n log(scale) - sum z + shape sum(z**2/2 - z) + shape**2 sum(z**2/2 - z**3/3).
+    """
+    z = y / scale
+    s1, s2, s3 = z.sum(), (z**2).sum(), (z**3).sum()
+    return np.array([[(2.0 * s1 - y.size) / scale**2, (s2 - s1) / scale],
+                     [(s2 - s1) / scale, 2.0 * s3 / 3.0 - s2]])
+
+
+class TestShapeNearZero:
+    SHAPES = (-1.05e-6, -5e-7, 0.0, 5e-7, 1.05e-6, 1e-5)
+
+    def _standard_errors(self):
+        y = np.random.default_rng(17).exponential(1.0, 500)
+        scale = float(y.mean())
+        return y, scale, [_covariance_2d(y, scale, shape)[1] for shape in self.SHAPES]
+
+    def test_standard_errors_continuous_across_switch(self):
+        _, _, ses = self._standard_errors()
+        assert all(se is not None and np.all(np.isfinite(se)) for se in ses)
+        for (a, se_a), (b, se_b) in zip(zip(self.SHAPES, ses),
+                                        zip(self.SHAPES[1:], ses[1:])):
+            # smooth in shape: relative change bounded by 10x the shape step
+            rel = np.abs(np.subtract(se_b, se_a)) / np.asarray(se_a)
+            assert np.all(rel <= 10.0 * (b - a)), (a, b, se_a, se_b)
+
+    def test_standard_errors_match_exponential_limit(self):
+        y, scale, ses = self._standard_errors()
+        info = _exponential_limit_information(y, scale)
+        expected = np.sqrt(np.diag(np.linalg.inv(info)))
+        for shape, se in zip(self.SHAPES, ses):
+            np.testing.assert_allclose(se, expected, rtol=1e-12 + 10.0 * abs(shape))
+
+    @pytest.mark.parametrize("shape", [-0.12, -1e-7, 0.0, 4e-3, 0.35])
+    def test_derivatives_match_finite_differences(self, shape):
+        # shape 4e-3 takes the series branch (4e-3 * max(z) < 0.05), the
+        # others the closed forms; |shape| < SHAPE_SWITCH_TOL is skipped
+        # by central differences of the loglik, which is flat there
+        y = np.random.default_rng(5).exponential(1.0, 400)
+        scale = 1.1 * float(y.mean())
+        ll, score, info = _loglik_derivatives(y, scale, shape)
+        assert ll == fv.gpd_loglik(y, GpdParams(scale, shape))
+
+        def loglik(t, x):
+            return fv.gpd_loglik(y, GpdParams(math.exp(t), x))
+
+        t, h = math.log(scale), 1e-4
+        fd_t = (loglik(t + h, shape) - loglik(t - h, shape)) / (2 * h)
+        fd_tt = (loglik(t + h, shape) - 2 * ll + loglik(t - h, shape)) / h**2
+        np.testing.assert_allclose(score[0], fd_t, rtol=1e-5)
+        np.testing.assert_allclose(info[0, 0], -fd_tt, rtol=1e-5)
+        if abs(shape) > 2 * h:
+            fd_x = (loglik(t, shape + h) - loglik(t, shape - h)) / (2 * h)
+            fd_xx = (loglik(t, shape + h) - 2 * ll + loglik(t, shape - h)) / h**2
+            fd_tx = (loglik(t + h, shape + h) - loglik(t + h, shape - h)
+                     - loglik(t - h, shape + h) + loglik(t - h, shape - h)) / (4 * h * h)
+            np.testing.assert_allclose(score[1], fd_x, rtol=1e-5)
+            np.testing.assert_allclose(info[1, 1], -fd_xx, rtol=1e-5)
+            np.testing.assert_allclose(info[0, 1], -fd_tx, rtol=1e-5)
+        assert info[0, 1] == info[1, 0]
+
+
+def _reference_nll(theta, y, shape=None):
+    """Per-excess GPD negative log-likelihood at (log scale, shape)."""
+    log_scale = theta[0]
+    shape = theta[1] if shape is None else shape
+    scale = math.exp(log_scale)
+    if shape == 0.0:
+        return log_scale + float(y.mean()) / scale
+    z = shape * y / scale
+    if z.min() <= -1.0:
+        return 1e300
+    return log_scale + (1.0 + 1.0 / shape) * float(np.log1p(z).mean())
+
+
+def _reference_fit(y, shape=None):
+    """Nelder-Mead from fit_gpd's start, restarted once from its optimum."""
+    x = [math.log(y.mean()), 0.1] if shape is None else [math.log(y.mean())]
+    for _ in range(2):
+        x = minimize(_reference_nll, x, args=(y, shape), method="Nelder-Mead",
+                     options={"xatol": 1e-10, "fatol": 1e-15}).x
+    return math.exp(x[0]), float(x[1]) if shape is None else shape
+
+
+class TestDifferentialFit:
+    def test_matches_nelder_mead_reference(self):
+        rng = np.random.default_rng(2024)
+        mismatches = []
+        for i in range(200):
+            shape = rng.uniform(-0.4, 1.0)
+            n = int(round(math.exp(rng.uniform(math.log(20), math.log(10_000)))))
+            scale = 10.0 ** rng.uniform(-4.0, 1.0)
+            y = fv.gpd_sample(GpdParams(scale, shape), n, seed=i)
+            ref_scale, ref_shape = _reference_fit(y)
+            try:
+                fit = fv.fit_gpd(y)
+            except ConvergenceError:
+                # only where the reference, too, ran off to the support
+                # edge, which has no regular maximum
+                if ref_shape > -1.0:
+                    mismatches.append((i, n, "ConvergenceError", ref_shape))
+                continue
+            ref_ll = fv.gpd_loglik(y, GpdParams(ref_scale, ref_shape))
+            # the shape has an absolute floor: near 0 the log-likelihood's
+            # rounding hides shape differences of ~1e-8 from any optimizer
+            # that compares likelihood values
+            if not (fit.log_likelihood >= ref_ll - 1e-9
+                    and fit.scale == pytest.approx(ref_scale, rel=1e-6)
+                    and fit.shape == pytest.approx(ref_shape, rel=1e-6, abs=1e-6)):
+                mismatches.append((i, n, fit.scale, fit.shape, fit.log_likelihood,
+                                   ref_scale, ref_shape, ref_ll))
+
+            pinned = fv.fit_gpd(y, fixed_shape=0.0)
+            if not (pinned.scale == pytest.approx(float(y.mean()), rel=1e-8)
+                    and pinned.std_errors[1] == 0.0):
+                mismatches.append((i, n, "fixed_shape=0", pinned.scale, y.mean()))
+            if i % 10 == 0:
+                pinned = fv.fit_gpd(y, fixed_shape=shape)
+                ref_scale, _ = _reference_fit(y, shape)
+                if pinned.scale != pytest.approx(ref_scale, rel=1e-6):
+                    mismatches.append((i, n, "fixed_shape", pinned.scale, ref_scale))
+        assert not mismatches
 
 
 class TestMeanExcess:

@@ -1,5 +1,6 @@
 import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,6 +315,44 @@ class TestFluxSeries:
         ts = np.datetime64("2000-01-01T00:00", "m") + np.arange(2) * np.timedelta64(1, "m")
         fv.FluxSeries(ts, flux)
         flux[0] = 9.0  # still writable
+
+    def test_caller_arrays_never_frozen_or_aliased(self):
+        flux = np.array([1e-4, 2e-4, np.nan])
+        ts = np.datetime64("2000-01-01T00:00", "m") + np.arange(3) * np.timedelta64(1, "m")
+        series = fv.FluxSeries(ts, flux)
+        assert flux.flags.writeable and ts.flags.writeable
+        assert not np.shares_memory(series.flux, flux)
+        assert not np.shares_memory(series.timestamps, ts)
+        flux[0] = 9.0
+        ts[0] = np.datetime64("1999-01-01T00:00", "m")
+        assert series.flux[0] == 1e-4
+        assert series.timestamps[0] == np.datetime64("2000-01-01T00:00", "m")
+        # the constructor copies even the frozen arrays of another series
+        again = fv.FluxSeries(series.timestamps, series.flux)
+        assert not np.shares_memory(again.timestamps, series.timestamps)
+        assert not np.shares_memory(again.flux, series.flux)
+
+    def test_conditioning_freezes_its_own_arrays_in_place(self):
+        n = 1_000_000
+        flux = np.full(n, 1e-4)
+        flux[10:20] = 20e-4  # one saturated run, not retained
+        series = make_series(flux)
+        tracemalloc.start()
+        try:
+            scaled = fv.apply_scaling(series, 0.7)
+            scale_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the divided flux (8 B a row) and the validation temporaries
+        # (~9 B a row) at most; copies of both arrays would add 16 B a row
+        assert scale_peak < 20 * n
+        assert np.shares_memory(scaled.timestamps, series.timestamps)
+        filtered, removed = fv.filter_saturation(scaled, fv.IngestConfig())
+        assert removed == 1
+        assert np.shares_memory(filtered.timestamps, series.timestamps)
+        for arr in (scaled.flux, filtered.flux, filtered.timestamps):
+            assert not arr.flags.writeable
+        assert series.flux[10] == 20e-4 and scaled.flux[10] == 20e-4 / 0.7
 
     def test_sample_access(self):
         series = make_series([1e-4, np.nan])
