@@ -22,34 +22,34 @@ import numpy as np
 from . import __version__
 from .decluster import catalog_from_files, decluster, gap_sweep
 from .errors import FlareVtError, PipelineStageError
-from .gpd import fit_from_json_dict, fit_to_json_dict
+from .gpd import fit_from_json_dict, fit_gpd, fit_to_json_dict
 from .ingest import (IngestConfig, read_flux_csv, synth_clustered_series,
                      write_flux_csv)
-from .pipeline import (InputSpec, PipelineConfig, excesses_from_csv_text,
+from .pipeline import (STAGES, InputSpec, PipelineConfig, excesses_from_csv_text,
                        excesses_to_csv_text, ingest_one, run_diagnostics,
-                       run_fit, run_pipeline, write_json, x_class)
+                       run_pipeline, write_json, write_text, x_class)
 from .returns import (ObservationCalendar, default_m_grid, return_curve,
                       return_level_ci, return_period_band)
 
-STAGE_EXIT_CODES = {
-    "ingest": 3,
-    "decluster": 4,
-    "sweep": 5,
-    "excesses": 6,
-    "fit": 7,
-    "diagnose": 8,
-    "returns": 9,
-    "report": 10,
-}
+# ingest=3, decluster=4, ... report=10
+STAGE_EXIT_CODES = {stage: code for code, stage in enumerate(STAGES, start=3)}
 
 
-def _positive_int_range(text: str) -> range:
-    """Parse 'lo:hi' (inclusive) or a comma list into increasing ints."""
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return range(int(lo), int(hi) + 1)
-    values = [int(v) for v in text.split(",")]
-    return values  # type: ignore[return-value]
+def _positive_int_range(text: str) -> range | list[int]:
+    """Parse 'lo:hi' (inclusive) or a comma list into increasing ints >= 1."""
+    try:
+        if ":" in text:
+            lo, hi = text.split(":")
+            gaps = range(int(lo), int(hi) + 1)
+        else:
+            gaps = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'lo:hi' or a comma list of ints, got {text!r}") from None
+    if not gaps or gaps[0] < 1 or any(b <= a for a, b in zip(gaps, gaps[1:])):
+        raise argparse.ArgumentTypeError(
+            f"need strictly increasing gaps >= 1, got {text!r}")
+    return gaps
 
 
 def _log_grid(text: str) -> tuple[float, float, int]:
@@ -69,11 +69,6 @@ def _log_grid(text: str) -> tuple[float, float, int]:
 def _read_text(path) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
-
-
-def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
 
 
 def _read_json(path) -> dict:
@@ -108,7 +103,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_decluster(args) -> int:
     series = read_flux_csv(args.series)
     catalog = decluster(series, args.threshold, args.gap)
-    _write_text(args.out_events, catalog.to_csv_text())
+    write_text(args.out_events, catalog.to_csv_text())
     write_json(args.out_meta, catalog.to_json_dict())
     print(f"decluster: {len(catalog)} events -> {args.out_events}")
     return 0
@@ -117,7 +112,7 @@ def _cmd_decluster(args) -> int:
 def _cmd_sweep(args) -> int:
     series = read_flux_csv(args.series)
     curve = gap_sweep(series, args.threshold, list(args.gaps))
-    _write_text(args.out, curve.to_csv_text())
+    write_text(args.out, curve.to_csv_text())
     print(f"sweep: {curve.gaps.size} gap(s) -> {args.out}")
     return 0
 
@@ -143,8 +138,8 @@ def _cmd_fit(args) -> int:
         excesses = catalog.excesses_over(args.threshold)
         n_total = catalog.n_total_observations
         if args.out_excesses:
-            _write_text(args.out_excesses, excesses_to_csv_text(excesses))
-    fit = run_fit(excesses, args.threshold, n_total)
+            write_text(args.out_excesses, excesses_to_csv_text(excesses))
+    fit = fit_gpd(excesses, threshold=args.threshold, n_total=n_total)
     write_json(args.out, fit_to_json_dict(fit))
     se = fit.std_errors
     se_txt = "unavailable" if se is None else f"({se[0]:.3g}, {se[1]:.3g})"
@@ -164,8 +159,8 @@ def _cmd_diagnose(args) -> int:
         mrl_grid_points=args.grid_points,
     )
     mrl, plot = run_diagnostics(catalog, fit, config)
-    _write_text(args.out_mrl, mrl.to_csv_text())
-    _write_text(args.out_probplot, plot.to_csv_text())
+    write_text(args.out_mrl, mrl.to_csv_text())
+    write_text(args.out_probplot, plot.to_csv_text())
     print(f"diagnose: {mrl.u0.size} mean-excess points, "
           f"probability plot max deviation "
           f"{plot.max_abs_deviation_from_diagonal:.4f}")
@@ -197,7 +192,7 @@ def _cmd_returns(args) -> int:
             m_min = 1.0 / (cal.obs_per_year * fit.exceedance_rate)
             grid = default_m_grid(max(1.0, m_min * 1.001))
         curve = return_curve(fit, grid, cal, args.ci)
-        _write_text(args.out, curve.to_csv_text())
+        write_text(args.out, curve.to_csv_text())
         print(f"returns: {curve.m.size} grid points -> {args.out}")
         did_something = True
     if not did_something:

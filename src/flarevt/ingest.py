@@ -166,7 +166,11 @@ class IngestConfig:
         if not self.saturation_level > 0.0:
             raise DomainError("saturation_level must be > 0")
         # normalize eagerly so bad dates fail at config time
-        dates = tuple(str(np.datetime64(d, "D")) for d in self.retained_saturation_events)
+        try:
+            dates = tuple(str(np.datetime64(d, "D"))
+                          for d in self.retained_saturation_events)
+        except ValueError as exc:
+            raise DomainError(f"retained_saturation_events: {exc}") from None
         object.__setattr__(self, "retained_saturation_events", dates)
         object.__setattr__(self, "missing_sentinels",
                            tuple(float(v) for v in self.missing_sentinels))

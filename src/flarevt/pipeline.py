@@ -15,8 +15,11 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from numbers import Real
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,15 +42,19 @@ __all__ = [
     "AnalysisReport",
     "run_pipeline",
     "write_json",
+    "write_text",
     "json_text",
 ]
-
-STAGES = ("ingest", "decluster", "sweep", "excesses", "fit",
-          "diagnose", "returns", "report")
 
 REPORT_SCHEMA_VERSION = 2
 
 X_CLASS_UNIT = 1e-4  # W/m^2 per X-class unit
+
+# Flat config fields that the JSON document nests: ``m_grid_lo`` is ``m_grid.lo``.
+_JSON_GROUPS = {"m_grid": ("m_grid_lo", "m_grid_hi", "m_grid_count"),
+                "sweep_gaps": ("sweep_gap_lo", "sweep_gap_hi")}
+_NESTED_PATH = {name: (group, name.rsplit("_", 1)[1])
+                for group, names in _JSON_GROUPS.items() for name in names}
 
 
 @dataclass(frozen=True)
@@ -96,87 +103,40 @@ class PipelineConfig:
             raise DomainError("ci_level must lie in (0, 1)")
         if not self.obs_per_year > 0.0:
             raise DomainError("obs_per_year must be > 0")
+        if not (0.0 < self.m_grid_lo < self.m_grid_hi and self.m_grid_count >= 1):
+            raise DomainError("m_grid must satisfy 0 < lo < hi and count >= 1")
         if not (1 <= self.sweep_gap_lo <= self.sweep_gap_hi):
             raise DomainError("sweep gap range must satisfy 1 <= lo <= hi")
+        if self.mrl_grid_points < 1:
+            raise DomainError("mrl_grid_points must be >= 1")
+        for name in ("return_table_years", "scenario_years", "scenario_levels"):
+            if not all(value > 0.0 for value in getattr(self, name)):
+                raise DomainError(f"every value of {name} must be > 0")
 
     def to_dict(self) -> dict:
-        return {
-            "ingest": {
-                "scaling_divisor": self.ingest.scaling_divisor,
-                "saturation_level": self.ingest.saturation_level,
-                "retained_saturation_events": list(self.ingest.retained_saturation_events),
-                "missing_sentinels": list(self.ingest.missing_sentinels),
-            },
-            "decluster_threshold": self.decluster_threshold,
-            "gap_minutes": self.gap_minutes,
-            "gpd_threshold": self.gpd_threshold,
-            "obs_per_year": self.obs_per_year,
-            "ci_level": self.ci_level,
-            "m_grid": {"lo": self.m_grid_lo, "hi": self.m_grid_hi,
-                       "count": self.m_grid_count},
-            "sweep_gaps": {"lo": self.sweep_gap_lo, "hi": self.sweep_gap_hi},
-            "return_table_years": list(self.return_table_years),
-            "scenario_levels": list(self.scenario_levels),
-            "scenario_years": list(self.scenario_years),
-            "mrl_grid_points": self.mrl_grid_points,
-            "out_dir": self.out_dir,
-        }
+        return _to_json(PipelineConfig, self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        known = {"ingest", "decluster_threshold", "gap_minutes", "gpd_threshold",
-                 "obs_per_year", "ci_level", "m_grid", "sweep_gaps",
-                 "return_table_years", "scenario_levels", "scenario_years",
-                 "mrl_grid_points", "out_dir", "inputs"}
-        unknown = set(doc) - known
-        if unknown:
-            raise DomainError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        if "ingest" in doc:
-            ing = dict(doc["ingest"])
-            bad = set(ing) - {"scaling_divisor", "saturation_level",
-                              "retained_saturation_events", "missing_sentinels"}
-            if bad:
-                raise DomainError(f"unknown ingest config keys: {sorted(bad)}")
-            if "retained_saturation_events" in ing:
-                ing["retained_saturation_events"] = tuple(ing["retained_saturation_events"])
-            if "missing_sentinels" in ing:
-                ing["missing_sentinels"] = tuple(ing["missing_sentinels"])
-            kwargs["ingest"] = IngestConfig(**ing)
-        for key in ("decluster_threshold", "gpd_threshold", "obs_per_year", "ci_level"):
-            if key in doc:
-                kwargs[key] = float(doc[key])
-        if "gap_minutes" in doc:
-            kwargs["gap_minutes"] = int(doc["gap_minutes"])
-        if "m_grid" in doc:
-            grid = doc["m_grid"]
-            kwargs["m_grid_lo"] = float(grid.get("lo", 1.0))
-            kwargs["m_grid_hi"] = float(grid.get("hi", 1e5))
-            kwargs["m_grid_count"] = int(grid.get("count", 101))
-        if "sweep_gaps" in doc:
-            kwargs["sweep_gap_lo"] = int(doc["sweep_gaps"].get("lo", 1))
-            kwargs["sweep_gap_hi"] = int(doc["sweep_gaps"].get("hi", 30))
-        if "return_table_years" in doc:
-            kwargs["return_table_years"] = tuple(float(v) for v in doc["return_table_years"])
-        if "scenario_levels" in doc:
-            kwargs["scenario_levels"] = tuple(float(v) for v in doc["scenario_levels"])
-        if "scenario_years" in doc:
-            kwargs["scenario_years"] = tuple(float(v) for v in doc["scenario_years"])
-        if "mrl_grid_points" in doc:
-            kwargs["mrl_grid_points"] = int(doc["mrl_grid_points"])
-        if "out_dir" in doc:
-            kwargs["out_dir"] = str(doc["out_dir"])
-        return cls(**kwargs)
+        """The config a JSON document describes; its ``inputs`` are left to
+        :meth:`from_json_file`."""
+        doc = {key: value for key, value in _object(doc, "config").items()
+               if key != "inputs"}
+        return cls(**_fields_from_json(cls, doc, "config"))
 
     @classmethod
     def from_json_file(cls, path) -> tuple["PipelineConfig", list["InputSpec"]]:
         """Load config and any declared inputs from a JSON document."""
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise DomainError(f"{path}: not a JSON document: {exc}") from None
         config = cls.from_dict(doc)
-        inputs = [coerce_input_spec(entry, config.ingest)
-                  for entry in doc.get("inputs", [])]
-        return config, inputs
+        inputs = doc.get("inputs", [])
+        if not isinstance(inputs, list):
+            raise DomainError("config.inputs must be a list")
+        return config, [coerce_input_spec(entry, config.ingest) for entry in inputs]
 
     def config_hash(self) -> str:
         """Content hash of the resolved configuration (output dir excluded)."""
@@ -190,18 +150,81 @@ def coerce_input_spec(entry, default_ingest: IngestConfig) -> InputSpec:
     """Accept a bare path or a {path, overrides...} mapping."""
     if isinstance(entry, (str, os.PathLike)):
         return InputSpec(str(entry), default_ingest)
-    entry = dict(entry)
-    path = entry.pop("path")
-    overrides = {}
-    for key in ("scaling_divisor", "saturation_level"):
-        if key in entry:
-            overrides[key] = float(entry.pop(key))
-    for key in ("retained_saturation_events", "missing_sentinels"):
-        if key in entry:
-            overrides[key] = tuple(entry.pop(key))
-    if entry:
-        raise DomainError(f"unknown input keys: {sorted(entry)}")
-    return InputSpec(str(path), replace(default_ingest, **overrides))
+    overrides = dict(_object(entry, "input"))
+    path = overrides.pop("path", None)
+    if not isinstance(path, str):
+        raise DomainError(f"an input needs a 'path' string, got {entry!r}")
+    return InputSpec(path, replace(default_ingest, **_fields_from_json(
+        IngestConfig, overrides, "input")))
+
+
+# ---------------------------------------------------------------------------
+# config documents, derived from the dataclass fields
+# ---------------------------------------------------------------------------
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise DomainError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
+def _to_json(tp, value):
+    """``value`` of declared type ``tp`` as JSON, numbers as their declared type."""
+    if is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        doc: dict = {}
+        for f in fields(tp):
+            *group, key = _NESTED_PATH.get(f.name, (f.name,))
+            target = doc.setdefault(group[0], {}) if group else doc
+            target[key] = _to_json(hints[f.name], getattr(value, f.name))
+        return doc
+    if typing.get_origin(tp) is tuple:
+        return [_to_json(typing.get_args(tp)[0], item) for item in value]
+    return tp(value)
+
+
+def _fields_from_json(cls, doc, where: str) -> dict:
+    """Keyword arguments for dataclass ``cls`` from its JSON object.
+
+    Each value is coerced to its field's declared type; a key naming no
+    field is rejected.
+    """
+    hints = typing.get_type_hints(cls)
+    field_at = {_NESTED_PATH.get(f.name, (f.name,)): f.name for f in fields(cls)}
+    groups = {path[0] for path in field_at if len(path) == 2}
+    leaves = []
+    for key, value in _object(doc, where).items():
+        if key in groups:
+            leaves.extend(((key, sub), item) for sub, item
+                          in _object(value, f"{where}.{key}").items())
+        else:
+            leaves.append(((key,), value))
+    unknown = sorted(".".join(path) for path, _ in leaves if path not in field_at)
+    if unknown:
+        raise DomainError(f"unknown keys in {where}: {unknown}")
+    return {field_at[path]: _from_json(hints[field_at[path]], value,
+                                       ".".join((where,) + path))
+            for path, value in leaves}
+
+
+def _from_json(tp, value, where: str):
+    """A JSON value as declared type ``tp``; a value of another type is rejected."""
+    if is_dataclass(tp):
+        return tp(**_fields_from_json(tp, value, where))
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise DomainError(f"{where} must be a list, got {value!r}")
+        item_type = typing.get_args(tp)[0]
+        return tuple(_from_json(item_type, item, f"{where}[{i}]")
+                     for i, item in enumerate(value))
+    if tp is str:
+        ok = isinstance(value, str)
+    else:  # int or float; an int field takes only integral numbers
+        ok = (isinstance(value, Real) and not isinstance(value, bool)
+              and (tp is float or float(value).is_integer()))
+    if not ok:
+        raise DomainError(f"{where} must be of type {tp.__name__}, got {value!r}")
+    return tp(value)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +240,7 @@ def write_json(path, obj) -> None:
         fh.write(json_text(obj))
 
 
-def _write_text(path, text: str) -> None:
+def write_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
@@ -284,14 +307,6 @@ def ingest_many(specs: list[InputSpec]) -> tuple[FluxSeries, list[dict]]:
         np.concatenate([s.flux for s in series_list]),
     )
     return combined, infos
-
-
-def extract_excesses(catalog: EventCatalog, gpd_threshold: float) -> np.ndarray:
-    return catalog.excesses_over(gpd_threshold)
-
-
-def run_fit(excesses: np.ndarray, gpd_threshold: float, n_total: int) -> GpdFit:
-    return fit_gpd(excesses, threshold=gpd_threshold, n_total=n_total)
 
 
 def run_diagnostics(catalog: EventCatalog, fit: GpdFit, config: PipelineConfig
@@ -380,20 +395,7 @@ class AnalysisReport:
     artifacts: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "generated_at": self.generated_at,
-            "config": self.config,
-            "ingest": self.ingest,
-            "catalog": self.catalog,
-            "gap_sweep": self.gap_sweep,
-            "fit": self.fit,
-            "diagnostics": self.diagnostics,
-            "return_table": self.return_table,
-            "scenarios": self.scenarios,
-            "provenance": self.provenance,
-            "artifacts": self.artifacts,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json_text(self) -> str:
         return json_text(self.to_json_dict())
@@ -407,6 +409,130 @@ def _sweep_summary(curve: GapSweepCurve, configured_gap: int) -> dict:
             value = curve.lag1[idx[0]]
             doc[label] = None if np.isnan(value) else float(value)
     return doc
+
+
+# Each stage takes the run state, adds its results to it, and returns the
+# names of the artifacts it wrote in ``out``.
+
+def _ingest_stage(run) -> tuple[str, ...]:
+    run.series, run.ingest_infos = ingest_many(run.specs)
+    write_flux_csv(run.series, run.out / "series.csv")
+    write_json(run.out / "ingest.json", {
+        "files": run.ingest_infos,
+        "n_observations": run.series.n_observations,
+    })
+    return "series.csv", "ingest.json"
+
+
+def _decluster_stage(run) -> tuple[str, ...]:
+    run.catalog = decluster(run.series, run.config.decluster_threshold,
+                            run.config.gap_minutes)
+    write_text(run.out / "catalog.csv", run.catalog.to_csv_text())
+    write_json(run.out / "catalog.json", run.catalog.to_json_dict())
+    return "catalog.csv", "catalog.json"
+
+
+def _sweep_stage(run) -> tuple[str, ...]:
+    gaps = range(run.config.sweep_gap_lo, run.config.sweep_gap_hi + 1)
+    run.sweep = gap_sweep(run.series, run.config.decluster_threshold, gaps)
+    write_text(run.out / "sweep.csv", run.sweep.to_csv_text())
+    return ("sweep.csv",)
+
+
+def _excesses_stage(run) -> tuple[str, ...]:
+    run.excesses = run.catalog.excesses_over(run.config.gpd_threshold)
+    write_text(run.out / "excesses.csv", excesses_to_csv_text(run.excesses))
+    return ("excesses.csv",)
+
+
+def _fit_stage(run) -> tuple[str, ...]:
+    run.fit = fit_gpd(run.excesses, threshold=run.config.gpd_threshold,
+                      n_total=run.catalog.n_total_observations)
+    write_json(run.out / "fit.json", fit_to_json_dict(run.fit))
+    return ("fit.json",)
+
+
+def _diagnose_stage(run) -> tuple[str, ...]:
+    run.mrl, run.plot = run_diagnostics(run.catalog, run.fit, run.config)
+    write_text(run.out / "mrl.csv", run.mrl.to_csv_text())
+    write_text(run.out / "probplot.csv", run.plot.to_csv_text())
+    write_json(run.out / "mrl.json", run.mrl.to_json_dict())
+    write_json(run.out / "probplot.json", run.plot.to_json_dict())
+    return "mrl.csv", "probplot.csv", "mrl.json", "probplot.json"
+
+
+def _returns_stage(run) -> tuple[str, ...]:
+    config, fit = run.config, run.fit
+    cal = ObservationCalendar(config.obs_per_year)
+    m_min = run.catalog.n_total_observations / (config.obs_per_year * fit.n_excesses)
+    grid_lo = max(config.m_grid_lo, m_min * 1.001)
+    m_grid = np.geomspace(grid_lo, config.m_grid_hi, config.m_grid_count)
+    curve = return_curve(fit, m_grid, cal, config.ci_level)
+    write_text(run.out / "returns.csv", curve.to_csv_text())
+    write_json(run.out / "returns.json", curve.to_json_dict(fit))
+    run.table = build_return_table(fit, config)
+    run.scenarios = build_scenarios(fit, config)
+    write_json(run.out / "return_table.json", run.table)
+    write_json(run.out / "scenarios.json", run.scenarios)
+    return "returns.csv", "returns.json", "return_table.json", "scenarios.json"
+
+
+def _report_stage(run) -> tuple[str, ...]:
+    config, infos = run.config, run.ingest_infos
+    removed_total = sum(info["saturation_runs_removed"] for info in infos)
+    ingest_doc = {
+        "files": infos,
+        "n_observations": run.series.n_observations,
+        "saturation_runs_removed": removed_total,
+    }
+    if removed_total:
+        ingest_doc["saturation_note"] = (
+            f"{removed_total} saturated run(s) blanked to missing; "
+            "sub-saturation behaviour during those runs is discarded")
+    config_doc = config.to_dict()
+    config_doc.pop("out_dir")  # run location, not analysis content
+    run.report = AnalysisReport(
+        schema_version=REPORT_SCHEMA_VERSION,
+        generated_at=None if run.fixed_clock
+        else _dt.datetime.now(_dt.timezone.utc).isoformat(),
+        config=config_doc,
+        ingest=ingest_doc,
+        catalog=run.catalog.to_json_dict(),
+        gap_sweep=_sweep_summary(run.sweep, config.gap_minutes),
+        fit=fit_to_json_dict(run.fit),
+        diagnostics={
+            "mrl_csv": "mrl.csv",
+            "probplot_csv": "probplot.csv",
+            "probability_plot_max_abs_deviation":
+                run.plot.max_abs_deviation_from_diagonal,
+        },
+        return_table=run.table,
+        scenarios=run.scenarios,
+        provenance={
+            "tool": "flarevt",
+            "version": __version__,
+            "config_sha256": config.config_hash(),
+            "inputs": [{"file": info["file"], "sha256": info["sha256"]}
+                       for info in infos],
+        },
+        artifacts=dict(run.artifacts),
+    )
+    write_text(run.out / "report.json", run.report.to_json_text())
+    return ("report.json",)
+
+
+_STAGE_TABLE = {
+    "ingest": _ingest_stage,
+    "decluster": _decluster_stage,
+    "sweep": _sweep_stage,
+    "excesses": _excesses_stage,
+    "fit": _fit_stage,
+    "diagnose": _diagnose_stage,
+    "returns": _returns_stage,
+    "report": _report_stage,
+}
+
+STAGES = tuple(_STAGE_TABLE)
 
 
 def run_pipeline(config: PipelineConfig, inputs, out_dir=None,
@@ -426,155 +552,18 @@ def run_pipeline(config: PipelineConfig, inputs, out_dir=None,
     specs = [entry if isinstance(entry, InputSpec)
              else coerce_input_spec(entry, config.ingest)
              for entry in inputs]
-
+    run = SimpleNamespace(config=config, specs=specs, out=out,
+                          fixed_clock=fixed_clock, artifacts={})
     completed: list[str] = []
-    artifacts: dict[str, str] = {}
-
-    def fail(stage: str, exc: BaseException):
-        write_json(out / "manifest.json", {
-            "completed_stages": completed,
-            "failed_stage": stage,
-            "error": str(exc),
-            "artifacts": artifacts,
-        })
+    manifest = {"completed_stages": completed, "failed_stage": None,
+                "artifacts": run.artifacts}
+    try:
+        for stage, work in _STAGE_TABLE.items():
+            run.artifacts.update((name.replace(".", "_"), name) for name in work(run))
+            completed.append(stage)
+        write_json(out / "manifest.json", manifest)
+    except Exception as exc:
+        write_json(out / "manifest.json",
+                   {**manifest, "failed_stage": stage, "error": str(exc)})
         raise PipelineStageError(stage, exc) from exc
-
-    # ingest
-    try:
-        series, ingest_infos = ingest_many(specs)
-        write_flux_csv(series, out / "series.csv")
-        write_json(out / "ingest.json", {
-            "files": ingest_infos,
-            "n_observations": series.n_observations,
-        })
-        artifacts["series_csv"] = "series.csv"
-        artifacts["ingest_json"] = "ingest.json"
-    except Exception as exc:
-        fail("ingest", exc)
-    completed.append("ingest")
-
-    # decluster
-    try:
-        catalog = decluster(series, config.decluster_threshold, config.gap_minutes)
-        _write_text(out / "catalog.csv", catalog.to_csv_text())
-        write_json(out / "catalog.json", catalog.to_json_dict())
-        artifacts["catalog_csv"] = "catalog.csv"
-        artifacts["catalog_json"] = "catalog.json"
-    except Exception as exc:
-        fail("decluster", exc)
-    completed.append("decluster")
-
-    # gap sweep
-    try:
-        gaps = range(config.sweep_gap_lo, config.sweep_gap_hi + 1)
-        sweep = gap_sweep(series, config.decluster_threshold, gaps)
-        _write_text(out / "sweep.csv", sweep.to_csv_text())
-        artifacts["sweep_csv"] = "sweep.csv"
-    except Exception as exc:
-        fail("sweep", exc)
-    completed.append("sweep")
-
-    # excess extraction
-    try:
-        excesses = extract_excesses(catalog, config.gpd_threshold)
-        _write_text(out / "excesses.csv", excesses_to_csv_text(excesses))
-        artifacts["excesses_csv"] = "excesses.csv"
-    except Exception as exc:
-        fail("excesses", exc)
-    completed.append("excesses")
-
-    # fit
-    try:
-        fit = run_fit(excesses, config.gpd_threshold, catalog.n_total_observations)
-        write_json(out / "fit.json", fit_to_json_dict(fit))
-        artifacts["fit_json"] = "fit.json"
-    except Exception as exc:
-        fail("fit", exc)
-    completed.append("fit")
-
-    # diagnostics
-    try:
-        mrl, plot = run_diagnostics(catalog, fit, config)
-        _write_text(out / "mrl.csv", mrl.to_csv_text())
-        _write_text(out / "probplot.csv", plot.to_csv_text())
-        write_json(out / "mrl.json", mrl.to_json_dict())
-        write_json(out / "probplot.json", plot.to_json_dict())
-        artifacts["mrl_csv"] = "mrl.csv"
-        artifacts["probplot_csv"] = "probplot.csv"
-        artifacts["mrl_json"] = "mrl.json"
-        artifacts["probplot_json"] = "probplot.json"
-    except Exception as exc:
-        fail("diagnose", exc)
-    completed.append("diagnose")
-
-    # return levels
-    try:
-        cal = ObservationCalendar(config.obs_per_year)
-        m_min = catalog.n_total_observations / (config.obs_per_year * fit.n_excesses)
-        grid_lo = max(config.m_grid_lo, m_min * 1.001)
-        m_grid = np.geomspace(grid_lo, config.m_grid_hi, config.m_grid_count)
-        curve = return_curve(fit, m_grid, cal, config.ci_level)
-        _write_text(out / "returns.csv", curve.to_csv_text())
-        write_json(out / "returns.json", curve.to_json_dict(fit))
-        table = build_return_table(fit, config)
-        scenarios = build_scenarios(fit, config)
-        write_json(out / "return_table.json", table)
-        write_json(out / "scenarios.json", scenarios)
-        artifacts["returns_csv"] = "returns.csv"
-        artifacts["returns_json"] = "returns.json"
-        artifacts["return_table_json"] = "return_table.json"
-        artifacts["scenarios_json"] = "scenarios.json"
-    except Exception as exc:
-        fail("returns", exc)
-    completed.append("returns")
-
-    # report
-    try:
-        removed_total = sum(info["saturation_runs_removed"] for info in ingest_infos)
-        ingest_doc = {
-            "files": ingest_infos,
-            "n_observations": series.n_observations,
-            "saturation_runs_removed": removed_total,
-        }
-        if removed_total:
-            ingest_doc["saturation_note"] = (
-                f"{removed_total} saturated run(s) blanked to missing; "
-                "sub-saturation behaviour during those runs is discarded")
-        config_doc = config.to_dict()
-        config_doc.pop("out_dir")  # run location, not analysis content
-        report = AnalysisReport(
-            schema_version=REPORT_SCHEMA_VERSION,
-            generated_at=None if fixed_clock
-            else _dt.datetime.now(_dt.timezone.utc).isoformat(),
-            config=config_doc,
-            ingest=ingest_doc,
-            catalog=catalog.to_json_dict(),
-            gap_sweep=_sweep_summary(sweep, config.gap_minutes),
-            fit=fit_to_json_dict(fit),
-            diagnostics={
-                "mrl_csv": "mrl.csv",
-                "probplot_csv": "probplot.csv",
-                "probability_plot_max_abs_deviation":
-                    plot.max_abs_deviation_from_diagonal,
-            },
-            return_table=table,
-            scenarios=scenarios,
-            provenance={
-                "tool": "flarevt",
-                "version": __version__,
-                "config_sha256": config.config_hash(),
-                "inputs": [{"file": info["file"], "sha256": info["sha256"]}
-                           for info in ingest_infos],
-            },
-            artifacts=artifacts,
-        )
-        report_text = report.to_json_text()
-        _write_text(out / "report.json", report_text)
-        write_json(out / "manifest.json", {
-            "completed_stages": completed + ["report"],
-            "failed_stage": None,
-            "artifacts": {**artifacts, "report_json": "report.json"},
-        })
-    except Exception as exc:
-        fail("report", exc)
-    return report
+    return run.report

@@ -198,6 +198,21 @@ class TestCliStages:
         assert exc.value.code == 2
         assert not (tmp_path / "returns.csv").exists()
 
+    @pytest.mark.parametrize("gaps", ["5:1", "3,1", "2,2", "0:5", "0", "1:2:3"])
+    def test_bad_sweep_gaps_are_usage_error(self, gaps, tmp_path):
+        series = tmp_path / "series.csv"
+        series.write_text("timestamp,flux_wm2\n2000-01-01T00:00:00Z,1e-6\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--series", str(series), "--gaps", gaps,
+                  "--out", str(tmp_path / "sweep.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_stage_exit_codes(self):
+        assert STAGE_EXIT_CODES == {
+            "ingest": 3, "decluster": 4, "sweep": 5, "excesses": 6, "fit": 7,
+            "diagnose": 8, "returns": 9, "report": 10}
+
     def test_returns_level_query_prints_period(self, synth_csv, pipeline_config,
                                                tmp_path, capsys):
         out = tmp_path / "out"
@@ -256,6 +271,44 @@ class TestCliRun:
         assert main(["run", "--config", str(config_path), str(synth_csv),
                      "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"gpd_threshold": 1e-4',                             # malformed JSON
+        '[1, 2]',                                             # not an object
+        '{"inputs": [{"scaling_divisor": 1.0}]}',             # input with no path
+        '{"inputs": "flux.csv"}',                             # inputs not a list
+        '{"ingest": {"scaling_divisor": "x"}}',               # wrongly typed
+        '{"ingest": {"retained_saturation_events": ["x"]}}',  # not a date
+        '{"gap_minutes": 15.7}',                              # non-integral int
+        '{"m_grid": {"bogus": 1}}',                           # unknown nested key
+        '{"sweep_gaps": {"lo": 1, "step": 2}}',
+        '{"m_grid": [1, 10, 5]}',                             # group not an object
+        '{"m_grid_lo": 2.0}',                                 # flat name of a nested key
+    ])
+    def test_bad_config_file_is_usage_error(self, text, synth_csv, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
+        assert main(["run", "--config", str(config_path), str(synth_csv),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out" / "series.csv").exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"m_grid": {"count": 0}},
+        {"m_grid": {"lo": 10.0, "hi": 10.0}},
+        {"m_grid": {"lo": 0.0}},
+        {"mrl_grid_points": 0},
+        {"return_table_years": [-1]},
+        {"scenario_years": [0]},
+        {"scenario_levels": [-45e-4]},
+    ])
+    def test_bad_config_value_fails_before_ingest(self, doc, synth_csv, tmp_path):
+        with pytest.raises(fv.DomainError):
+            PipelineConfig.from_dict(doc)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(config_path), str(synth_csv),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out" / "series.csv").exists()
+
 
 class TestConfig:
     def test_defaults_are_reference_analysis(self):
@@ -274,6 +327,38 @@ class TestConfig:
         assert back == config
         assert back.config_hash() == config.config_hash()
         assert PipelineConfig().config_hash() != config.config_hash()
+
+    def test_default_document_and_hash_are_pinned(self):
+        assert PipelineConfig().to_dict() == {
+            "ingest": {
+                "scaling_divisor": 0.7,
+                "saturation_level": 17e-4,
+                "retained_saturation_events": ["2003-10-28"],
+                "missing_sentinels": [-99999.0],
+            },
+            "decluster_threshold": 1e-4,
+            "gap_minutes": 15,
+            "gpd_threshold": 3.5e-4,
+            "obs_per_year": 525_600.0,
+            "ci_level": 0.95,
+            "m_grid": {"lo": 1.0, "hi": 1e5, "count": 101},
+            "sweep_gaps": {"lo": 1, "hi": 30},
+            "return_table_years": [10.0, 30.0, 100.0, 150.0, 500.0, 10_000.0],
+            "scenario_levels": [45e-4, 200e-4],
+            "scenario_years": [150.0],
+            "mrl_grid_points": 200,
+            "out_dir": "flarevt_out",
+        }
+        assert PipelineConfig().config_hash() == (
+            "0c5a7ce89896c428d7c4060dd05c14c2f1fe3e16e342610ec8ff3972650c24aa")
+
+    def test_hash_is_a_function_of_the_value(self):
+        as_int = PipelineConfig.from_dict({"ingest": {"scaling_divisor": 1}})
+        as_float = PipelineConfig.from_dict({"ingest": {"scaling_divisor": 1.0}})
+        assert as_int == as_float
+        assert as_int.config_hash() == as_float.config_hash()
+        assert as_int.to_dict()["ingest"]["scaling_divisor"] == 1.0
+        assert type(as_int.to_dict()["ingest"]["scaling_divisor"]) is float
 
     def test_threshold_ordering_enforced(self):
         with pytest.raises(fv.DomainError):
