@@ -22,9 +22,9 @@ from .errors import (CiUnavailableError, ConvergenceError, DomainError,
                      PipelineStageError, ZeroVarianceError)
 from .gpd import (FitConvergence, GpdFit, GpdParams, fit_gpd, gpd_cdf,
                   gpd_loglik, gpd_mean_excess, gpd_quantile, gpd_sample)
-from .ingest import (FluxSample, FluxSeries, IngestConfig, apply_scaling,
-                     filter_saturation, parse_flux_csv, read_flux_csv,
-                     synth_clustered_series, write_flux_csv)
+from .ingest import (FluxSeries, IngestConfig, apply_scaling, filter_saturation,
+                     parse_flux_csv, read_flux_csv, synth_clustered_series,
+                     write_flux_csv)
 from .pipeline import AnalysisReport, InputSpec, PipelineConfig, run_pipeline
 from .returns import (ObservationCalendar, ReturnLevelCurve,
                       ReturnLevelInterval, SubThresholdReturnWarning,
@@ -34,8 +34,8 @@ from .returns import (ObservationCalendar, ReturnLevelCurve,
 __all__ = [
     "__version__",
     # ingest
-    "FluxSample", "FluxSeries", "IngestConfig", "parse_flux_csv",
-    "read_flux_csv", "write_flux_csv", "apply_scaling", "filter_saturation",
+    "FluxSeries", "IngestConfig", "parse_flux_csv", "read_flux_csv",
+    "write_flux_csv", "apply_scaling", "filter_saturation",
     "synth_clustered_series",
     # decluster
     "FlareEvent", "EventCatalog", "GapSweepCurve", "decluster",

@@ -35,6 +35,17 @@ from .returns import (ObservationCalendar, default_m_grid, return_curve,
 STAGE_EXIT_CODES = {stage: code for code, stage in enumerate(STAGES, start=3)}
 
 
+def _positive_int(text: str) -> int:
+    """Parse an int >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+    return value
+
+
 def _positive_int_range(text: str) -> range | list[int]:
     """Parse 'lo:hi' (inclusive) or a comma list into increasing ints >= 1."""
     try:
@@ -260,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decluster", help="reduce a series to independent events")
     p.add_argument("--series", required=True)
     p.add_argument("--threshold", type=float, default=1e-4)
-    p.add_argument("--gap", type=int, default=15)
+    p.add_argument("--gap", type=_positive_int, default=15)
     p.add_argument("--out-events", required=True)
     p.add_argument("--out-meta", required=True)
     p.set_defaults(handler=_cmd_decluster, stage="decluster")
@@ -290,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meta", required=True)
     p.add_argument("--fit", required=True)
     p.add_argument("--ci", type=float, default=0.95)
-    p.add_argument("--grid-points", type=int, default=200)
+    p.add_argument("--grid-points", type=_positive_int, default=200)
     p.add_argument("--out-mrl", required=True)
     p.add_argument("--out-probplot", required=True)
     p.set_defaults(handler=_cmd_diagnose, stage="diagnose")

@@ -12,7 +12,7 @@ sequence quantifies how much serial dependence survives a given gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -55,16 +55,28 @@ class FlareEvent:
             raise DomainError("peak_time must lie within the cluster")
 
 
-@dataclass(frozen=True)
+# the catalog's event columns, in CSV order, and the dtype each is stored in
+_COLUMNS = dict(peak_times="datetime64[m]", peak_fluxes=np.float64,
+                cluster_starts="datetime64[m]", cluster_ends="datetime64[m]",
+                cluster_sample_counts=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
 class EventCatalog:
     """Declustered events plus the observation bookkeeping for rate estimates.
 
-    ``cluster_start``/``cluster_end`` bound the exceedance samples of each
-    cluster and ``cluster_sample_count`` counts them.  The policy for
+    One frozen array per event column: ``cluster_starts``/``cluster_ends``
+    bound the exceedance samples of each cluster and
+    ``cluster_sample_counts`` counts them.  ``catalog[i]`` and iteration
+    give :class:`FlareEvent` values built on demand.  The policy for
     missing minutes is recorded in ``missing_minutes_policy``.
     """
 
-    events: tuple[FlareEvent, ...]
+    peak_times: np.ndarray
+    peak_fluxes: np.ndarray
+    cluster_starts: np.ndarray
+    cluster_ends: np.ndarray
+    cluster_sample_counts: np.ndarray
     decluster_threshold: float
     gap_minutes: int
     n_total_observations: int
@@ -72,24 +84,29 @@ class EventCatalog:
     missing_minutes_policy: str = MISSING_MINUTES_POLICY
 
     def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
+        for name, dtype in _COLUMNS.items():
+            column = np.array(getattr(self, name), dtype=dtype)
+            if column.shape != np.shape(self.peak_times) or column.ndim != 1:
+                raise DomainError("event columns must be parallel 1-d arrays")
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EventCatalog):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
     def __len__(self) -> int:
-        return len(self.events)
+        return int(self.peak_fluxes.size)
 
     def __iter__(self) -> Iterator[FlareEvent]:
-        return iter(self.events)
+        return map(self.__getitem__, range(len(self)))
 
     def __getitem__(self, i: int) -> FlareEvent:
-        return self.events[i]
-
-    @property
-    def peak_fluxes(self) -> np.ndarray:
-        return np.array([e.peak_flux for e in self.events], dtype=np.float64)
-
-    @property
-    def peak_times(self) -> np.ndarray:
-        return np.array([e.peak_time for e in self.events], dtype="datetime64[m]")
+        return FlareEvent(self.peak_times[i], float(self.peak_fluxes[i]),
+                          self.cluster_starts[i], self.cluster_ends[i],
+                          int(self.cluster_sample_counts[i]))
 
     def excesses_over(self, threshold: float) -> np.ndarray:
         """Peak excesses over a (usually higher) analysis threshold."""
@@ -97,47 +114,35 @@ class EventCatalog:
         return peaks[peaks > threshold] - threshold
 
     def to_csv_text(self) -> str:
-        lines = ["peak_time,peak_flux,cluster_start,cluster_end,cluster_samples"]
-        for e in self.events:
-            lines.append(",".join((
-                _iso(e.peak_time),
-                repr(float(e.peak_flux)),
-                _iso(e.cluster_start),
-                _iso(e.cluster_end),
-                str(int(e.cluster_sample_count)),
-            )))
-        return "\n".join(lines) + "\n"
+        rows = zip(_iso(self.peak_times), map(repr, self.peak_fluxes.tolist()),
+                   _iso(self.cluster_starts), _iso(self.cluster_ends),
+                   map(str, self.cluster_sample_counts.tolist()))
+        header = "peak_time,peak_flux,cluster_start,cluster_end,cluster_samples"
+        return "\n".join([header, *map(",".join, rows)]) + "\n"
 
     def to_json_dict(self) -> dict:
         return {
             "decluster_threshold": float(self.decluster_threshold),
             "gap_minutes": int(self.gap_minutes),
-            "n_events": len(self.events),
+            "n_events": len(self),
             "n_total_observations": int(self.n_total_observations),
             "span_years": float(self.span_years),
             "missing_minutes_policy": self.missing_minutes_policy,
         }
 
 
-def _iso(t: np.datetime64) -> str:
-    return np.datetime_as_string(t.astype("datetime64[s]"), unit="s") + "Z"
+def _iso(minutes: np.ndarray) -> list[str]:
+    stamps = np.datetime_as_string(minutes.astype("datetime64[s]"), unit="s")
+    return [s + "Z" for s in stamps.tolist()]
 
 
 def catalog_from_files(csv_text: str, meta: dict) -> EventCatalog:
     """Rebuild a catalog from its CSV event table and JSON metadata."""
-    events = []
     lines = [ln for ln in csv_text.splitlines() if ln.strip()]
-    for line in lines[1:]:
-        pt, pf, cs, ce, n = line.split(",")
-        events.append(FlareEvent(
-            peak_time=np.datetime64(pt.rstrip("Z"), "m"),
-            peak_flux=float(pf),
-            cluster_start=np.datetime64(cs.rstrip("Z"), "m"),
-            cluster_end=np.datetime64(ce.rstrip("Z"), "m"),
-            cluster_sample_count=int(n),
-        ))
+    rows = [ln.replace("Z", "").split(",") for ln in lines[1:]]
+    table = np.array(rows, dtype=str).reshape(len(rows), len(_COLUMNS))
     return EventCatalog(
-        events=tuple(events),
+        *table.T,
         decluster_threshold=float(meta["decluster_threshold"]),
         gap_minutes=int(meta["gap_minutes"]),
         n_total_observations=int(meta["n_total_observations"]),
@@ -145,6 +150,14 @@ def catalog_from_files(csv_text: str, meta: dict) -> EventCatalog:
         missing_minutes_policy=str(meta.get("missing_minutes_policy",
                                             MISSING_MINUTES_POLICY)),
     )
+
+
+def _cluster_starts(minutes: np.ndarray, gap: int) -> np.ndarray:
+    """Index of each cluster's first exceedance, given the exceedance minutes."""
+    # an exceedance more than `gap` minutes after the previous one opens a cluster
+    is_new = np.ones(minutes.size, dtype=bool)
+    np.greater(np.diff(minutes), gap, out=is_new[1:])
+    return np.flatnonzero(is_new)
 
 
 def decluster(series: FluxSeries, threshold: float = DEFAULT_THRESHOLD,
@@ -170,14 +183,9 @@ def decluster(series: FluxSeries, threshold: float = DEFAULT_THRESHOLD,
         raise DomainError("gap_minutes must be >= 1")
 
     ts, flux = series.timestamps, series.flux
-    # an exceedance more than `gap` minutes after the previous one opens a
-    # new cluster; `starts` indexes each cluster's first entry in `exc`
     exc = np.flatnonzero(flux >= threshold)
-    is_new = np.ones(exc.size, dtype=bool)
-    np.greater(np.diff(ts[exc].astype(np.int64)), gap, out=is_new[1:])
-    starts = np.flatnonzero(is_new)
+    starts = _cluster_starts(ts[exc].astype(np.int64), gap)
     counts = np.diff(np.append(starts, exc.size))
-    ends = exc[starts + counts - 1]
 
     # the peak is the first occurrence of the cluster maximum
     flux_exc = flux[exc]
@@ -185,18 +193,12 @@ def decluster(series: FluxSeries, threshold: float = DEFAULT_THRESHOLD,
     candidate = np.where(flux_exc == peak_val, exc, _I64_MAX)
     peaks = np.minimum.reduceat(candidate, starts)
 
-    events = tuple(
-        FlareEvent(
-            peak_time=ts[peak],
-            peak_flux=float(flux[peak]),
-            cluster_start=ts[first],
-            cluster_end=ts[last],
-            cluster_sample_count=int(n),
-        )
-        for first, last, peak, n in zip(exc[starts], ends, peaks, counts)
-    )
     return EventCatalog(
-        events=events,
+        peak_times=ts[peaks],
+        peak_fluxes=flux[peaks],
+        cluster_starts=ts[exc[starts]],
+        cluster_ends=ts[exc[starts + counts - 1]],
+        cluster_sample_counts=counts,
         decluster_threshold=float(threshold),
         gap_minutes=gap,
         n_total_observations=series.n_observations,
@@ -270,8 +272,10 @@ def gap_sweep(series: FluxSeries, threshold: float,
               gaps: Sequence[int]) -> GapSweepCurve:
     """Decluster at each gap and correlate the resulting peak sequences.
 
-    ``gaps`` must be strictly increasing values >= 1.  Gaps yielding too
-    few events for the statistic are kept in the curve with NaN.
+    The exceedances are found once and re-split into clusters at each
+    gap by the rule :func:`decluster` uses.  ``gaps`` must be strictly
+    increasing values >= 1.  Gaps yielding too few events for the
+    statistic are kept in the curve with NaN.
     """
     gap_arr = np.asarray(list(gaps), dtype=np.int64)
     if gap_arr.size == 0:
@@ -280,15 +284,19 @@ def gap_sweep(series: FluxSeries, threshold: float,
         raise DomainError("every gap must be >= 1")
     if np.any(np.diff(gap_arr) <= 0):
         raise DomainError("gaps must be strictly increasing")
+    if not threshold > 0.0:
+        raise DomainError("threshold must be > 0")
 
+    exc = np.flatnonzero(series.flux >= threshold)
+    minutes, flux_exc = series.timestamps[exc].astype(np.int64), series.flux[exc]
     lag1 = np.full(gap_arr.size, np.nan)
     counts = np.zeros(gap_arr.size, dtype=np.int64)
     for i, gap in enumerate(gap_arr):
-        catalog = decluster(series, threshold, int(gap))
-        counts[i] = len(catalog)
-        if len(catalog) >= 3:
+        starts = _cluster_starts(minutes, int(gap))
+        counts[i] = starts.size
+        if starts.size >= 3:
             try:
-                lag1[i] = lag1_autocorrelation(catalog.peak_fluxes)
+                lag1[i] = lag1_autocorrelation(np.maximum.reduceat(flux_exc, starts))
             except ZeroVarianceError:
                 pass
     return GapSweepCurve(gap_arr, lag1, counts)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import operator
 from dataclasses import dataclass
-from typing import IO, Callable, Iterator, NamedTuple
+from typing import IO, Callable, NamedTuple
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .gpd import GpdParams, gpd_quantile
 
 __all__ = [
     "MINUTES_PER_YEAR",
-    "FluxSample",
     "FluxSeries",
     "IngestConfig",
     "parse_flux_csv",
@@ -36,18 +35,6 @@ MINUTES_PER_YEAR = 525_600
 CSV_HEADER = "timestamp,flux_wm2"
 
 _MINUTE = np.timedelta64(1, "m")
-
-
-@dataclass(frozen=True)
-class FluxSample:
-    """One minute-cadence observation; NaN flux means missing."""
-
-    timestamp: np.datetime64
-    flux: float
-
-    @property
-    def is_missing(self) -> bool:
-        return bool(np.isnan(self.flux))
 
 
 @dataclass(frozen=True)
@@ -122,13 +109,6 @@ class FluxSeries:
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
-
-    def __getitem__(self, i: int) -> FluxSample:
-        return FluxSample(self.timestamps[i], float(self.flux[i]))
-
-    def __iter__(self) -> Iterator[FluxSample]:
-        for i in range(len(self)):
-            yield self[i]
 
     @property
     def n_observations(self) -> int:
@@ -443,9 +423,8 @@ def filter_saturation(series: FluxSeries, config: IngestConfig) -> tuple[FluxSer
     retained = {np.datetime64(d, "D") for d in config.retained_saturation_events}
     new_flux = flux.copy()
     removed = 0
-    dates = series.timestamps.astype("datetime64[D]")
     for lo, hi in zip(starts, ends):
-        run_dates = set(np.unique(dates[lo:hi]))
+        run_dates = set(np.unique(series.timestamps[lo:hi].astype("datetime64[D]")))
         if run_dates & retained:
             continue
         new_flux[lo:hi] = np.nan

@@ -110,10 +110,27 @@ class TestDecluster:
 
     def test_catalog_round_trip_through_files(self):
         series = make_series([0.5, 1.2, 1.5, 0.8, 0.9, 0.7, 2.0, 0.5])
-        catalog = fv.decluster(series, 1.0, 2)
-        reloaded = catalog_from_files(catalog.to_csv_text(),
-                                      json.loads(json.dumps(catalog.to_json_dict())))
-        assert reloaded == catalog
+        catalogs = [fv.decluster(series, 1.0, 2), fv.decluster(series, 5.0, 2)]
+        assert len(catalogs[1]) == 0
+        assert catalogs[1].to_csv_text().count("\n") == 1  # header only
+        for catalog in catalogs:
+            reloaded = catalog_from_files(catalog.to_csv_text(),
+                                          json.loads(json.dumps(catalog.to_json_dict())))
+            assert reloaded == catalog
+        assert catalogs[0] != catalogs[1]
+
+    def test_catalog_columns_are_frozen_and_stored(self):
+        series = fv.synth_clustered_series(3e-4, 0.25, 50.0, 10.0, 0.5, seed=3)
+        catalog = fv.decluster(series, 1e-4, 15)
+        assert len(catalog) > 0
+        columns = (catalog.peak_times, catalog.peak_fluxes, catalog.cluster_starts,
+                   catalog.cluster_ends, catalog.cluster_sample_counts)
+        for column in columns:
+            assert column.shape == (len(catalog),)
+            assert not column.flags.writeable
+        assert catalog.peak_fluxes is catalog.peak_fluxes
+        assert catalog.peak_times is catalog.peak_times
+        assert list(catalog.peak_fluxes) == [e.peak_flux for e in catalog]
 
 
 class TestLag1:
@@ -182,6 +199,29 @@ class TestGapSweep:
             fv.gap_sweep(series, 1.0, [0, 1])
         with pytest.raises(DomainError):
             fv.gap_sweep(series, 1.0, [3, 2])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_decluster_at_every_gap(self, data):
+        n = data.draw(st.integers(1, 80))
+        offsets = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        raw = data.draw(st.lists(
+            st.one_of(st.none(), st.floats(0.0, 10.0, allow_nan=False)),
+            min_size=n, max_size=n))
+        flux = np.array([np.nan if v is None else v for v in raw])
+        series = make_series(flux, offsets=np.cumsum(offsets))
+        threshold = data.draw(st.floats(0.5, 9.5))
+        gaps = sorted(data.draw(st.sets(st.integers(1, 8), min_size=1, max_size=6)))
+        curve = fv.gap_sweep(series, threshold, gaps)
+        for i, gap in enumerate(gaps):
+            catalog = fv.decluster(series, threshold, gap)
+            assert curve.event_counts[i] == len(catalog)
+            try:
+                expected = fv.lag1_autocorrelation(catalog.peak_fluxes)
+            except (InsufficientDataError, ZeroVarianceError):
+                expected = np.nan
+            # bit for bit, NaN where the statistic is unavailable
+            assert np.array_equal(curve.lag1[i], expected, equal_nan=True)
 
     def test_csv_has_empty_field_for_unavailable(self):
         series = make_series([0.1, 5.0, 0.1])

@@ -347,18 +347,20 @@ class TestFluxSeries:
         # (~9 B a row) at most; copies of both arrays would add 16 B a row
         assert scale_peak < 20 * n
         assert np.shares_memory(scaled.timestamps, series.timestamps)
-        filtered, removed = fv.filter_saturation(scaled, fv.IngestConfig())
+        tracemalloc.start()
+        try:
+            filtered, removed = fv.filter_saturation(scaled, fv.IngestConfig())
+            filter_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the blanked flux (8 B a row), the run masks (~4 B a row) and the
+        # validation temporaries; a day stamp per row would add 8 B a row
+        assert filter_peak < 22 * n
         assert removed == 1
         assert np.shares_memory(filtered.timestamps, series.timestamps)
         for arr in (scaled.flux, filtered.flux, filtered.timestamps):
             assert not arr.flags.writeable
         assert series.flux[10] == 20e-4 and scaled.flux[10] == 20e-4 / 0.7
-
-    def test_sample_access(self):
-        series = make_series([1e-4, np.nan])
-        assert not series[0].is_missing
-        assert series[1].is_missing
-        assert len(list(series)) == 2
 
     def test_off_grid_timestamps_rejected(self):
         ts = np.array(["2000-01-01T00:00:30", "2000-01-01T00:01:30"],

@@ -208,6 +208,32 @@ class TestCliStages:
         assert exc.value.code == 2
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("stage,option,value", [
+        ("decluster", "--gap", "0"), ("decluster", "--gap", "-2"),
+        ("decluster", "--gap", "x"), ("diagnose", "--grid-points", "0")])
+    def test_bad_counts_are_usage_error(self, stage, option, value, tmp_path):
+        # readable inputs, so that only the bad count can make the command fail
+        series = tmp_path / "series.csv"
+        series.write_text("timestamp,flux_wm2\n2000-01-01T00:00:00Z,2e-4\n")
+        catalog = fv.decluster(fv.read_flux_csv(series))
+        (tmp_path / "catalog.csv").write_text(catalog.to_csv_text())
+        (tmp_path / "catalog.json").write_text(json_text(catalog.to_json_dict()))
+        fit = fv.fit_gpd(fv.gpd_sample(fv.GpdParams(1.0, 0.2), 300, seed=5),
+                         threshold=0.5, n_total=100_000)
+        (tmp_path / "fit.json").write_text(json_text(fit_to_json_dict(fit)))
+        d = tmp_path
+        files = {
+            "decluster": ["--series", d / "series.csv", "--out-events", d / "out_events.csv",
+                          "--out-meta", d / "out_meta.json"],
+            "diagnose": ["--events", d / "catalog.csv", "--meta", d / "catalog.json",
+                         "--fit", d / "fit.json", "--out-mrl", d / "out_mrl.csv",
+                         "--out-probplot", d / "out_probplot.csv"],
+        }[stage]
+        with pytest.raises(SystemExit) as exc:
+            main([stage, *map(str, files), option, value])
+        assert exc.value.code == 2
+        assert not list(tmp_path.glob("out_*"))
+
     def test_stage_exit_codes(self):
         assert STAGE_EXIT_CODES == {
             "ingest": 3, "decluster": 4, "sweep": 5, "excesses": 6, "fit": 7,
