@@ -15,13 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .decluster import catalog_from_files, decluster, gap_sweep
-from .errors import FlareVtError, PipelineStageError
+from .errors import FlareVtError, ParseError, PipelineStageError
 from .gpd import fit_from_json_dict, fit_gpd, fit_to_json_dict
 from .ingest import (IngestConfig, read_flux_csv, synth_clustered_series,
                      write_flux_csv)
@@ -84,16 +85,16 @@ def _read_text(path) -> str:
 
 def _read_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ParseError(f"{path}: not a JSON document: {exc}") from None
 
 
 def _ingest_config_from_args(args) -> IngestConfig:
-    return IngestConfig(
-        scaling_divisor=args.divisor,
-        saturation_level=args.saturation_level,
-        retained_saturation_events=tuple(args.retain_date or ()),
-        missing_sentinels=tuple(args.sentinel or (-99999.0,)),
-    )
+    """IngestConfig's defaults, overridden by the flags that were given."""
+    given = {f.name: getattr(args, f.name) for f in fields(IngestConfig)}
+    return IngestConfig(**{name: v for name, v in given.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True, help="cleaned series CSV")
     p.add_argument("--summary", help="optional ingest summary JSON")
-    p.add_argument("--divisor", type=float, default=0.7)
-    p.add_argument("--saturation-level", type=float, default=17e-4)
-    p.add_argument("--retain-date", action="append",
+    # one flag per IngestConfig field; unset flags keep its defaults
+    p.add_argument("--divisor", dest="scaling_divisor", type=float)
+    p.add_argument("--saturation-level", type=float)
+    p.add_argument("--retain-date", dest="retained_saturation_events", action="append",
                    help="ISO date whose saturation run is kept (repeatable)")
-    p.add_argument("--sentinel", action="append", type=float,
+    p.add_argument("--sentinel", dest="missing_sentinels", action="append", type=float,
                    help="raw value treated as missing (repeatable)")
     p.set_defaults(handler=_cmd_ingest, stage="ingest")
 

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, ZeroVarianceError
+from .errors import DomainError, InsufficientDataError, ParseError, ZeroVarianceError
 from .ingest import FluxSeries
 
 __all__ = [
@@ -137,19 +137,34 @@ def _iso(minutes: np.ndarray) -> list[str]:
 
 
 def catalog_from_files(csv_text: str, meta: dict) -> EventCatalog:
-    """Rebuild a catalog from its CSV event table and JSON metadata."""
-    lines = [ln for ln in csv_text.splitlines() if ln.strip()]
-    rows = [ln.replace("Z", "").split(",") for ln in lines[1:]]
-    table = np.array(rows, dtype=str).reshape(len(rows), len(_COLUMNS))
-    return EventCatalog(
-        *table.T,
-        decluster_threshold=float(meta["decluster_threshold"]),
-        gap_minutes=int(meta["gap_minutes"]),
-        n_total_observations=int(meta["n_total_observations"]),
-        span_years=float(meta["span_years"]),
-        missing_minutes_policy=str(meta.get("missing_minutes_policy",
-                                            MISSING_MINUTES_POLICY)),
-    )
+    """Rebuild a catalog from its CSV event table and JSON metadata.
+
+    A malformed row raises ParseError naming its 1-based line, and a
+    missing metadata key raises ParseError naming the key.
+    """
+    rows = [(n, ln.replace("Z", "").split(","))
+            for n, ln in enumerate(csv_text.splitlines(), 1) if ln.strip()][1:]
+    columns = {name: [] for name in _COLUMNS}
+    for line_no, row in rows:
+        if len(row) != len(_COLUMNS):
+            raise ParseError(f"expected {len(_COLUMNS)} fields, got {len(row)}", line_no)
+        for (name, dtype), text in zip(_COLUMNS.items(), row):
+            try:
+                columns[name].append(np.dtype(dtype).type(text))
+            except ValueError:
+                raise ParseError(f"bad {name} value '{text}'", line_no) from None
+    try:
+        return EventCatalog(
+            **columns,
+            decluster_threshold=float(meta["decluster_threshold"]),
+            gap_minutes=int(meta["gap_minutes"]),
+            n_total_observations=int(meta["n_total_observations"]),
+            span_years=float(meta["span_years"]),
+            missing_minutes_policy=str(meta.get("missing_minutes_policy",
+                                                MISSING_MINUTES_POLICY)),
+        )
+    except KeyError as exc:
+        raise ParseError(f"catalog metadata has no key {exc}") from None
 
 
 def _cluster_starts(minutes: np.ndarray, gap: int) -> np.ndarray:
@@ -256,16 +271,6 @@ class GapSweepCurve:
             r_txt = "" if np.isnan(r) else repr(float(r))
             lines.append(f"{int(g)},{r_txt},{int(c)}")
         return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "points": [
-                {"gap_minutes": int(g),
-                 "lag1_autocorrelation": None if np.isnan(r) else float(r),
-                 "event_count": int(c)}
-                for g, r, c in zip(self.gaps, self.lag1, self.event_counts)
-            ],
-        }
 
 
 def gap_sweep(series: FluxSeries, threshold: float,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .errors import ConvergenceError, DomainError, InsufficientDataError
+from .errors import ConvergenceError, DomainError, InsufficientDataError, ParseError
 
 __all__ = [
     "GpdParams",
@@ -503,21 +503,25 @@ def fit_to_json_dict(fit: GpdFit) -> dict:
 
 
 def fit_from_json_dict(doc: dict) -> GpdFit:
-    conv = doc["convergence"]
-    cov = doc["covariance"]
-    return GpdFit(
-        threshold=float(doc["threshold"]),
-        params=GpdParams(float(doc["scale"]), float(doc["shape"])),
-        covariance=None if cov is None else np.asarray(cov, dtype=float).reshape(2, 2),
-        std_errors=None if doc["std_errors"] is None else tuple(doc["std_errors"]),
-        n_excesses=int(doc["n_excesses"]),
-        n_total=int(doc["n_total"]),
-        log_likelihood=float(doc["log_likelihood"]),
-        convergence=FitConvergence(
-            converged=bool(conv["converged"]),
-            iterations=int(conv["iterations"]),
-            function_evals=int(conv["function_evals"]),
-            restarts=int(conv["restarts"]),
-            message=str(conv["message"]),
-        ),
-    )
+    """The fit a ``fit_to_json_dict`` document describes; ParseError if a key is missing."""
+    try:
+        conv = doc["convergence"]
+        cov = doc["covariance"]
+        return GpdFit(
+            threshold=float(doc["threshold"]),
+            params=GpdParams(float(doc["scale"]), float(doc["shape"])),
+            covariance=None if cov is None else np.array(cov, float).reshape(2, 2),
+            std_errors=None if doc["std_errors"] is None else tuple(doc["std_errors"]),
+            n_excesses=int(doc["n_excesses"]),
+            n_total=int(doc["n_total"]),
+            log_likelihood=float(doc["log_likelihood"]),
+            convergence=FitConvergence(
+                converged=bool(conv["converged"]),
+                iterations=int(conv["iterations"]),
+                function_evals=int(conv["function_evals"]),
+                restarts=int(conv["restarts"]),
+                message=str(conv["message"]),
+            ),
+        )
+    except KeyError as exc:
+        raise ParseError(f"fit document has no key {exc}") from None

@@ -43,69 +43,38 @@ class FluxSeries:
 
     ``timestamps`` is a strictly increasing ``datetime64[m]`` array and
     ``flux`` a parallel float64 array in W/m^2 with NaN marking missing
-    samples.  Arrays are frozen read-only, so a series is safe to share.
+    samples.  The constructor checks this on frozen copies of its own, so
+    a series is safe to share.  The span runs from first to last stamp.
     """
 
     timestamps: np.ndarray
     flux: np.ndarray
-    span_start: np.datetime64 = None
-    span_end: np.datetime64 = None
 
     def __post_init__(self):
-        self._check_and_freeze(copy=True)
-
-    @classmethod
-    def _adopt(cls, timestamps, flux, span_start=None, span_end=None):
-        """A series that takes over arrays no caller holds and freezes them.
-
-        For arrays ingest has just built and for the frozen arrays of
-        another series; the constructor copies, so an array a caller may
-        still write is never frozen or aliased.
-        """
-        series = cls.__new__(cls)
-        for name, value in (("timestamps", timestamps), ("flux", flux),
-                            ("span_start", span_start), ("span_end", span_end)):
-            object.__setattr__(series, name, value)
-        series._check_and_freeze(copy=False)
-        return series
-
-    def _check_and_freeze(self, copy: bool):
-        ts = np.asarray(self.timestamps)
-        if ts.dtype != np.dtype("datetime64[m]"):
-            converted = ts.astype("datetime64[m]")
-            if ts.dtype.kind == "M" and np.any(converted.astype(ts.dtype) != ts):
-                raise DomainError("timestamps must lie on the minute grid")
-            ts = converted
-        fx = np.ascontiguousarray(self.flux, dtype=np.float64)
+        given = np.asarray(self.timestamps)
+        ts = given.astype("datetime64[m]")  # a copy, as is fx
+        if given.dtype.kind == "M" and given.dtype != ts.dtype and np.any(ts != given):
+            raise DomainError("timestamps must lie on the minute grid")
+        fx = np.array(self.flux, dtype=np.float64)
         if ts.shape != fx.shape or ts.ndim != 1:
             raise DomainError("timestamps and flux must be parallel 1-d arrays")
-        if ts.size > 1 and np.any(np.diff(ts) <= np.timedelta64(0, "m")):
+        if np.any(ts[1:] <= ts[:-1]):
             raise OrderingError("timestamps must be strictly increasing")
-        with np.errstate(invalid="ignore"):
-            bad = ~np.isnan(fx) & (~np.isfinite(fx) | (fx < 0.0))
-        if np.any(bad):
+        if np.any(fx < 0.0) or np.any(fx == np.inf):  # NaN compares false
             raise DomainError("flux values must be NaN or finite and >= 0")
+        self._freeze(ts, fx)
 
-        start = self.span_start
-        end = self.span_end
-        if start is None:
-            start = ts[0] if ts.size else np.datetime64("NaT", "m")
-        if end is None:
-            end = ts[-1] if ts.size else np.datetime64("NaT", "m")
-        start = np.datetime64(start, "m")
-        end = np.datetime64(end, "m")
-        if ts.size and not (start <= ts[0] and ts[-1] <= end):
-            raise DomainError("every timestamp must lie in [span_start, span_end]")
+    @classmethod
+    def _adopt(cls, timestamps: np.ndarray, flux: np.ndarray) -> "FluxSeries":
+        """Freezes arrays that its caller built and checked and no one else writes."""
+        series = cls.__new__(cls)
+        series._freeze(timestamps, flux)
+        return series
 
-        if copy:  # freeze copies, never the caller's own arrays
-            ts = ts.copy() if ts is self.timestamps else ts
-            fx = fx.copy() if fx is self.flux else fx
-        ts.setflags(write=False)
-        fx.setflags(write=False)
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "flux", fx)
-        object.__setattr__(self, "span_start", start)
-        object.__setattr__(self, "span_end", end)
+    def _freeze(self, timestamps: np.ndarray, flux: np.ndarray) -> None:
+        for name, array in (("timestamps", timestamps), ("flux", flux)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
@@ -116,11 +85,17 @@ class FluxSeries:
         return int(np.count_nonzero(~np.isnan(self.flux)))
 
     @property
+    def span_start(self) -> np.datetime64:
+        return self.timestamps[0] if len(self) else np.datetime64("NaT", "m")
+
+    @property
+    def span_end(self) -> np.datetime64:
+        return self.timestamps[-1] if len(self) else np.datetime64("NaT", "m")
+
+    @property
     def span_minutes(self) -> int:
-        """Minutes covered by [span_start, span_end], inclusive."""
-        if len(self) == 0:
-            return 0
-        return int((self.span_end - self.span_start) / _MINUTE) + 1
+        """Minutes covered by [span_start, span_end], inclusive; 0 when empty."""
+        return int((self.span_end - self.span_start) / _MINUTE) + 1 if len(self) else 0
 
     @property
     def span_years(self) -> float:
@@ -132,12 +107,14 @@ class IngestConfig:
     """Conditioning policy for one input file.
 
     ``retained_saturation_events`` lists ISO dates (UTC) whose saturation
-    runs are kept as real observations instead of being blanked.
+    runs are kept as real observations instead of being blanked.  The
+    defaults are the reference GOES policy: divide by 0.7 and blank every
+    saturation run except the one on 2003-10-28.
     """
 
     scaling_divisor: float = 0.7
     saturation_level: float = 17e-4
-    retained_saturation_events: tuple[str, ...] = ()
+    retained_saturation_events: tuple[str, ...] = ("2003-10-28",)
     missing_sentinels: tuple[float, ...] = (-99999.0,)
 
     def __post_init__(self):
@@ -397,8 +374,11 @@ def apply_scaling(series: FluxSeries, divisor: float) -> FluxSeries:
     """Divide every non-missing flux by ``divisor`` (cross-satellite scaling)."""
     if not divisor > 0.0:
         raise DomainError("scaling divisor must be > 0")
-    return FluxSeries._adopt(series.timestamps, series.flux / divisor,
-                             series.span_start, series.span_end)
+    with np.errstate(over="ignore"):
+        flux = series.flux / divisor
+    if np.any(flux == np.inf):
+        raise DomainError(f"flux / {divisor!r} overflows to inf")
+    return FluxSeries._adopt(series.timestamps, flux)
 
 
 def filter_saturation(series: FluxSeries, config: IngestConfig) -> tuple[FluxSeries, int]:
@@ -431,8 +411,7 @@ def filter_saturation(series: FluxSeries, config: IngestConfig) -> tuple[FluxSer
         removed += 1
     if removed == 0:
         return series, 0
-    return FluxSeries._adopt(series.timestamps, new_flux,
-                             series.span_start, series.span_end), removed
+    return FluxSeries._adopt(series.timestamps, new_flux), removed
 
 
 # ---------------------------------------------------------------------------

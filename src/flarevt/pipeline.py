@@ -16,7 +16,7 @@ import json
 import math
 import os
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from numbers import Real
 from pathlib import Path
 from types import SimpleNamespace
@@ -28,7 +28,7 @@ from .decluster import (DEFAULT_GAP_MINUTES, DEFAULT_THRESHOLD, EventCatalog,
                         GapSweepCurve, decluster, gap_sweep)
 from .diagnostics import (MrlCurve, ProbabilityPlot, default_threshold_grid,
                           mean_excess_curve, probability_plot)
-from .errors import DomainError, PipelineStageError
+from .errors import DomainError, OrderingError, ParseError, PipelineStageError
 from .gpd import GpdFit, fit_gpd, fit_to_json_dict
 from .ingest import FluxSeries, IngestConfig, filter_saturation, read_flux_csv, \
     apply_scaling, write_flux_csv
@@ -74,8 +74,7 @@ class PipelineConfig:
     decluster at X1 with a 15-minute gap, and fit excesses over X3.5.
     """
 
-    ingest: IngestConfig = field(default_factory=lambda: IngestConfig(
-        retained_saturation_events=("2003-10-28",)))
+    ingest: IngestConfig = IngestConfig()
     decluster_threshold: float = DEFAULT_THRESHOLD
     gap_minutes: int = DEFAULT_GAP_MINUTES
     gpd_threshold: float = 3.5e-4
@@ -260,10 +259,17 @@ def excesses_to_csv_text(excesses: np.ndarray) -> str:
 
 
 def excesses_from_csv_text(text: str) -> np.ndarray:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "excess":
-        raise DomainError("expected an excess list with header 'excess'")
-    return np.array([float(v) for v in lines[1:]], dtype=np.float64)
+    """The excess list; ParseError for a bad header, or naming a bad value's line."""
+    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1] != "excess":
+        raise ParseError("expected an excess list with header 'excess'")
+    values = []
+    for line_no, value in lines[1:]:
+        try:
+            values.append(float(value))
+        except ValueError:
+            raise ParseError(f"bad excess value '{value}'", line_no) from None
+    return np.array(values, dtype=np.float64)
 
 
 def x_class(flux: float) -> float:
@@ -292,12 +298,15 @@ def ingest_one(spec: InputSpec) -> tuple[FluxSeries, dict]:
 
 
 def ingest_many(specs: list[InputSpec]) -> tuple[FluxSeries, list[dict]]:
-    """Ingest and concatenate several files (re-validates global ordering)."""
+    """Ingest and concatenate several files; each must start after the one before."""
     if not specs:
         raise DomainError("no input files given")
     series_list, infos = [], []
     for spec in specs:
         series, info = ingest_one(spec)
+        if series_list and series.span_start <= series_list[-1].span_end:
+            raise OrderingError(f"{spec.path} does not start after the last minute "
+                                f"of {infos[-1]['file']}, {series_list[-1].span_end}")
         series_list.append(series)
         infos.append(info)
     if len(series_list) == 1:

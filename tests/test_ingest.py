@@ -235,6 +235,11 @@ class TestScaling:
         with pytest.raises(DomainError):
             fv.apply_scaling(make_series([1e-4]), divisor)
 
+    def test_overflow_to_inf_rejected(self):
+        series = make_series([np.nan, 1e-4, 1e308])
+        with pytest.raises(DomainError, match="overflows to inf"):
+            fv.apply_scaling(series, 1e-10)
+
     def test_composition_is_tight(self):
         # double rounding allows up to 2 ulp between (x/a)/b and x/(a*b);
         # almost all samples land within 1 ulp
@@ -343,9 +348,9 @@ class TestFluxSeries:
             scale_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the divided flux (8 B a row) and the validation temporaries
-        # (~9 B a row) at most; copies of both arrays would add 16 B a row
-        assert scale_peak < 20 * n
+        # the divided flux (8 B a row) and the 1 B a row overflow mask;
+        # a re-check of the invariants or a copy of either array would add more
+        assert scale_peak < 10 * n
         assert np.shares_memory(scaled.timestamps, series.timestamps)
         tracemalloc.start()
         try:
@@ -353,9 +358,9 @@ class TestFluxSeries:
             filter_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the blanked flux (8 B a row), the run masks (~4 B a row) and the
-        # validation temporaries; a day stamp per row would add 8 B a row
-        assert filter_peak < 22 * n
+        # the blanked flux (8 B a row) and the saturation mask (1 B a row);
+        # a re-check of the invariants or a day stamp per row would add more
+        assert filter_peak < 12 * n
         assert removed == 1
         assert np.shares_memory(filtered.timestamps, series.timestamps)
         for arr in (scaled.flux, filtered.flux, filtered.timestamps):
@@ -368,13 +373,27 @@ class TestFluxSeries:
         with pytest.raises(DomainError):
             fv.FluxSeries(ts, np.array([1e-4, 2e-4]))
 
-    def test_span_containment_enforced(self):
-        with pytest.raises(DomainError):
-            fv.FluxSeries(
-                np.array(["2000-01-02T00:00"], dtype="datetime64[m]"),
-                np.array([1e-4]),
-                span_start=np.datetime64("2000-01-03T00:00", "m"),
-                span_end=np.datetime64("2000-01-04T00:00", "m"))
+    def test_span_runs_from_first_to_last_stamp(self):
+        series = make_series([1e-4, np.nan, 2e-4], offsets=[0, 5, 1440])
+        assert series.span_start == np.datetime64("2000-01-01T00:00", "m")
+        assert series.span_end == np.datetime64("2000-01-02T00:00", "m")
+        assert series.span_minutes == 1441
+        empty = fv.FluxSeries(np.empty(0, dtype="datetime64[m]"), np.empty(0))
+        assert np.isnat(empty.span_start) and np.isnat(empty.span_end)
+        assert empty.span_minutes == 0 and empty.span_years == 0.0
+
+    @pytest.mark.parametrize("offsets,flux,error", [
+        ([0, 1], [1e-4, -1e-9], DomainError),
+        ([0, 1], [1e-4, np.inf], DomainError),
+        ([0, 1], [-np.inf, 1e-4], DomainError),
+        ([0, 1, 2], [1e-4, 2e-4], DomainError),
+        ([1, 0], [1e-4, 2e-4], OrderingError),
+        ([0, 0], [1e-4, 2e-4], OrderingError),
+    ])
+    def test_constructor_checks_invariants(self, offsets, flux, error):
+        ts = np.datetime64("2000-01-01T00:00", "m") + np.array(offsets)
+        with pytest.raises(error):
+            fv.FluxSeries(ts, np.array(flux))
 
 
 class TestSynth:

@@ -1,14 +1,16 @@
 import json
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import flarevt as fv
 from flarevt import PipelineStageError, SubThresholdReturnWarning
 from flarevt.cli import STAGE_EXIT_CODES, main
 from flarevt.gpd import fit_from_json_dict, fit_to_json_dict
-from flarevt.pipeline import PipelineConfig, json_text, run_pipeline
+from flarevt.pipeline import PipelineConfig, build_scenarios, json_text, run_pipeline
 
 TRUE_SCALE, TRUE_SHAPE = 3e-4, 0.2
 
@@ -39,6 +41,19 @@ EXPECTED_ARTIFACTS = [
     "probplot.json", "returns.csv", "returns.json", "return_table.json",
     "scenarios.json", "report.json", "manifest.json",
 ]
+
+
+def _write_stage_inputs(d):
+    """Readable stage inputs in ``d``: a one-event catalog, an excess list and a fit."""
+    series = d / "series.csv"
+    series.write_text("timestamp,flux_wm2\n2000-01-01T00:00:00Z,2e-4\n")
+    catalog = fv.decluster(fv.read_flux_csv(series))
+    (d / "catalog.csv").write_text(catalog.to_csv_text())
+    (d / "catalog.json").write_text(json_text(catalog.to_json_dict()))
+    fit = fv.fit_gpd(fv.gpd_sample(fv.GpdParams(1.0, 0.2), 300, seed=5),
+                     threshold=0.5, n_total=100_000)
+    (d / "fit.json").write_text(json_text(fit_to_json_dict(fit)))
+    (d / "excesses.csv").write_text("excess\n0.5\n")
 
 
 class TestRunPipeline:
@@ -103,6 +118,20 @@ class TestRunPipeline:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["failed_stage"] == "ingest"
         assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_overlapping_inputs_name_the_later_file(self, synth_csv, pipeline_config,
+                                                    tmp_path):
+        lines = Path(synth_csv).read_text().splitlines()
+        half = len(lines) // 2
+        first = tmp_path / "early.csv"
+        later = tmp_path / "late.csv"
+        first.write_text("\n".join(lines[:half + 1]) + "\n")
+        later.write_text("\n".join([lines[0]] + lines[half:]) + "\n")
+        with pytest.raises(PipelineStageError) as err:
+            run_pipeline(pipeline_config, [first, later], out_dir=tmp_path / "out")
+        assert err.value.stage == "ingest"
+        assert isinstance(err.value.cause, fv.OrderingError)
+        assert str(later) in str(err.value) and "early.csv" in str(err.value)
 
     def test_empty_input_fails_in_ingest(self, pipeline_config, tmp_path):
         bad = tmp_path / "empty.csv"
@@ -213,14 +242,7 @@ class TestCliStages:
         ("decluster", "--gap", "x"), ("diagnose", "--grid-points", "0")])
     def test_bad_counts_are_usage_error(self, stage, option, value, tmp_path):
         # readable inputs, so that only the bad count can make the command fail
-        series = tmp_path / "series.csv"
-        series.write_text("timestamp,flux_wm2\n2000-01-01T00:00:00Z,2e-4\n")
-        catalog = fv.decluster(fv.read_flux_csv(series))
-        (tmp_path / "catalog.csv").write_text(catalog.to_csv_text())
-        (tmp_path / "catalog.json").write_text(json_text(catalog.to_json_dict()))
-        fit = fv.fit_gpd(fv.gpd_sample(fv.GpdParams(1.0, 0.2), 300, seed=5),
-                         threshold=0.5, n_total=100_000)
-        (tmp_path / "fit.json").write_text(json_text(fit_to_json_dict(fit)))
+        _write_stage_inputs(tmp_path)
         d = tmp_path
         files = {
             "decluster": ["--series", d / "series.csv", "--out-events", d / "out_events.csv",
@@ -233,6 +255,61 @@ class TestCliStages:
             main([stage, *map(str, files), option, value])
         assert exc.value.code == 2
         assert not list(tmp_path.glob("out_*"))
+
+    @pytest.mark.parametrize("stage,name,corrupt,message", [
+        ("fit", "catalog.csv", lambda text: text.replace(",1\n", "\n"), "line 2: expected 5"),
+        ("fit", "catalog.csv", lambda text: text.replace("0.0002", "abc"),
+         "line 2: bad peak_fluxes value 'abc'"),
+        ("diagnose", "catalog.json",
+         lambda text: json_text({k: v for k, v in json.loads(text).items()
+                                 if k != "span_years"}), "'span_years'"),
+        ("fit", "excesses.csv", lambda text: text + "x1\n", "line 3: bad excess value 'x1'"),
+        ("returns", "fit.json",
+         lambda text: json_text({k: v for k, v in json.loads(text).items()
+                                 if k != "convergence"}), "'convergence'"),
+        ("returns", "fit.json", lambda text: text[:len(text) // 2], "fit.json"),
+        ("diagnose", "fit.json", lambda text: text[:len(text) // 2], "fit.json"),
+    ])
+    def test_malformed_artifact_is_stage_error(self, stage, name, corrupt, message,
+                                               tmp_path, capsys):
+        _write_stage_inputs(tmp_path)
+        path = tmp_path / name
+        path.write_text(corrupt(path.read_text()))
+        d = tmp_path
+        args = {
+            "fit": (["--excesses", d / "excesses.csv", "--n-total", "100000"]
+                    if name == "excesses.csv" else
+                    ["--events", d / "catalog.csv", "--meta", d / "catalog.json"])
+            + ["--threshold", "1e-4", "--out", d / "out_fit.json"],
+            "diagnose": ["--events", d / "catalog.csv", "--meta", d / "catalog.json",
+                         "--fit", d / "fit.json", "--out-mrl", d / "out_mrl.csv",
+                         "--out-probplot", d / "out_probplot.csv"],
+            "returns": ["--fit", d / "fit.json", "--years", "100"],
+        }[stage]
+        assert main([stage, *map(str, args)]) == STAGE_EXIT_CODES[stage]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not list(tmp_path.glob("out_*"))
+
+    def test_returns_years_and_default_grid(self, tmp_path, capsys):
+        _write_stage_inputs(tmp_path)
+        fit = fit_from_json_dict(json.loads((tmp_path / "fit.json").read_text()))
+        out = tmp_path / "returns.csv"
+        assert main(["returns", "--fit", str(tmp_path / "fit.json"), "--years", "100",
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert f"{fv.return_level(fit, 100.0):.6g} W/m^2" in printed
+        # without --m-grid the grid starts just above the mean inter-exceedance time
+        m = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+        m_min = 1.0 / (525_600.0 * fit.exceedance_rate)
+        assert m[0] == pytest.approx(max(1.0, m_min * 1.001), rel=1e-12)
+        assert len(m) > 1 and m == sorted(m)
+
+    def test_returns_with_nothing_to_do_is_usage_error(self, tmp_path, capsys):
+        _write_stage_inputs(tmp_path)
+        assert main(["returns", "--fit", str(tmp_path / "fit.json")]) == 2
+        assert "nothing to do" in capsys.readouterr().err
 
     def test_stage_exit_codes(self):
         assert STAGE_EXIT_CODES == {
@@ -281,6 +358,24 @@ class TestCliRun:
         assert report["provenance"]["config_sha256"]
         assert report["catalog"]["n_events"] > 0
         assert {"ingest", "fit", "scenarios", "return_table"} <= set(report)
+
+    def test_ingest_and_run_share_the_saturation_policy(self, tmp_path):
+        # two hours with one saturated run on 2003-10-28, which the reference policy keeps
+        flux = np.full(120, 1e-5)
+        flux[30:35] = 20e-4
+        stamps = np.datetime64("2003-10-28T10:00", "m") + np.arange(120)
+        raw = tmp_path / "raw.csv"
+        fv.write_flux_csv(fv.FluxSeries(stamps, flux), raw)
+        assert main(["ingest", "--input", str(raw), "--out", str(tmp_path / "series.csv"),
+                     "--summary", str(tmp_path / "ingest.json")]) == 0
+        # one event is too few to fit, but ingest has written its artifacts by then
+        assert main(["run", str(raw), "--out", str(tmp_path / "run"),
+                     "--fixed-clock"]) == STAGE_EXIT_CODES["fit"]
+        assert ((tmp_path / "series.csv").read_bytes()
+                == (tmp_path / "run" / "series.csv").read_bytes())
+        summary = json.loads((tmp_path / "ingest.json").read_text())
+        assert summary["saturation_runs_removed"] == 0
+        assert json.loads((tmp_path / "run" / "ingest.json").read_text())["files"] == [summary]
 
     def test_run_exit_code_on_empty_input(self, tmp_path):
         bad = tmp_path / "empty.csv"
@@ -386,9 +481,25 @@ class TestConfig:
         assert as_int.to_dict()["ingest"]["scaling_divisor"] == 1.0
         assert type(as_int.to_dict()["ingest"]["scaling_divisor"]) is float
 
+    def test_partial_ingest_object_overrides_only_its_keys(self):
+        config = PipelineConfig.from_dict({"ingest": {"scaling_divisor": 1.0}})
+        assert config.ingest == replace(PipelineConfig().ingest, scaling_divisor=1.0)
+
     def test_threshold_ordering_enforced(self):
         with pytest.raises(fv.DomainError):
             PipelineConfig(decluster_threshold=4e-4, gpd_threshold=1e-4)
+
+    def test_scenario_notes(self):
+        fit = fv.fit_gpd(fv.gpd_sample(fv.GpdParams(3e-4, 0.2), 300, seed=5),
+                         threshold=3.5e-4, n_total=1_000_000)
+        config = PipelineConfig(scenario_levels=(2e-4, 3.5e-4, 45e-4), scenario_years=())
+        rows = build_scenarios(fit, config)
+        for key in ("x2_return_period", "x3.5_return_period"):
+            assert rows[key]["note"] == "level at or below the fit threshold"
+        assert rows["x45_return_period"]["return_period_years"] > 0.0
+        no_cov = build_scenarios(replace(fit, covariance=None, std_errors=None), config)
+        assert no_cov["x45_return_period"]["note"] == "fit covariance is unavailable"
+        assert "return_period_years" not in no_cov["x45_return_period"]
 
     def test_scenarios_trace_to_fit(self, synth_csv, pipeline_config, tmp_path):
         report = run_pipeline(pipeline_config, [synth_csv],

@@ -203,6 +203,20 @@ class TestReturnPeriodBand:
             at_hi = fv.return_level_ci(fit, m_hi)
             assert at_hi.low == pytest.approx(45e-4, rel=1e-6)
 
+    def test_band_clamps_to_the_shortest_and_an_unbounded_period(self):
+        # just above the threshold the upper band already exceeds the level at
+        # the shortest period, and the lower band stays below it up to m_max
+        m_hat, m_lo, m_hi = fv.return_period_band(reference_fit(PAPER_COV), 3.6e-4)
+        assert m_lo == pytest.approx(1.0001 * MEAN_INTEREXCEEDANCE_YEARS, rel=1e-9)
+        assert m_lo < m_hat
+        assert m_hi == np.inf
+
+    def test_band_upper_endpoint_finite_for_a_tight_fit(self):
+        fit = reference_fit(PAPER_COV / 100.0)
+        m_hat, m_lo, m_hi = fv.return_period_band(fit, 45e-4)
+        assert m_lo < m_hat < m_hi < np.inf
+        assert fv.return_level_ci(fit, m_hi).low == pytest.approx(45e-4, rel=1e-6)
+
 
 class TestCalendar:
     def test_default_minutes(self):
