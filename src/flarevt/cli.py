@@ -78,11 +78,6 @@ def _log_grid(text: str) -> tuple[float, float, int]:
     return lo, hi, count
 
 
-def _read_text(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _read_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -130,12 +125,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _load_catalog(events_path, meta_path):
-    return catalog_from_files(_read_text(events_path), _read_json(meta_path))
+    return catalog_from_files(Path(events_path).read_bytes(), _read_json(meta_path))
 
 
 def _cmd_fit(args) -> int:
     if args.excesses:
-        excesses = excesses_from_csv_text(_read_text(args.excesses))
+        excesses = excesses_from_csv_text(Path(args.excesses).read_bytes())
         n_total = args.n_total if args.n_total is not None else excesses.size
     else:
         if not args.meta:

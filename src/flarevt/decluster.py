@@ -17,6 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ._table import read_table, table_text
 from .errors import DomainError, InsufficientDataError, ParseError, ZeroVarianceError
 from .ingest import FluxSeries
 
@@ -59,6 +60,7 @@ class FlareEvent:
 _COLUMNS = dict(peak_times="datetime64[m]", peak_fluxes=np.float64,
                 cluster_starts="datetime64[m]", cluster_ends="datetime64[m]",
                 cluster_sample_counts=np.int64)
+_CSV_HEADER = "peak_time,peak_flux,cluster_start,cluster_end,cluster_samples"
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,11 +116,7 @@ class EventCatalog:
         return peaks[peaks > threshold] - threshold
 
     def to_csv_text(self) -> str:
-        rows = zip(_iso(self.peak_times), map(repr, self.peak_fluxes.tolist()),
-                   _iso(self.cluster_starts), _iso(self.cluster_ends),
-                   map(str, self.cluster_sample_counts.tolist()))
-        header = "peak_time,peak_flux,cluster_start,cluster_end,cluster_samples"
-        return "\n".join([header, *map(",".join, rows)]) + "\n"
+        return table_text(_CSV_HEADER, *(getattr(self, name) for name in _COLUMNS))
 
     def to_json_dict(self) -> dict:
         return {
@@ -131,31 +129,19 @@ class EventCatalog:
         }
 
 
-def _iso(minutes: np.ndarray) -> list[str]:
-    stamps = np.datetime_as_string(minutes.astype("datetime64[s]"), unit="s")
-    return [s + "Z" for s in stamps.tolist()]
-
-
-def catalog_from_files(csv_text: str, meta: dict) -> EventCatalog:
+def catalog_from_files(csv_data: str | bytes, meta: dict) -> EventCatalog:
     """Rebuild a catalog from its CSV event table and JSON metadata.
 
-    A malformed row raises ParseError naming its 1-based line, and a
-    missing metadata key raises ParseError naming the key.
+    A malformed table raises ParseError naming its 1-based line, and a
+    missing or ill-typed metadata value raises ParseError naming the key
+    or the metadata.
     """
-    rows = [(n, ln.replace("Z", "").split(","))
-            for n, ln in enumerate(csv_text.splitlines(), 1) if ln.strip()][1:]
-    columns = {name: [] for name in _COLUMNS}
-    for line_no, row in rows:
-        if len(row) != len(_COLUMNS):
-            raise ParseError(f"expected {len(_COLUMNS)} fields, got {len(row)}", line_no)
-        for (name, dtype), text in zip(_COLUMNS.items(), row):
-            try:
-                columns[name].append(np.dtype(dtype).type(text))
-            except ValueError:
-                raise ParseError(f"bad {name} value '{text}'", line_no) from None
+    columns, empty, row_text = read_table(csv_data, _CSV_HEADER, _COLUMNS)
+    if np.any(empty):
+        raise ParseError("bad peak_fluxes value ''", row_text(int(np.argmax(empty)))[0])
     try:
         return EventCatalog(
-            **columns,
+            *columns,
             decluster_threshold=float(meta["decluster_threshold"]),
             gap_minutes=int(meta["gap_minutes"]),
             n_total_observations=int(meta["n_total_observations"]),
@@ -165,6 +151,8 @@ def catalog_from_files(csv_text: str, meta: dict) -> EventCatalog:
         )
     except KeyError as exc:
         raise ParseError(f"catalog metadata has no key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad catalog metadata: {exc}") from None
 
 
 def _cluster_starts(minutes: np.ndarray, gap: int) -> np.ndarray:
@@ -266,11 +254,8 @@ class GapSweepCurve:
                            np.asarray(self.event_counts, dtype=np.int64))
 
     def to_csv_text(self) -> str:
-        lines = ["gap_minutes,lag1_autocorrelation,event_count"]
-        for g, r, c in zip(self.gaps, self.lag1, self.event_counts):
-            r_txt = "" if np.isnan(r) else repr(float(r))
-            lines.append(f"{int(g)},{r_txt},{int(c)}")
-        return "\n".join(lines) + "\n"
+        return table_text("gap_minutes,lag1_autocorrelation,event_count",
+                          self.gaps, self.lag1, self.event_counts)
 
 
 def gap_sweep(series: FluxSeries, threshold: float,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
+from ._table import table_points, table_text
 from .errors import DomainError, InsufficientDataError
 from .gpd import GpdFit, gpd_cdf
 
@@ -24,6 +25,9 @@ __all__ = [
     "mean_excess_curve",
     "probability_plot",
 ]
+
+# the curve's fields, named alike in its CSV header and JSON points
+_MRL_COLUMNS = ("u0", "mean_excess", "ci_halfwidth", "n_exceed")
 
 
 @dataclass(frozen=True)
@@ -46,21 +50,11 @@ class MrlCurve:
         object.__setattr__(self, "n_exceed", np.asarray(self.n_exceed, dtype=np.int64))
 
     def to_csv_text(self) -> str:
-        lines = ["u0,mean_excess,ci_halfwidth,n_exceed"]
-        for u, m, h, n in zip(self.u0, self.mean_excess, self.ci_halfwidth, self.n_exceed):
-            lines.append(f"{float(u)!r},{float(m)!r},{float(h)!r},{int(n)}")
-        return "\n".join(lines) + "\n"
+        return table_text(",".join(_MRL_COLUMNS), *(getattr(self, n) for n in _MRL_COLUMNS))
 
     def to_json_dict(self) -> dict:
-        return {
-            "ci_level": float(self.ci_level),
-            "points": [
-                {"u0": float(u), "mean_excess": float(m),
-                 "ci_halfwidth": float(h), "n_exceed": int(n)}
-                for u, m, h, n in zip(self.u0, self.mean_excess,
-                                      self.ci_halfwidth, self.n_exceed)
-            ],
-        }
+        return {"ci_level": float(self.ci_level),
+                "points": table_points(_MRL_COLUMNS, *(getattr(self, n) for n in _MRL_COLUMNS))}
 
 
 @dataclass(frozen=True)
@@ -72,16 +66,12 @@ class ProbabilityPlot:
     max_abs_deviation_from_diagonal: float
 
     def to_csv_text(self) -> str:
-        lines = ["empirical,model"]
-        for e, m in zip(self.empirical, self.model):
-            lines.append(f"{float(e)!r},{float(m)!r}")
-        return "\n".join(lines) + "\n"
+        return table_text("empirical,model", self.empirical, self.model)
 
     def to_json_dict(self) -> dict:
         return {
             "max_abs_deviation_from_diagonal": float(self.max_abs_deviation_from_diagonal),
-            "points": [{"empirical": float(e), "model": float(m)}
-                       for e, m in zip(self.empirical, self.model)],
+            "points": table_points(("empirical", "model"), self.empirical, self.model),
         }
 
 

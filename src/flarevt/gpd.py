@@ -252,6 +252,7 @@ _Q_COEF = (-1.0) ** _J * (_J + 1.0) * (_J + 2.0) / (_J + 3.0)
 _DECREMENT_TOL = 1e-20
 _MAX_ITER = 100
 _MAX_HALVINGS = 60
+_SHAPE_FLOOR = 1e-6   # an iterate this close to shape -1 has reached the support edge
 _ARMIJO = 1e-4        # sufficient-increase fraction of the predicted gain
 _QUADRATIC = 1e-4     # below this decrement a full Newton step is taken
 
@@ -324,16 +325,18 @@ def _maximize(y: np.ndarray, scale: float, shape: float, fixed_shape: bool):
     when the information is positive definite and the Newton decrement
     is below _DECREMENT_TOL.  Where the supremum lies on the support edge
     (shape -> -1, scale -> max(y)) the decrement stays away from 0, so
-    such samples end unconverged.  Returns scale, shape, log-likelihood
-    and diagnostics.
+    such samples fail as soon as an iterate's shape comes within
+    _SHAPE_FLOOR of -1, as does a shape pinned there.  Returns scale,
+    shape, log-likelihood and diagnostics.
     """
     theta = np.array([math.log(scale), shape])
     ll, score, info = _loglik_derivatives(y, scale, shape)
     evals, halvings = 1, 0
-    if shape <= -1.0:  # only a pinned shape starts here
-        return None, None, ll, FitConvergence(
-            False, 0, evals, 0, _failure_message(y, theta, "shape <= -1"))
     for it in range(1, _MAX_ITER + 1):
+        if theta[1] < -1.0 + _SHAPE_FLOOR:
+            return None, None, ll, FitConvergence(
+                False, it - 1, evals, halvings,
+                _failure_message(y, theta, "shape reached the -1 corner"))
         step, regular = _ascent_step(score, info, fixed_shape)
         decrement = float(score @ step)
         if regular and decrement < _DECREMENT_TOL:
@@ -430,7 +433,7 @@ def fit_gpd(excesses, *, threshold: float = 0.0, n_total: int | None = None,
         Fewer than ``min_excesses`` values.
     ConvergenceError
         The iteration did not converge, as when the likelihood's supremum
-        lies on the support edge with shape <= -1; diagnostics attached.
+        lies on the support edge at shape -1; diagnostics attached.
     """
     y = _as_excess_array(excesses)
     if y.size < min_excesses:
@@ -503,7 +506,7 @@ def fit_to_json_dict(fit: GpdFit) -> dict:
 
 
 def fit_from_json_dict(doc: dict) -> GpdFit:
-    """The fit a ``fit_to_json_dict`` document describes; ParseError if a key is missing."""
+    """The fit a ``fit_to_json_dict`` document describes; ParseError for a bad document."""
     try:
         conv = doc["convergence"]
         cov = doc["covariance"]
@@ -525,3 +528,5 @@ def fit_from_json_dict(doc: dict) -> GpdFit:
         )
     except KeyError as exc:
         raise ParseError(f"fit document has no key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad fit document: {exc}") from None

@@ -9,12 +9,12 @@ gap structure survives for declustering.
 from __future__ import annotations
 
 import io
-import operator
 from dataclasses import dataclass
-from typing import IO, Callable, NamedTuple
+from typing import IO
 
 import numpy as np
 
+from ._table import Table, read_table, table_rows, to_minutes
 from .errors import DomainError, EmptyInputError, OrderingError, ParseError
 from .gpd import GpdParams, gpd_quantile
 
@@ -147,26 +147,10 @@ _STAMP_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00Z\0", np.uint8)
 _STAMP_DIGITS = _STAMP_TEMPLATE == ord("0")
 _SCAN_CHUNK_BYTES = 1 << 24
 _WRITE_CHUNK_ROWS = 1 << 16
-# the time-of-day part of a stamp, by minute of the day
-_CLOCK_TEXT = np.array([f"T{h:02d}:{m:02d}:00Z," for h in range(24) for m in range(60)],
-                       dtype=object)
+_CSV_KINDS = {"timestamp": "datetime64[m]", "flux": np.float64}
 
 
-class _Columns(NamedTuple):
-    """Tokenised data rows, before the array-level checks.
-
-    ``flux`` is NaN where ``empty`` marks an empty field, and
-    ``row_text(i)`` gives row ``i``'s 1-based line number and its
-    timestamp and flux text for error messages.
-    """
-
-    minutes: np.ndarray  # datetime64[m]
-    flux: np.ndarray
-    empty: np.ndarray
-    row_text: Callable[[int], tuple[int, str, str]]
-
-
-def _scan_canonical(data: str | bytes) -> _Columns | None:
+def _scan_canonical(data: str | bytes) -> Table | None:
     """Tokenise canonical input at C speed; None leaves it to the per-line scan.
 
     Anything else (CRLF, a BOM, blank lines, padded fields, date-only
@@ -209,87 +193,13 @@ def _scan_canonical(data: str | bytes) -> _Columns | None:
         flux.append(rows["flux"].copy())
     stamps, flux = np.concatenate(stamps), np.concatenate(flux)
 
-    def row_text(i: int) -> tuple[int, str, str]:
+    def row_text(i: int) -> tuple[int, tuple[str, ...]]:
         ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
         stop = ends[i + 1] if i + 1 < ends.size else len(data)
         ts, value = data[ends[i] + 1:stop].decode("ascii").split(",")
-        return i + 2, ts[:-1], value
+        return i + 2, (ts[:-1], value)
 
-    return _Columns(_to_minutes(stamps, row_text), flux, np.isnan(flux), row_text)
-
-
-def _to_minutes(stamps: np.ndarray, row_text) -> np.ndarray:
-    """datetime64[s] stamps as datetime64[m]; an off-grid stamp names its line."""
-    minutes = stamps.astype("datetime64[m]")
-    off_grid = minutes.astype("datetime64[s]") != stamps
-    if np.any(off_grid):
-        line_no, ts, _ = row_text(int(np.argmax(off_grid)))
-        raise ParseError(f"timestamp '{ts}' not on the minute grid", line_no)
-    return minutes
-
-
-def _decode(data: str | bytes) -> str:
-    if isinstance(data, str):
-        return data
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # number lines as str.splitlines does in the per-line scan
-        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line_no) from None
-
-
-def _scan_lines(text: str) -> _Columns:
-    """Tokenise line by line, accepting any layout the format allows."""
-    lines = text.splitlines()
-    if not lines:
-        raise EmptyInputError("input is empty")
-    header = lines[0].lstrip("\ufeff").strip()
-    if header != CSV_HEADER:
-        raise ParseError(f"expected header '{CSV_HEADER}', got '{header}'", 1)
-    rows = [(i + 2, line.strip()) for i, line in enumerate(lines[1:]) if line.strip()]
-    if not rows:
-        raise EmptyInputError("no data rows")
-
-    ts_strs: list[str] = []
-    flux_strs: list[str] = []
-    for line_no, line in rows:
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"expected 2 fields, got {len(parts)}", line_no)
-        ts = parts[0].strip()
-        if ts.endswith("Z"):
-            ts = ts[:-1]
-        ts_strs.append(ts)
-        flux_strs.append(parts[1].strip())
-
-    try:
-        ts_sec = np.array(ts_strs, dtype="datetime64[s]")
-    except ValueError:
-        for (line_no, _), s in zip(rows, ts_strs):
-            try:
-                np.datetime64(s, "s")
-            except ValueError:
-                raise ParseError(f"bad timestamp '{s}'", line_no) from None
-        raise  # pragma: no cover - unreachable
-
-    def row_text(i: int) -> tuple[int, str, str]:
-        return rows[i][0], ts_strs[i], flux_strs[i]
-
-    minutes = _to_minutes(ts_sec, row_text)
-    empty = np.array([s == "" for s in flux_strs])
-    try:
-        flux = np.array([s if s else "nan" for s in flux_strs], dtype=np.float64)
-    except ValueError:
-        for (line_no, _), s in zip(rows, flux_strs):
-            if s:
-                try:
-                    float(s)
-                except ValueError:
-                    raise ParseError(f"bad flux value '{s}'", line_no) from None
-        raise  # pragma: no cover - unreachable
-
-    return _Columns(minutes, flux, empty, row_text)
+    return Table((to_minutes(stamps, row_text, 0), flux), np.isnan(flux), row_text)
 
 
 def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None) -> FluxSeries:
@@ -300,7 +210,8 @@ def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None)
     flux values.  An empty flux field or a configured sentinel value
     marks the sample missing.  Input in the layout ``write_flux_csv``
     produces is tokenised a chunk at a time in C; any other input is
-    scanned line by line.  Both give the same series or the same error.
+    scanned line by line, by the scan every CSV reader shares.  Both give
+    the same series or the same error.
 
     Raises
     ------
@@ -314,7 +225,10 @@ def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None)
     """
     config = config or IngestConfig()
     data = source if isinstance(source, (str, bytes)) else source.read()
-    ts_min, flux, empty, row_text = _scan_canonical(data) or _scan_lines(_decode(data))
+    (ts_min, flux), empty, row_text = (_scan_canonical(data)
+                                       or read_table(data, CSV_HEADER, _CSV_KINDS))
+    if not ts_min.size:
+        raise EmptyInputError("no data rows")
 
     for sentinel in config.missing_sentinels:
         empty |= flux == sentinel
@@ -322,14 +236,13 @@ def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None)
 
     invalid = ~empty & (~np.isfinite(flux) | (flux < 0.0))
     if np.any(invalid):
-        line_no, _, value = row_text(int(np.argmax(invalid)))
+        line_no, (_, value) = row_text(int(np.argmax(invalid)))
         raise ParseError(f"flux value '{value}' is not a finite value >= 0", line_no)
 
-    if ts_min.size > 1:
-        backwards = np.diff(ts_min) <= np.timedelta64(0, "m")
-        if np.any(backwards):
-            line_no, ts, _ = row_text(int(np.argmax(backwards)) + 1)
-            raise OrderingError(f"timestamp '{ts}' does not increase", line_no)
+    backwards = np.diff(ts_min) <= np.timedelta64(0, "m")
+    if np.any(backwards):
+        line_no, (ts, _) = row_text(int(np.argmax(backwards)) + 1)
+        raise OrderingError(f"timestamp '{ts}' does not increase", line_no)
 
     return FluxSeries._adopt(ts_min, flux)
 
@@ -349,17 +262,7 @@ def write_flux_csv(series: FluxSeries, path=None) -> str:
     parts = [CSV_HEADER, "\n"]
     for lo in range(0, len(series), _WRITE_CHUNK_ROWS):
         chunk = slice(lo, lo + _WRITE_CHUNK_ROWS)
-        minutes = series.timestamps[chunk]
-        days = minutes.astype("datetime64[D]")
-        day_list, day_of_row = np.unique(days, return_inverse=True)
-        dates = np.datetime_as_string(day_list).astype(object)[day_of_row]
-        clocks = _CLOCK_TEXT[(minutes - days).astype(np.int64)]
-        stamps = map(operator.add, dates.tolist(), clocks.tolist())
-        flux = series.flux[chunk]
-        values = list(map(repr, flux.tolist()))
-        for i in np.flatnonzero(np.isnan(flux)).tolist():
-            values[i] = ""
-        parts += "\n".join(map(operator.add, stamps, values)), "\n"
+        parts += "\n".join(table_rows(series.timestamps[chunk], series.flux[chunk])), "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(parts)

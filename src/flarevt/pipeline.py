@@ -24,11 +24,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
+from ._table import read_table, table_text
 from .decluster import (DEFAULT_GAP_MINUTES, DEFAULT_THRESHOLD, EventCatalog,
                         GapSweepCurve, decluster, gap_sweep)
 from .diagnostics import (MrlCurve, ProbabilityPlot, default_threshold_grid,
                           mean_excess_curve, probability_plot)
-from .errors import DomainError, OrderingError, ParseError, PipelineStageError
+from .errors import DomainError, OrderingError, PipelineStageError
 from .gpd import GpdFit, fit_gpd, fit_to_json_dict
 from .ingest import FluxSeries, IngestConfig, filter_saturation, read_flux_csv, \
     apply_scaling, write_flux_csv
@@ -253,23 +254,12 @@ def _sha256_file(path) -> str:
 
 
 def excesses_to_csv_text(excesses: np.ndarray) -> str:
-    lines = ["excess"]
-    lines.extend(repr(float(v)) for v in excesses)
-    return "\n".join(lines) + "\n"
+    return table_text("excess", np.asarray(excesses, dtype=np.float64))
 
 
-def excesses_from_csv_text(text: str) -> np.ndarray:
-    """The excess list; ParseError for a bad header, or naming a bad value's line."""
-    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines or lines[0][1] != "excess":
-        raise ParseError("expected an excess list with header 'excess'")
-    values = []
-    for line_no, value in lines[1:]:
-        try:
-            values.append(float(value))
-        except ValueError:
-            raise ParseError(f"bad excess value '{value}'", line_no) from None
-    return np.array(values, dtype=np.float64)
+def excesses_from_csv_text(data: str | bytes) -> np.ndarray:
+    """The excess list; ParseError naming the line of a bad header or value."""
+    return read_table(data, "excess", {"excess": np.float64}).columns[0]
 
 
 def x_class(flux: float) -> float:

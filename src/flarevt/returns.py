@@ -26,8 +26,9 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.stats import norm
 
+from ._table import table_points, table_text
 from .errors import CiUnavailableError, DomainError, InfiniteReturnError
-from .gpd import SHAPE_SWITCH_TOL, GpdFit
+from .gpd import SHAPE_SWITCH_TOL, GpdFit, fit_to_json_dict
 
 __all__ = [
     "ObservationCalendar",
@@ -234,25 +235,17 @@ class ReturnLevelCurve:
     ci_level: float
 
     def to_csv_text(self) -> str:
-        lines = ["m_years,level,ci_low,ci_high"]
-        for m, lv, lo, hi in zip(self.m, self.level, self.ci_low, self.ci_high):
-            lines.append(f"{float(m)!r},{float(lv)!r},{float(lo)!r},{float(hi)!r}")
-        return "\n".join(lines) + "\n"
+        return table_text("m_years,level,ci_low,ci_high",
+                          self.m, self.level, self.ci_low, self.ci_high)
 
     def to_json_dict(self, fit: GpdFit | None = None) -> dict:
-        from .gpd import fit_to_json_dict
         doc = {
             "ci_level": float(self.ci_level),
             "ci_method": "delta",
             "asymmetric_ci_method": "delta-log-excess",
-            "points": [
-                {"m_years": float(m), "level": float(lv),
-                 "ci_low": float(lo), "ci_high": float(hi),
-                 "asym_ci_low": float(alo), "asym_ci_high": float(ahi)}
-                for m, lv, lo, hi, alo, ahi in zip(
-                    self.m, self.level, self.ci_low, self.ci_high,
-                    self.asym_low, self.asym_high)
-            ],
+            "points": table_points(
+                ("m_years", "level", "ci_low", "ci_high", "asym_ci_low", "asym_ci_high"),
+                self.m, self.level, self.ci_low, self.ci_high, self.asym_low, self.asym_high),
         }
         if fit is not None:
             doc["fit"] = fit_to_json_dict(fit)

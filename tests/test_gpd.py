@@ -244,6 +244,7 @@ class TestFit:
         assert isinstance(diagnostics, FitConvergence)
         assert not diagnostics.converged
         assert diagnostics.function_evals >= diagnostics.iterations > 0
+        assert diagnostics.iterations <= 30
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_shape_minus_half_fits_with_covariance(self, seed):

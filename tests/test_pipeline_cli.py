@@ -269,12 +269,27 @@ class TestCliStages:
                                  if k != "convergence"}), "'convergence'"),
         ("returns", "fit.json", lambda text: text[:len(text) // 2], "fit.json"),
         ("diagnose", "fit.json", lambda text: text[:len(text) // 2], "fit.json"),
+        ("fit", "excesses.csv", lambda text: text + "\udcff1\n",
+         "line 3: invalid UTF-8 byte 0xff"),
+        ("fit", "catalog.csv", lambda text: text.replace("peak_time", "peak_t\udce9me"),
+         "line 1: invalid UTF-8 byte 0xe9"),
+        ("fit", "catalog.json", lambda text: json_text({**json.loads(text), "span_years": "x"}),
+         "bad catalog metadata: could not convert string to float: 'x'"),
+        ("returns", "fit.json", lambda text: json_text([json.loads(text)]), "bad fit document"),
+        ("returns", "fit.json", lambda text: json_text({**json.loads(text), "scale": "x"}),
+         "bad fit document: could not convert string to float: 'x'"),
+        ("fit", "catalog.csv", lambda text: text.replace("peak_time,", "peak,"),
+         "line 1: expected header"),
+        ("diagnose", "catalog.csv", lambda text: text.replace(":00Z,0.0002", ":30Z,0.0002"),
+         "line 2: timestamp '2000-01-01T00:00:30' not on the minute grid"),
+        ("fit", "excesses.csv", lambda text: "", "input is empty"),
     ])
     def test_malformed_artifact_is_stage_error(self, stage, name, corrupt, message,
                                                tmp_path, capsys):
         _write_stage_inputs(tmp_path)
         path = tmp_path / name
-        path.write_text(corrupt(path.read_text()))
+        # a lone surrogate \udcXX in the corrupted text is written as the byte 0xXX
+        path.write_text(corrupt(path.read_text()), errors="surrogateescape")
         d = tmp_path
         args = {
             "fit": (["--excesses", d / "excesses.csv", "--n-total", "100000"]
