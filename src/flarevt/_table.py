@@ -8,8 +8,8 @@ or empty for NaN; an integer field is its decimal text; a stamp is
 
 from __future__ import annotations
 
-import operator
-from typing import Callable, Iterable, NamedTuple
+from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -17,37 +17,193 @@ from .errors import EmptyInputError, ParseError
 
 # the time-of-day part of a stamp, by minute of the day
 _CLOCK_TEXT = np.array([f"T{h:02d}:{m:02d}:00Z" for h in range(24) for m in range(60)],
-                       dtype=object)
+                       dtype="S10").view(np.uint8).reshape(1440, 10)
+
+# Shortest round-trip float text for a whole array at once.  A float x in
+# [1e-290, 1e290) with decimal exponent e (10**e <= x < 10**(e+1)) is scaled
+# to y = x * 10**(16 - e) in [1e16, 1e17), held as an exact integer part and
+# a fraction: a Dekker two-product against 10**(16 - e) as the double-double
+# hi + lo.  Rounding y to 15, 16 or 17 significant digits is then integer
+# work, and the shortest rounding within half an ulp of x is the one repr
+# prints.  A value within _MARGIN of a tie or of the half-ulp bound, and
+# every value the scaling cannot take (zero, subnormals, huge values, a
+# mantissa that is a power of two, whose rounding interval is lopsided),
+# is left to repr.
+_P10_MIN, _P10_MAX = -291, 308
+_SPLIT = 2.0 ** 27 + 1.0  # Dekker's splitter: a double into two 26-bit halves
+_MARGIN = 2.0 ** -30  # far above the ~1e-14 error in y, far below any decision's spread
+_MANTISSA_BITS = np.uint64((1 << 52) - 1)
+_EXPONENT_BITS = np.uint64(0x7FF << 52)
+_E16 = 10 ** 16
 
 
-def _cells(column: np.ndarray, end: str) -> Iterable[str]:
-    """Each field of ``column`` (stamps in datetime64[m]) as text, followed by ``end``."""
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = x * _SPLIT
+    high = c - (c - x)
+    return high, x - high
+
+
+def _pow10_table() -> tuple[np.ndarray, ...]:
+    """10**s for s in [_P10_MIN, _P10_MAX] as hi + lo, and hi split in halves."""
+    exact = [Fraction(10) ** s for s in range(_P10_MIN, _P10_MAX + 1)]
+    hi = np.array([float(v) for v in exact])
+    lo = np.array([float(v - Fraction(float(v))) for v in exact])
+    mantissa, exponent = np.frexp(hi)  # split in [0.5, 1), where the splitter cannot overflow
+    return (hi, lo, *(np.ldexp(half, exponent) for half in _split(mantissa)))
+
+
+_P10_HI, _P10_LO, _P10_HH, _P10_HL = _pow10_table()
+
+# A float's text is gathered from a source row of these bytes: NUL (dropped
+# when a row is packed), the sign or NUL, "0", ".", then the exponent ("e",
+# its sign, its hundreds digit or NUL, its last two digits), then "0" and
+# the 17 significant digits.
+_NUL, _SIGN, _ZERO, _POINT = 0, 1, 2, 3
+_EXP = [4, 5, 6, 7, 8]
+_DIGIT0 = 10
+_SOURCE_HEAD = np.frombuffer(b"\0\0" b"0.e", dtype=np.uint8)  # NUL, sign, "0", ".", "e"
+_DIGIT_PAIRS = np.array([f"{i:02d}" for i in range(100)], dtype="S2").view(np.uint16)
+_FIELD_WIDTH = 24  # the longest repr: "-2.2250738585072014e-308"
+
+
+def _layouts() -> np.ndarray:
+    """Source positions of each layout's bytes, NUL-padded to _FIELD_WIDTH.
+
+    Layout n - 1 is scientific notation with n significant digits; layout
+    17 * (e + 5) + n - 1 is positional notation with exponent e in [-4, 15],
+    the range in which repr writes no exponent.
+    """
+    def digits(lo, hi):
+        return list(range(_DIGIT0 + lo, _DIGIT0 + hi))
+
+    layouts = [digits(0, 1) + ([_POINT] + digits(1, n) if n > 1 else []) + _EXP
+               for n in range(1, 18)]
+    for e in range(-4, 16):
+        for n in range(1, 18):
+            if e < 0:
+                layouts.append([_ZERO, _POINT] + [_ZERO] * (-e - 1) + digits(0, n))
+            elif e < n - 1:
+                layouts.append(digits(0, e + 1) + [_POINT] + digits(e + 1, n))
+            else:
+                layouts.append(digits(0, n) + [_ZERO] * (e - n + 1) + [_POINT, _ZERO])
+    return np.array([[_SIGN] + body + [_NUL] * (_FIELD_WIDTH - 1 - len(body))
+                     for body in layouts], dtype=np.uint8)
+
+
+_LAYOUTS = _layouts()
+
+
+def _below_pow10(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Whether a < 10**k exactly."""
+    hi, lo = _P10_HI.take(k - _P10_MIN), _P10_LO.take(k - _P10_MIN)
+    return (a < hi) | ((a == hi) & (lo > 0.0))
+
+
+def _shortest_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shortest round-trip digits of each a in [1e-290, 1e290).
+
+    Returns (digits, e, decided): the digits as a 17-digit integer padded
+    with trailing zeros, the decimal exponent of the first digit, and
+    whether the value was decided with margin (repr formats the others).
+    """
+    e = np.floor(np.log10(a)).astype(np.intp)
+    e -= _below_pow10(a, e)
+    e += ~_below_pow10(a, e + 1)
+    i = 16 - e - _P10_MIN
+    hi = _P10_HI.take(i)
+    p = a * hi
+    (ah, al), hh, hl = _split(a), _P10_HH.take(i), _P10_HL.take(i)
+    err = al * hl - (((p - ah * hh) - al * hh) - ah * hl)  # a * hi == p + err exactly
+    whole = np.floor(p)
+    frac = (p - whole) + (err + a * _P10_LO.take(i))
+    carry = np.floor(frac)
+    frac -= carry
+    whole = whole.astype(np.int64) + carry.astype(np.int64)
+    # half the gap from a to the next double, in units of y's last digit
+    half_ulp = (a.view(np.uint64) & _EXPONENT_BITS).view(np.float64) * (hi * 2.0 ** -53)
+    digits = whole
+    pending = np.ones(a.shape, dtype=bool)  # no shorter rounding is within half an ulp
+    decided = np.ones(a.shape, dtype=bool)
+    for scale in (100, 10, 1):  # 15, 16, then 17 significant digits
+        kept = whole // scale
+        rest = ((whole - kept * scale) + frac) / scale
+        dist = 0.5 - np.abs(rest - 0.5)
+        bound = half_ulp / scale
+        take = pending & (dist < bound)
+        decided &= ~pending | ((dist <= 0.5 - _MARGIN) & (np.abs(dist - bound) >= _MARGIN))
+        digits = np.where(take, (kept + (rest > 0.5)) * scale, digits)
+        pending &= ~take
+    carried = digits == 10 * _E16  # rounded up to the next power of ten
+    return np.where(carried, _E16, digits), e + carried, decided
+
+
+def _float_field(column: np.ndarray) -> np.ndarray:
+    """Each float's repr as ASCII, one NUL-padded row per value; NaN is empty."""
+    x = np.asarray(column, dtype=np.float64)
+    a = np.abs(x)
+    fast = (a >= 1e-290) & (a < 1e290) & (a.view(np.uint64) & _MANTISSA_BITS != 0)
+    # 1.5 stands in for the values repr formats, so that the kernel sees no zero or inf
+    digits, e, decided = _shortest_digits(np.where(fast, a, 1.5))
+    pairs = np.empty((x.size, 9), dtype=np.intp)
+    for j in range(8, -1, -1):
+        q = digits // 100
+        pairs[:, j] = digits - q * 100
+        digits = q
+    abs_e = np.abs(e)
+    src = np.empty((x.size, _DIGIT0 + 17), dtype=np.uint8)
+    src[:, :_EXP[1]] = _SOURCE_HEAD
+    src[:, _SIGN] = np.signbit(x) * ord("-")
+    src[:, _EXP[1]] = np.where(e < 0, ord("-"), ord("+"))
+    src[:, _EXP[2]] = (abs_e >= 100) * (ord("0") + abs_e // 100)
+    src[:, _EXP[3]:] = _DIGIT_PAIRS.take(np.column_stack([abs_e % 100, pairs])).view(np.uint8)
+    n = 17 - np.argmax(src[:, :_DIGIT0 - 1:-1] != ord("0"), axis=1)  # without trailing zeros
+    layout = ((e >= -4) & (e <= 15)) * (17 * (e + 5)) + n - 1
+    rows = np.arange(0, src.size, src.shape[1])[:, None]
+    field = src.reshape(-1).take(_LAYOUTS.take(layout, axis=0) + rows)
+    nan = np.isnan(x)
+    slow = np.flatnonzero(~(fast & decided) & ~nan)
+    field[slow] = _ascii_rows([repr(v) for v in x[slow].tolist()], _FIELD_WIDTH)
+    field[nan] = 0
+    return field
+
+
+def _ascii_rows(text, width: int | None = None) -> np.ndarray:
+    """Strings as ASCII bytes, one NUL-padded row each (``width`` wide if given)."""
+    text = np.asarray(text, dtype=np.bytes_ if width is None else f"S{width}")
+    return text.view(np.uint8).reshape(text.size, text.itemsize)
+
+
+def _field(column: np.ndarray) -> np.ndarray:
+    """Each value of a column (stamps in datetime64[m]) as ASCII, one NUL-padded row each."""
     column = np.asarray(column)
+    if column.dtype.kind == "f":
+        return _float_field(column)
     if column.dtype.kind == "M":
-        # one string per distinct day; a minute's clock text carries the separator
+        # one string per distinct day, then the minute's clock text
         days = column.astype("datetime64[D]")
         day_list, day_of_row = np.unique(days, return_inverse=True)
-        dates = np.datetime_as_string(day_list).astype(object)[day_of_row]
-        clocks = (_CLOCK_TEXT + end)[(column - days).astype(np.int64)]
-        return map(operator.add, dates.tolist(), clocks.tolist())
-    cells = list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
-    for i in np.flatnonzero(np.isnan(column)).tolist():
-        cells[i] = ""
-    return [cell + end for cell in cells] if end else cells
+        day_text = _ascii_rows(np.datetime_as_string(day_list).tolist())
+        return np.hstack([day_text.take(day_of_row, axis=0),
+                          _CLOCK_TEXT.take((column - days).astype(np.intp), axis=0)])
+    return _ascii_rows(column.tolist())
 
 
-def table_rows(*columns: np.ndarray) -> Iterable[str]:
-    """The rows of a table with these columns, each as one line without its newline."""
-    *heads, last = columns
-    rows = _cells(last, "")
-    for column in reversed(heads):
-        rows = map(operator.add, _cells(column, ","), rows)
-    return rows
+def table_bytes(*columns: np.ndarray) -> bytes:
+    """The rows of a table with these columns, each ended by a newline, as ASCII."""
+    fields = [_field(column) for column in columns]
+    rows = np.empty((len(fields[0]), sum(f.shape[1] + 1 for f in fields)), dtype=np.uint8)
+    pos = 0
+    for field in fields:
+        rows[:, pos:pos + field.shape[1]] = field
+        pos += field.shape[1] + 1
+        rows[:, pos - 1] = ord(",")
+    rows[:, -1] = ord("\n")
+    return rows[rows != 0].tobytes()
 
 
 def table_text(header: str, *columns: np.ndarray) -> str:
     """A whole table: its header line and a line for each row."""
-    return "\n".join([header, *table_rows(*columns)]) + "\n"
+    return header + "\n" + table_bytes(*columns).decode("ascii")
 
 
 def table_points(names: tuple[str, ...], *columns: np.ndarray) -> list[dict]:

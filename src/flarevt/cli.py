@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .decluster import catalog_from_files, decluster, gap_sweep
-from .errors import FlareVtError, ParseError, PipelineStageError
+from .errors import DomainError, FlareVtError, ParseError, PipelineStageError
 from .gpd import fit_from_json_dict, fit_gpd, fit_to_json_dict
 from .ingest import (IngestConfig, read_flux_csv, synth_clustered_series,
                      write_flux_csv)
@@ -62,6 +62,14 @@ def _positive_int_range(text: str) -> range | list[int]:
         raise argparse.ArgumentTypeError(
             f"need strictly increasing gaps >= 1, got {text!r}")
     return gaps
+
+
+def _retained_date(text: str) -> str:
+    """Parse an ISO date as IngestConfig reads its retained dates."""
+    try:
+        return IngestConfig(retained_saturation_events=(text,)).retained_saturation_events[0]
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _log_grid(text: str) -> tuple[float, float, int]:
@@ -260,7 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--divisor", dest="scaling_divisor", type=float)
     p.add_argument("--saturation-level", type=float)
     p.add_argument("--retain-date", dest="retained_saturation_events", action="append",
-                   help="ISO date whose saturation run is kept (repeatable)")
+                   type=_retained_date,
+                   help="ISO date whose saturation run is kept (repeatable; replaces "
+                        "the default 2003-10-28). To blank every saturation run, give "
+                        "'flarevt run' a config file with "
+                        "\"retained_saturation_events\": []")
     p.add_argument("--sentinel", dest="missing_sentinels", action="append", type=float,
                    help="raw value treated as missing (repeatable)")
     p.set_defaults(handler=_cmd_ingest, stage="ingest")

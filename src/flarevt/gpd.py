@@ -505,6 +505,13 @@ def fit_to_json_dict(fit: GpdFit) -> dict:
     }
 
 
+def _std_errors(values) -> tuple[float, float]:
+    pair = np.array(values, dtype=float)
+    if pair.shape != (2,):
+        raise ValueError(f"std_errors must be two numbers, got {values!r}")
+    return tuple(pair.tolist())
+
+
 def fit_from_json_dict(doc: dict) -> GpdFit:
     """The fit a ``fit_to_json_dict`` document describes; ParseError for a bad document."""
     try:
@@ -514,7 +521,7 @@ def fit_from_json_dict(doc: dict) -> GpdFit:
             threshold=float(doc["threshold"]),
             params=GpdParams(float(doc["scale"]), float(doc["shape"])),
             covariance=None if cov is None else np.array(cov, float).reshape(2, 2),
-            std_errors=None if doc["std_errors"] is None else tuple(doc["std_errors"]),
+            std_errors=None if doc["std_errors"] is None else _std_errors(doc["std_errors"]),
             n_excesses=int(doc["n_excesses"]),
             n_total=int(doc["n_total"]),
             log_likelihood=float(doc["log_likelihood"]),

@@ -8,13 +8,15 @@ gap structure survives for declustering.
 
 from __future__ import annotations
 
+import contextlib
 import io
+import itertools
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
-from ._table import Table, read_table, table_rows, to_minutes
+from ._table import Table, read_table, table_bytes, to_minutes
 from .errors import DomainError, EmptyInputError, OrderingError, ParseError
 from .gpd import GpdParams, gpd_quantile
 
@@ -128,6 +130,10 @@ class IngestConfig:
                           for d in self.retained_saturation_events)
         except ValueError as exc:
             raise DomainError(f"retained_saturation_events: {exc}") from None
+        if "NaT" in dates:  # what an empty string or "NaT" reads as
+            raise DomainError("retained_saturation_events: "
+                              f"{self.retained_saturation_events[dates.index('NaT')]!r} "
+                              "is not a date")
         object.__setattr__(self, "retained_saturation_events", dates)
         object.__setattr__(self, "missing_sentinels",
                            tuple(float(v) for v in self.missing_sentinels))
@@ -146,7 +152,7 @@ _CANONICAL_ROW = np.dtype([("stamp", "S21"), ("flux", "f8")])
 _STAMP_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00Z\0", np.uint8)
 _STAMP_DIGITS = _STAMP_TEMPLATE == ord("0")
 _SCAN_CHUNK_BYTES = 1 << 24
-_WRITE_CHUNK_ROWS = 1 << 16
+_WRITE_CHUNK_ROWS = 1 << 13  # rows formatted at a time; their buffers stay in cache
 _CSV_KINDS = {"timestamp": "datetime64[m]", "flux": np.float64}
 
 
@@ -257,16 +263,18 @@ def write_flux_csv(series: FluxSeries, path=None) -> str:
     """Serialize a series to the interchange CSV (missing flux = empty field).
 
     Each flux is its shortest round-trip ``repr``.  Returns the CSV text;
-    also writes it to ``path`` when given.
+    also writes it to ``path`` when given, a chunk of rows at a time.
     """
-    parts = [CSV_HEADER, "\n"]
-    for lo in range(0, len(series), _WRITE_CHUNK_ROWS):
-        chunk = slice(lo, lo + _WRITE_CHUNK_ROWS)
-        parts += "\n".join(table_rows(series.timestamps[chunk], series.flux[chunk])), "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(parts)
-    return "".join(parts)
+    chunks = (table_bytes(series.timestamps[lo:lo + _WRITE_CHUNK_ROWS],
+                          series.flux[lo:lo + _WRITE_CHUNK_ROWS])
+              for lo in range(0, len(series), _WRITE_CHUNK_ROWS))
+    text = []
+    with open(path, "wb") if path is not None else contextlib.nullcontext() as fh:
+        for part in itertools.chain([_CANONICAL_HEADER], chunks):
+            if fh is not None:
+                fh.write(part)
+            text.append(part.decode("ascii"))
+    return "".join(text)
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,8 @@ class TestCliStages:
         ("returns", "fit.json", lambda text: json_text([json.loads(text)]), "bad fit document"),
         ("returns", "fit.json", lambda text: json_text({**json.loads(text), "scale": "x"}),
          "bad fit document: could not convert string to float: 'x'"),
+        ("returns", "fit.json", lambda text: json_text({**json.loads(text), "std_errors": "xy"}),
+         "bad fit document: could not convert string to float: 'xy'"),
         ("fit", "catalog.csv", lambda text: text.replace("peak_time,", "peak,"),
          "line 1: expected header"),
         ("diagnose", "catalog.csv", lambda text: text.replace(":00Z,0.0002", ":30Z,0.0002"),
@@ -456,6 +458,18 @@ class TestConfig:
         assert config.ingest.scaling_divisor == 0.7
         assert config.ingest.saturation_level == 17e-4
         assert "2003-10-28" in config.ingest.retained_saturation_events
+
+    @pytest.mark.parametrize("date", ["", "NaT"])
+    def test_empty_or_nat_retained_date_is_rejected(self, date, synth_csv, tmp_path):
+        with pytest.raises(fv.DomainError, match="is not a date"):
+            fv.IngestConfig(retained_saturation_events=("2003-10-28", date))
+        with pytest.raises(fv.DomainError, match="is not a date"):
+            PipelineConfig.from_dict({"ingest": {"retained_saturation_events": [date]}})
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest", "--input", str(synth_csv), "--out", str(tmp_path / "out.csv"),
+                  "--retain-date", date])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out.csv").exists()
 
     def test_round_trip_and_hash_stability(self):
         config = PipelineConfig(gpd_threshold=4e-4)
