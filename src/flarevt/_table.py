@@ -167,6 +167,212 @@ def _float_field(column: np.ndarray) -> np.ndarray:
     return field
 
 
+# Reading is the writer's inverse, and it too takes a whole column at once.
+# The input is seen as overlapping little-endian uint64 words, word k being
+# its bytes k to k + 7, so that gathering a field's bytes is a 1-d fancy
+# index per word, and a test or a sum over them is a few word operations
+# (SWAR) rather than one per byte.  A field's words are held word-major,
+# (words, rows), so that every operation runs along the rows.
+_ONES = 0x0101_0101_0101_0101
+_BYTE = [np.uint64(8 * j) for j in range(8)]  # the shift to a word's byte j
+_ONE, _LOW_BYTE, _ALL = np.uint64(1), np.uint64(0xFF), np.uint64(2 ** 64 - 1)
+_WORD_OFFSETS = np.arange(0, _FIELD_WIDTH, 8)[:, None]
+
+
+def _every_byte(b: int) -> np.uint64:
+    return np.uint64(b * _ONES)
+
+
+_DIGIT_ZERO, _HIGH_BITS, _LOW_BITS = _every_byte(ord("0")), _every_byte(0x80), _every_byte(0x7F)
+
+
+def _words(data: bytes) -> np.ndarray:
+    """Word k of data: its bytes k to k + 7 as a little-endian uint64."""
+    return np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+
+
+def _non_digits(x: np.ndarray) -> np.ndarray:
+    """0x80 in each byte of x (text XOR "0"s) that was not a digit, 0 elsewhere."""
+    return (((x & _LOW_BITS) + _every_byte(0x76)) | x) & _HIGH_BITS
+
+
+def _zero_bytes(x: np.ndarray) -> np.ndarray:
+    """0x80 in each zero byte of x, 0 elsewhere."""
+    return ~(((x & _LOW_BITS) + _LOW_BITS) | x) & _HIGH_BITS
+
+
+def _byte_count(flags: np.ndarray) -> np.ndarray:
+    """The number of bytes with their low bit set, over each column's words."""
+    ones = flags & _every_byte(1)
+    return ((sum(ones[1:], ones[0]) * np.uint64(_ONES)) >> _BYTE[7]).view(np.int64)
+
+
+# Decimal text to the nearest double.  A field "[-]digits[.digits][e±dd[d]]"
+# is read as M * 10**q: the exponent from its last 8 bytes, and the digits
+# of its mantissa, gathered right-aligned in _FIELD_WIDTH bytes, with the
+# point's gap closed (the digits before it move one byte right) and summed
+# eight digits to a word.  M * 10**q is then the double-double p + tail (M
+# below 10**19 as a double and its integer remainder, 10**q from the table
+# above), and p + tail rounds to the nearest double unless the exact value
+# lies within _MARGIN of a half-ulp tie.  Such values, powers of two (whose
+# ulps below and above differ, so that the tie below is not checked), |q|
+# over _Q_LIMIT (which keeps every term of the product normal, so that it is
+# exact) and every field of another layout (an "E", a leading "+", over 19
+# digits, a mantissa over _FIELD_WIDTH bytes) are read by float().
+_EXP_WIDTH = 5  # the longest exponent read, "e-100"
+_Q_LIMIT = 280
+_FLOAT_BYTES = b"0123456789.eE+-"
+_E_SIGNS = [np.uint64(ord("e") | ord(sign) << 8) for sign in "+-"]
+_POINTS = _every_byte(ord(".") ^ ord("0"))
+_SWAR_STEPS = [(np.uint64(m), np.uint64(s), np.uint64(k)) for m, s, k in (
+    (10 << 8 | 1, 8, 0x00FF_00FF_00FF_00FF),  # digit pairs
+    (100 << 16 | 1, 16, 0x0000_FFFF_0000_FFFF),  # four digits
+    (10_000 << 32 | 1, 32, 0xFFFF_FFFF))]  # a word's eight digits
+
+
+def _exponent_head(word: np.ndarray) -> np.ndarray:
+    """Whether the word's low two bytes are "e+" or "e-"."""
+    head = word & np.uint64(0xFFFF)
+    return (head == _E_SIGNS[0]) | (head == _E_SIGNS[1])
+
+
+def _float_text(field: bytes) -> float:
+    if field.translate(None, _FLOAT_BYTES):
+        raise ValueError(f"not a decimal: {field!r}")
+    return float(field)
+
+
+def _decimal_values(data: bytes, ends: np.ndarray, widths: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Each field ``data[ends - widths:ends]`` as the nearest double, and
+    whether the kernel decided it (float() reads the others)."""
+    words = _words(data)
+    end = np.maximum(ends, _FIELD_WIDTH + _EXP_WIDTH)  # shorter reaches are float()'s
+    last = words[end - 8]
+    x = last ^ _DIGIT_ZERO
+    not_digit = _non_digits(x)
+    exp5 = (widths >= 5) & _exponent_head(last >> _BYTE[3]) & (not_digit >> _BYTE[5] == 0)
+    exp4 = (widths >= 4) & _exponent_head(last >> _BYTE[4]) & (not_digit >> _BYTE[6] == 0)
+    exponent = ((x >> _BYTE[7]) + (x >> _BYTE[6] & _LOW_BYTE) * np.uint64(10)
+                + (x >> _BYTE[5] & _LOW_BYTE) * np.uint64(100) * exp5) * (exp5 | exp4)
+    minus = (np.where(exp5, last >> _BYTE[4], last >> _BYTE[5]) & _LOW_BYTE) == ord("-")
+    exponent = np.where(minus, -exponent.view(np.int64), exponent.view(np.int64))
+    width = widths - 5 * exp5 - 4 * exp4
+    negative = np.frombuffer(data, np.uint8)[ends - np.maximum(widths, 1)] == ord("-")
+    # the mantissa's digit values, right-aligned in _FIELD_WIDTH bytes
+    digits = words[end - (widths - width) - _FIELD_WIDTH + _WORD_OFFSETS] ^ _DIGIT_ZERO
+    first = _FIELD_WIDTH - width + negative
+    digits &= _ALL << (np.clip(first - _WORD_OFFSETS, 0, 8) * 8).astype(np.uint64)
+    points = _zero_bytes(digits ^ _POINTS)
+    strays = _non_digits(digits) ^ points
+    # close the point's gap: the bytes up to its column take the byte to
+    # their left.  A flag f (0x01 in the point's byte) gives f << 8 minus 1,
+    # 0xFF in the bytes up to it; a word before the point's is all 0xFF.
+    flags = points >> np.uint64(7)
+    n_points = _byte_count(flags)
+    upto = (flags << _BYTE[1]) - _ONE
+    point_here = (flags * np.uint64(_ONES)) >> _BYTE[7]  # 1 where the word has the point
+    point_here[:-1] |= point_here[1:]  # ... or a later word has it
+    point_here[:-2] |= point_here[2:]
+    upto &= -point_here
+    moved = digits << _BYTE[1]
+    moved[1:] |= digits[:-1] >> _BYTE[7]
+    digits ^= (digits ^ moved) & upto
+    for mul, down, mask in _SWAR_STEPS:
+        digits = ((digits * mul) >> down) & mask
+    q = exponent - np.where(n_points > 0, _FIELD_WIDTH - _byte_count(upto), 0)
+    ok = ((ends >= _FIELD_WIDTH + _EXP_WIDTH) & (width <= _FIELD_WIDTH) & (n_points <= 1)
+          & (width - negative - n_points > 0) & (digits[0] < 1000)  # M < 10**19
+          & ~np.any(strays, axis=0) & (np.abs(q) <= _Q_LIMIT))
+    whole = np.where(ok, digits[0] * np.uint64(10 ** 16) + digits[1] * np.uint64(10 ** 8)
+                     + digits[2], np.uint64(0))
+    # whole * 10**q as the double-double p + tail
+    i = np.clip(q, -_Q_LIMIT, _Q_LIMIT) - _P10_MIN
+    hi = _P10_HI.take(i)
+    m_hi = whole.astype(np.float64)
+    m_lo = (whole - m_hi.astype(np.uint64)).view(np.int64).astype(np.float64)
+    p = m_hi * hi
+    (ah, al), hh, hl = _split(m_hi), _P10_HH.take(i), _P10_HL.take(i)
+    err = al * hl - (((p - ah * hh) - al * hh) - ah * hl)  # m_hi * hi == p + err exactly
+    tail = err + (m_hi * _P10_LO.take(i) + m_lo * hi)
+    value = p + tail
+    rest = tail - (value - p)  # the exact value less its rounding
+    bits = value.view(np.uint64)
+    half_ulp = (bits & _EXPONENT_BITS).view(np.float64) * 2.0 ** -53
+    decided = ok & ((whole == 0) | ((np.abs(np.abs(rest) - half_ulp) > half_ulp * _MARGIN)
+                                    & (bits & _MANTISSA_BITS != 0)))
+    return np.where(negative, -value, value), decided
+
+
+def read_floats(data: bytes, ends: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The value of each decimal field ``data[ends - widths:ends]``; NaN where empty.
+
+    Gives what float() gives, bit for bit, and raises ValueError for a
+    field float() rejects or that has a byte other than ``0-9 . e E + -``.
+    ``data`` has at least _FIELD_WIDTH + _EXP_WIDTH bytes.
+    """
+    value, decided = _decimal_values(data, ends, widths)
+    value[widths == 0] = np.nan
+    slow = np.flatnonzero(~decided & (widths > 0))
+    value[slow] = [_float_text(data[a:b])
+                   for a, b in zip((ends - widths)[slow].tolist(), ends[slow].tolist())]
+    return value
+
+
+def _word_column(byte_values) -> np.ndarray:
+    """_FIELD_WIDTH byte values as a column of uint64 words."""
+    return np.asarray(byte_values, dtype=np.uint8).view(np.uint64)[:, None]
+
+
+# A stamp field as read: "YYYY-MM-DDTHH:MM:00Z,", in the three words that end
+# with it.  XOR the template, a stamp has a digit's value where the template
+# has "D", and 0 in every other byte but the leading ones, which are not its.
+_STAMP_TEXT = b"DDDD-DD-DDTDD:DD:00Z,"
+STAMP_WIDTH = len(_STAMP_TEXT)  # with its separator
+_STAMP_TEMPLATE = np.frombuffer(b"." * (_FIELD_WIDTH - STAMP_WIDTH) + _STAMP_TEXT, np.uint8)
+_STAMP_DIGIT = _STAMP_TEMPLATE == ord("D")
+_STAMP_FIXED = ~_STAMP_DIGIT & (_STAMP_TEMPLATE != ord("."))
+_STAMP_XOR = _word_column(np.where(_STAMP_DIGIT, ord("0"), _STAMP_TEMPLATE * _STAMP_FIXED))
+_STAMP_FIXED_BYTES = _word_column(_STAMP_FIXED * 0xFF)
+_STAMP_DIGIT_BYTES = _word_column(_STAMP_DIGIT * 0xFF)
+_STAMP_DIGIT_FLAGS = _STAMP_DIGIT_BYTES & _HIGH_BITS
+# Days from 1970-01-01 to the first of each year 0-9999 (numpy's calendar),
+# and each month's first day in its year and its length: month m of a
+# common year is entry m, of a leap year entry 100 + m; other entries have
+# length 0, so that no day of them is valid.
+_YEAR_DAY = ((np.arange(10_001) - 1970).astype("datetime64[Y]")
+             .astype("datetime64[D]").astype(np.int64))
+_LEAP_MONTHS = (np.diff(_YEAR_DAY) == 366) * 100
+_MONTH_LENGTH = np.zeros((2, 100), dtype=np.int64)
+_MONTH_LENGTH[:, 1:13] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
+_MONTH_LENGTH[1, 2] = 29
+_MONTH_DAY = (np.cumsum(_MONTH_LENGTH, axis=1) - _MONTH_LENGTH).ravel()
+_MONTH_LENGTH = _MONTH_LENGTH.ravel()
+
+
+def read_stamps(data: bytes, starts: np.ndarray) -> np.ndarray | None:
+    """Minutes since 1970 of each stamp field ``data[starts:starts + STAMP_WIDTH]``.
+
+    None unless every one is ``YYYY-MM-DDTHH:MM:00Z,`` with a valid date
+    and time; ``data`` has 3 bytes before each start.
+    """
+    x = _words(data)[starts - (_FIELD_WIDTH - STAMP_WIDTH) + _WORD_OFFSETS] ^ _STAMP_XOR
+    if np.any((x & _STAMP_FIXED_BYTES) | (_non_digits(x) & _STAMP_DIGIT_FLAGS)):
+        return None
+    # 10 * digit j + digit j + 1 in byte j, for each digit pair
+    pairs = ((x & _STAMP_DIGIT_BYTES) * np.uint64(10 << 8 | 1)) >> _BYTE[1]
+
+    def pair(j: int) -> np.ndarray:
+        return ((pairs[j // 8] >> _BYTE[j % 8]) & _LOW_BYTE).view(np.int64)
+
+    year = pair(3) * 100 + pair(5)
+    month = pair(8) + _LEAP_MONTHS.take(year)
+    day, hour, minute = pair(11) - 1, pair(14), pair(17)
+    if not np.all((day >= 0) & (day < _MONTH_LENGTH.take(month)) & (hour < 24) & (minute < 60)):
+        return None
+    return (_YEAR_DAY.take(year) + _MONTH_DAY.take(month) + day) * 1440 + hour * 60 + minute
+
+
 def _ascii_rows(text, width: int | None = None) -> np.ndarray:
     """Strings as ASCII bytes, one NUL-padded row each (``width`` wide if given)."""
     text = np.asarray(text, dtype=np.bytes_ if width is None else f"S{width}")

@@ -72,6 +72,21 @@ def _retained_date(text: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _ingest_float(field: str):
+    """An argparse type: a float that IngestConfig accepts as its ``field``."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        try:
+            IngestConfig(**{field: value})
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return parse
+
+
 def _log_grid(text: str) -> tuple[float, float, int]:
     """Parse 'lo:hi:count' for a log-spaced return-period grid."""
     try:
@@ -265,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="cleaned series CSV")
     p.add_argument("--summary", help="optional ingest summary JSON")
     # one flag per IngestConfig field; unset flags keep its defaults
-    p.add_argument("--divisor", dest="scaling_divisor", type=float)
-    p.add_argument("--saturation-level", type=float)
+    p.add_argument("--divisor", dest="scaling_divisor", type=_ingest_float("scaling_divisor"))
+    p.add_argument("--saturation-level", type=_ingest_float("saturation_level"))
     p.add_argument("--retain-date", dest="retained_saturation_events", action="append",
                    type=_retained_date,
                    help="ISO date whose saturation run is kept (repeatable; replaces "

@@ -9,14 +9,13 @@ gap structure survives for declustering.
 from __future__ import annotations
 
 import contextlib
-import io
 import itertools
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
-from ._table import Table, read_table, table_bytes, to_minutes
+from ._table import STAMP_WIDTH, Table, read_floats, read_stamps, read_table, table_bytes
 from .errors import DomainError, EmptyInputError, OrderingError, ParseError
 from .gpd import GpdParams, gpd_quantile
 
@@ -144,24 +143,20 @@ class IngestConfig:
 # ---------------------------------------------------------------------------
 
 # The canonical layout, as write_flux_csv produces it: the exact header,
-# then ``YYYY-MM-DDTHH:MM:SSZ,<flux>`` rows made of these bytes alone.
+# then ``YYYY-MM-DDTHH:MM:00Z,<flux>`` rows, each ended by a newline.
 _CANONICAL_HEADER = (CSV_HEADER + "\n").encode("ascii")
-_CANONICAL_BYTES = b"0123456789.eE+-:TZ,\n"
-_CANONICAL_ROW = np.dtype([("stamp", "S21"), ("flux", "f8")])
-# a canonical stamp field: digits where the template has 0, its other bytes as they are
-_STAMP_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00Z\0", np.uint8)
-_STAMP_DIGITS = _STAMP_TEMPLATE == ord("0")
-_SCAN_CHUNK_BYTES = 1 << 24
+_SCAN_CHUNK_BYTES = 1 << 19  # bytes decoded at a time, with ~10x that in working arrays
 _WRITE_CHUNK_ROWS = 1 << 13  # rows formatted at a time; their buffers stay in cache
 _CSV_KINDS = {"timestamp": "datetime64[m]", "flux": np.float64}
 
 
 def _scan_canonical(data: str | bytes) -> Table | None:
-    """Tokenise canonical input at C speed; None leaves it to the per-line scan.
+    """Decode canonical input in numpy; None leaves it to the per-line scan.
 
-    Anything else (CRLF, a BOM, blank lines, padded fields, date-only
-    stamps, ``nan`` or ``inf`` text, non-ASCII bytes, malformed rows)
-    returns None, so the per-line scan decides it and names the line.
+    Anything else (CRLF, a BOM, blank lines, padded fields, date-only or
+    off-grid stamps, invalid dates, ``nan`` or ``inf`` text, non-ASCII
+    bytes, malformed rows) returns None, so the per-line scan decides it
+    and names the line.
     """
     if isinstance(data, str):
         if not data.isascii():
@@ -170,34 +165,30 @@ def _scan_canonical(data: str | bytes) -> Table | None:
     start = len(_CANONICAL_HEADER)
     if not data.startswith(_CANONICAL_HEADER) or len(data) == start:
         return None
+    # each chunk's arrays are joined at the end: filling preallocated ones
+    # instead measured 1.7x slower at 30 years, malloc returning the freed
+    # working arrays to the system after every chunk (1.2M page faults)
     stamps, flux = [], []
     while start < len(data):
         stop = data.find(b"\n", start + _SCAN_CHUNK_BYTES) + 1 or len(data)
-        chunk = data[start:stop]
+        chunk = np.frombuffer(data, np.uint8, stop - start, start)
+        ends = start + np.flatnonzero(chunk == ord("\n"))
+        if stop == len(data) and not data.endswith(b"\n"):
+            ends = np.append(ends, stop)
+        starts = np.concatenate(([start], ends[:-1] + 1))
+        widths = ends - starts - STAMP_WIDTH
+        if widths.min() < 0:  # a blank line, or a row too short for its stamp
+            return None
+        minutes = read_stamps(data, starts)
+        if minutes is None:
+            return None
+        try:
+            flux.append(read_floats(data, ends, widths))
+        except ValueError:
+            return None
+        stamps.append(minutes)
         start = stop
-        if (chunk.translate(None, _CANONICAL_BYTES) or chunk.startswith(b"\n")
-                or b"\n\n" in chunk):
-            return None
-        if not chunk.endswith(b"\n"):
-            chunk += b"\n"
-        # no letters but e/E/T/Z pass the check above, so a NaN read back
-        # can only come from an empty field
-        chunk = chunk.replace(b",\n", b",nan\n")
-        try:
-            rows = np.loadtxt(io.BytesIO(chunk), dtype=_CANONICAL_ROW, delimiter=",",
-                              comments=None, ndmin=1)
-        except ValueError:
-            return None
-        stamp = rows.view(np.uint8).reshape(rows.size, _CANONICAL_ROW.itemsize)[:, :21]
-        if not np.all(np.where(_STAMP_DIGITS, stamp - ord("0") < 10,
-                               stamp == _STAMP_TEMPLATE)):
-            return None
-        try:
-            stamps.append(rows["stamp"].astype("S19").astype("datetime64[s]"))
-        except ValueError:
-            return None
-        flux.append(rows["flux"].copy())
-    stamps, flux = np.concatenate(stamps), np.concatenate(flux)
+    stamps, flux = np.concatenate(stamps).view("datetime64[m]"), np.concatenate(flux)
 
     def row_text(i: int) -> tuple[int, tuple[str, ...]]:
         ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
@@ -205,7 +196,7 @@ def _scan_canonical(data: str | bytes) -> Table | None:
         ts, value = data[ends[i] + 1:stop].decode("ascii").split(",")
         return i + 2, (ts[:-1], value)
 
-    return Table((to_minutes(stamps, row_text, 0), flux), np.isnan(flux), row_text)
+    return Table((stamps, flux), np.isnan(flux), row_text)
 
 
 def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None) -> FluxSeries:
@@ -215,9 +206,10 @@ def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None)
     a ``Z`` suffix on the minute grid, and decimal or scientific-notation
     flux values.  An empty flux field or a configured sentinel value
     marks the sample missing.  Input in the layout ``write_flux_csv``
-    produces is tokenised a chunk at a time in C; any other input is
-    scanned line by line, by the scan every CSV reader shares.  Both give
-    the same series or the same error.
+    produces is decoded a chunk at a time in numpy, each flux bit for bit
+    as ``float()`` reads it; any other input is scanned line by line, by
+    the scan every CSV reader shares.  Both give the same series or the
+    same error.
 
     Raises
     ------

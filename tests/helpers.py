@@ -12,11 +12,23 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from flarevt import FluxSeries
 
 EPOCH = np.datetime64("2000-01-01T00:00", "m")
 MINUTE = np.timedelta64(1, "m")
+
+# Texts of finite doubles >= 0 that a flux column may hold: repr and printf
+# forms, an uppercase E, a leading +, over 24 bytes ("%.30f", "%.19e"),
+# mantissas of over 19 digits, and a point with no digits on one side.
+FLOAT_TEXTS = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=False).flatmap(lambda v: st.sampled_from([
+        repr(v), f"{v:.17e}", f"{v:.6e}", f"{v:.9f}", f"{v:.6E}", f"+{v!r}", f"{v:.30f}",
+        f"{v:.19e}", f"{v:.19e}".partition("e")[0]])),
+    st.integers(0, 10 ** 25).map(str),
+    st.integers(0, 10 ** 6).flatmap(lambda m: st.sampled_from([f".{m}", f"{m}.", f"{m}.e-05"])),
+)
 
 
 def make_series(fluxes, start=EPOCH, offsets=None) -> FluxSeries:

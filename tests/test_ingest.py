@@ -4,11 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flarevt as fv
 from flarevt import DomainError, EmptyInputError, OrderingError, ParseError
 
-from helpers import make_series
+from helpers import FLOAT_TEXTS, make_series
 
 CSV_TWO_ROWS = """timestamp,flux_wm2
 2003-10-28T11:00:00Z,1.0e-4
@@ -198,6 +200,67 @@ class TestInputLayouts:
         back = fv.parse_flux_csv(written)
         np.testing.assert_array_equal(back.timestamps, minutes)
         np.testing.assert_array_equal(back.flux.view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(FLOAT_TEXTS, min_size=1, max_size=30))
+    def test_flux_texts_read_as_float_and_per_line(self, texts):
+        stamps = np.datetime_as_string(np.datetime64("2000-01-01T00:00", "m")
+                                       + np.arange(len(texts)), unit="s").tolist()
+        text = _flux_csv(zip(stamps, texts))
+        assert fv.ingest._scan_canonical(text) is not None
+        want = np.array([float(t) for t in texts]).view(np.uint64)
+        for layout in (text, text.replace("\n", "\r\n")):  # columnar, then per-line
+            assert fv.parse_flux_csv(layout).flux.view(np.uint64).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stamp", [
+        "2000-02-29T00:00:00", "1600-02-29T12:34:00", "1969-12-31T23:59:00",
+        "1901-12-13T20:45:00", "2038-01-19T03:15:00", "2100-03-01T00:00:00",
+        "9999-12-31T23:59:00",
+    ])
+    def test_stamps_before_1970_and_after_2038_read(self, stamp):
+        text = _flux_csv([("0001-01-01T00:00:00", "1e-5"), (stamp, "2e-5")])
+        assert fv.ingest._scan_canonical(text) is not None
+        for layout in (text, text.replace("\n", "\r\n")):
+            assert fv.parse_flux_csv(layout).timestamps[1] == np.datetime64(stamp, "m")
+
+    @pytest.mark.parametrize("stamp,error", [
+        ("1900-02-29T00:00:00", "line 3: bad timestamp value '1900-02-29T00:00:00'"),
+        ("2100-02-29T00:00:00", "line 3: bad timestamp value '2100-02-29T00:00:00'"),
+        ("2001-00-01T00:00:00", "line 3: bad timestamp value"),
+        ("2001-13-01T00:00:00", "line 3: bad timestamp value"),
+        ("2001-01-00T00:00:00", "line 3: bad timestamp value"),
+        ("2001-01-32T00:00:00", "line 3: bad timestamp value"),
+        ("2001-04-31T00:00:00", "line 3: bad timestamp value"),
+        ("2001-01-01T24:00:00", "line 3: bad timestamp value"),
+        ("2001-01-01T00:60:00", "line 3: bad timestamp value"),
+        ("2001-01-01T00:00:60", "line 3: bad timestamp value"),
+        ("2001-01-01T00:00:30", "line 3: timestamp '2001-01-01T00:00:30' not on the minute grid"),
+    ])
+    def test_bad_stamps_fail_as_per_line(self, stamp, error):
+        text = _flux_csv([("2000-01-01T00:00:00", "1e-5"), (stamp, "2e-5")])
+        assert fv.ingest._scan_canonical(text) is None
+        for layout in (text, text.replace("\n", "\r\n")):
+            with pytest.raises(ParseError) as exc:
+                fv.parse_flux_csv(layout)
+            assert str(exc.value).startswith(error)
+
+    def test_scan_keeps_no_whole_input_row_arrays(self):
+        n = 200_000
+        rng = np.random.default_rng(23)
+        flux = 1e-4 * rng.pareto(2.0, n) / 0.7
+        flux[rng.random(n) < 0.1] = np.nan
+        data = fv.write_flux_csv(make_series(flux)).encode("ascii")
+        tracemalloc.start()
+        try:
+            back = fv.parse_flux_csv(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the stamp and flux arrays (16 B a row, 32 while they are joined) and
+        # one chunk's working arrays (~10 B a byte of the chunk); a row index
+        # over the whole input (16 B a row) would add more
+        assert peak < 16 * n + 12 * fv.ingest._SCAN_CHUNK_BYTES
+        np.testing.assert_array_equal(back.flux.view(np.uint64), flux.view(np.uint64))
 
     @pytest.mark.skipif(not os.environ.get("FLAREVT_SLOW_TESTS"),
                         reason="set FLAREVT_SLOW_TESTS=1 to round-trip 30 years "

@@ -459,6 +459,21 @@ class TestConfig:
         assert config.ingest.saturation_level == 17e-4
         assert "2003-10-28" in config.ingest.retained_saturation_events
 
+    @pytest.mark.parametrize("option,value,message", [
+        ("--divisor", "-1", "scaling_divisor must be > 0"),
+        ("--divisor", "nan", "scaling_divisor must be > 0"),
+        ("--divisor", "x", "invalid float value: 'x'"),
+        ("--saturation-level", "0", "saturation_level must be > 0"),
+    ])
+    def test_bad_ingest_value_is_usage_error(self, option, value, message, tmp_path, capsys):
+        # a nonexistent input: the value is rejected before any input is read
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest", "--input", str(tmp_path / "missing.csv"),
+                  "--out", str(tmp_path / "out.csv"), option, value])
+        assert exc.value.code == 2
+        assert f"argument {option}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("date", ["", "NaT"])
     def test_empty_or_nat_retained_date_is_rejected(self, date, synth_csv, tmp_path):
         with pytest.raises(fv.DomainError, match="is not a date"):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 import flarevt as fv
 from flarevt import ParseError
 from flarevt.decluster import MISSING_MINUTES_POLICY, EventCatalog, catalog_from_files
-from flarevt._table import _shortest_digits, table_text
+from flarevt._table import _decimal_values, _shortest_digits, read_floats, table_text
 from flarevt.pipeline import excesses_from_csv_text, excesses_to_csv_text
 
-from helpers import make_series
+from helpers import FLOAT_TEXTS, make_series
 
 # minutes from 1870 to 2070, so that stamps before 1970 are drawn
 MINUTES = st.integers(-100 * 525_960, 100 * 525_960)
@@ -165,3 +166,76 @@ class TestFloatText:
         path = tmp_path / "series.csv"
         assert fv.write_flux_csv(series, path) == want
         assert path.read_bytes() == want.encode("ascii")
+
+
+# a header and a stamp before the first field, as in a flux CSV: the
+# kernel gathers up to 29 bytes back from a field's end
+_FIELD_PREFIX = b"timestamp,flux_wm2\n2000-01-01T00:00:00Z,"
+
+
+def _read_fields(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """read_floats and _decimal_values' decisions on fields, one a line."""
+    data = _FIELD_PREFIX + "".join(t + "\n" for t in texts).encode("ascii")
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))[1:]
+    widths = np.array([len(t) for t in texts], dtype=np.int64)
+    return read_floats(data, ends, widths), _decimal_values(data, ends, widths)[1]
+
+
+def _float_bits(texts) -> np.ndarray:
+    return np.array([float(t) if t else math.nan for t in texts]).view(np.uint64)
+
+
+class TestFloatRead:
+    """The array reader behind every canonical flux field, against float() value for value."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(FLOAT_TEXTS, st.just("")), min_size=1, max_size=40))
+    def test_matches_float(self, texts):
+        assert _read_fields(texts)[0].view(np.uint64).tobytes() == _float_bits(texts).tobytes()
+
+    def test_seeded_sweep_matches_float(self):
+        rng = np.random.default_rng(20241018)
+        n = 320_000
+        # random bit patterns: a fifth over every exponent, the rest at 1e-21..1e21
+        bits = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False)
+        bits[n // 5:] &= np.uint64(0x800F_FFFF_FFFF_FFFF)
+        bits[n // 5:] |= rng.integers(1023 - 70, 1023 + 70, n - n // 5).astype(np.uint64) << 52
+        bits = bits.view(np.float64)[np.isfinite(bits.view(np.float64))]
+        # k-digit decimals, k in 1..17, at exponents -25..25, as written and as repr
+        k = rng.integers(1, 18, n)
+        mantissa = rng.integers(10 ** (k - 1), 10 ** k)
+        exponent = rng.integers(-25, 26, n) - k + 1
+        decimals = [f"{m}e{e:+03d}" for m, e in zip(mantissa.tolist(), exponent.tolist())]
+        # powers of two and their neighbours, subnormals, and values near 1e-290 and 1e290
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        powers = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        subnormals = (rng.integers(1, 2**52, 20_000, dtype=np.uint64)).view(np.float64)
+        extremes = 10.0 ** rng.uniform(-1, 1, 40_000) * np.repeat([1e-290, 1e290], 20_000)
+        # exact ties between two doubles: odd multiples of half an ulp, in 16-19 digits
+        odd = 2 ** 53 + 2 * rng.integers(0, 2 ** 51, 10_000) + 1
+        ties = [str(Decimal(int(m)) / 2 ** k) for k in range(4) for m in odd.tolist()]
+        ties += [str(int(m) << e) for e in range(1, 10) for m in odd[:1000].tolist()]
+        sweep = {
+            "ties": ties,
+            "bits": list(map(repr, bits.tolist())),
+            "decimals": decimals,
+            "decimal values": [repr(float(t)) for t in decimals],
+            "edges": list(map(repr, np.concatenate([powers, subnormals, extremes]).tolist())),
+        }
+        assert sum(map(len, sweep.values())) >= 1_000_000
+        decided = {}
+        for name, texts in sweep.items():
+            values, decided[name] = _read_fields(texts)
+            assert values.view(np.uint64).tobytes() == _float_bits(texts).tobytes(), name
+        # float() is the fallback, not the rule: the kernel decides nearly every value
+        assert np.mean(decided["bits"][n // 5:]) > 0.95
+        for name in ("decimals", "decimal values"):
+            assert np.mean(decided[name]) > 0.95
+
+    @pytest.mark.parametrize("text", [
+        ".", "-", "e+05", "1e", "1e+", "1..5", "1.5.", "--1", "1e+05e+05", "0x10", "1,5",
+        " 1", "1_0", "inf", "nan",  # float() takes these, but they are not decimals
+    ])
+    def test_rejects_non_decimals(self, text):
+        with pytest.raises(ValueError):
+            _read_fields(["1e-05", text])
