@@ -15,10 +15,6 @@ import numpy as np
 
 from .errors import EmptyInputError, ParseError
 
-# the time-of-day part of a stamp, by minute of the day
-_CLOCK_TEXT = np.array([f"T{h:02d}:{m:02d}:00Z" for h in range(24) for m in range(60)],
-                       dtype="S10").view(np.uint8).reshape(1440, 10)
-
 # Shortest round-trip float text for a whole array at once.  A float x in
 # [1e-290, 1e290) with decimal exponent e (10**e <= x < 10**(e+1)) is scaled
 # to y = x * 10**(16 - e) in [1e16, 1e17), held as an exact integer part and
@@ -53,45 +49,6 @@ def _pow10_table() -> tuple[np.ndarray, ...]:
 
 
 _P10_HI, _P10_LO, _P10_HH, _P10_HL = _pow10_table()
-
-# A float's text is gathered from a source row of these bytes: NUL (dropped
-# when a row is packed), the sign or NUL, "0", ".", then the exponent ("e",
-# its sign, its hundreds digit or NUL, its last two digits), then "0" and
-# the 17 significant digits.
-_NUL, _SIGN, _ZERO, _POINT = 0, 1, 2, 3
-_EXP = [4, 5, 6, 7, 8]
-_DIGIT0 = 10
-_SOURCE_HEAD = np.frombuffer(b"\0\0" b"0.e", dtype=np.uint8)  # NUL, sign, "0", ".", "e"
-_DIGIT_PAIRS = np.array([f"{i:02d}" for i in range(100)], dtype="S2").view(np.uint16)
-_FIELD_WIDTH = 24  # the longest repr: "-2.2250738585072014e-308"
-
-
-def _layouts() -> np.ndarray:
-    """Source positions of each layout's bytes, NUL-padded to _FIELD_WIDTH.
-
-    Layout n - 1 is scientific notation with n significant digits; layout
-    17 * (e + 5) + n - 1 is positional notation with exponent e in [-4, 15],
-    the range in which repr writes no exponent.
-    """
-    def digits(lo, hi):
-        return list(range(_DIGIT0 + lo, _DIGIT0 + hi))
-
-    layouts = [digits(0, 1) + ([_POINT] + digits(1, n) if n > 1 else []) + _EXP
-               for n in range(1, 18)]
-    for e in range(-4, 16):
-        for n in range(1, 18):
-            if e < 0:
-                layouts.append([_ZERO, _POINT] + [_ZERO] * (-e - 1) + digits(0, n))
-            elif e < n - 1:
-                layouts.append(digits(0, e + 1) + [_POINT] + digits(e + 1, n))
-            else:
-                layouts.append(digits(0, n) + [_ZERO] * (e - n + 1) + [_POINT, _ZERO])
-    return np.array([[_SIGN] + body + [_NUL] * (_FIELD_WIDTH - 1 - len(body))
-                     for body in layouts], dtype=np.uint8)
-
-
-_LAYOUTS = _layouts()
-
 
 def _below_pow10(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Whether a < 10**k exactly."""
@@ -137,34 +94,94 @@ def _shortest_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.where(carried, _E16, digits), e + carried, decided
 
 
-def _float_field(column: np.ndarray) -> np.ndarray:
-    """Each float's repr as ASCII, one NUL-padded row per value; NaN is empty."""
+_FIELD_WIDTH = 24  # the longest repr: "-2.2250738585072014e-308"
+_WORD_OFFSETS = np.arange(0, _FIELD_WIDTH, 8)[:, None]  # each word's first byte
+_U = np.uint64
+
+
+def _le_words(texts, k: int) -> np.ndarray:
+    """Byte strings as k little-endian uint64 words each, NUL-padded: (k, len(texts))."""
+    return np.array(texts, dtype=f"S{8 * k}").view(_U).reshape(-1, k).T.copy()
+
+
+def _shift_words(x: np.ndarray, bits) -> np.ndarray:
+    """The bytes of x (k, rows), its words in order, moved ``bits`` / 8 bytes on."""
+    moved = x << bits
+    moved[1:] |= x[:-1] >> (_U(64) - bits)  # a shift by 64 or more gives 0 in numpy
+    return moved
+
+
+# A float's text is built in words along the rows, from its 17 digits s in
+# bytes 0-16 of three words ("0" + the digit where kept, NUL past the last
+# kept): the first q digits, the point, the other digits, then the exponent
+# and the end byte.  q is 1 in scientific notation (no point if one digit
+# is all), e + 1 in positional notation with e >= 0 (which keeps a digit
+# past the point), and 0 for e in [-4, -1], whose point is "0.000" cut to
+# 1 - e bytes.  All but the digit count come from tables by e and by
+# whether one digit is all.
+def _layout_tables() -> tuple[np.ndarray, ...]:
+    head, point, tail, min_digits = [], [], [], []
+    for e in range(_P10_MIN, _P10_MAX + 1):
+        positional = -4 <= e <= 15
+        q = 0 if positional and e < 0 else e + 1 if positional else 1
+        text = b"0." + b"0" * (-e - 1) if q == 0 else b"\0" * q + b"."
+        head += [b"\xff" * q] * 2
+        point += [text, text if positional else b"\0"]  # then with one digit
+        tail += [b"" if positional else f"e{e:+03d}".encode()] * 2
+        min_digits.append(min(q + 1, 17) if positional and q else 0)
+    return (_le_words(head, 3), _le_words(point, 3),
+            np.array([8 * (len(p) - len(h)) for h, p in zip(head, point)], dtype=_U),
+            _le_words(tail, 1)[0], np.array([8 * len(t) for t in tail], dtype=_U),
+            np.array(min_digits))
+
+
+_HEAD, _POINT, _POINT_BITS, _EXP_TEXT, _EXP_BITS, _MIN_DIGITS = _layout_tables()
+_KEPT_ZEROS = _le_words([b"0" * n for n in range(18)], 3)  # "0" in the first n bytes
+_MINUS = np.array([[ord("-")], [0], [0], [0]], dtype=_U)
+
+
+def _float_words(column: np.ndarray, end: int) -> np.ndarray:
+    """Each float's repr, then ``end``, as (4, rows) NUL-padded words; NaN is empty."""
     x = np.asarray(column, dtype=np.float64)
     a = np.abs(x)
-    fast = (a >= 1e-290) & (a < 1e290) & (a.view(np.uint64) & _MANTISSA_BITS != 0)
+    fast = (a >= 1e-290) & (a < 1e290) & (a.view(_U) & _MANTISSA_BITS != 0)
     # 1.5 stands in for the values repr formats, so that the kernel sees no zero or inf
     digits, e, decided = _shortest_digits(np.where(fast, a, 1.5))
-    pairs = np.empty((x.size, 9), dtype=np.intp)
-    for j in range(8, -1, -1):
-        q = digits // 100
-        pairs[:, j] = digits - q * 100
-        digits = q
-    abs_e = np.abs(e)
-    src = np.empty((x.size, _DIGIT0 + 17), dtype=np.uint8)
-    src[:, :_EXP[1]] = _SOURCE_HEAD
-    src[:, _SIGN] = np.signbit(x) * ord("-")
-    src[:, _EXP[1]] = np.where(e < 0, ord("-"), ord("+"))
-    src[:, _EXP[2]] = (abs_e >= 100) * (ord("0") + abs_e // 100)
-    src[:, _EXP[3]:] = _DIGIT_PAIRS.take(np.column_stack([abs_e % 100, pairs])).view(np.uint8)
-    n = 17 - np.argmax(src[:, :_DIGIT0 - 1:-1] != ord("0"), axis=1)  # without trailing zeros
-    layout = ((e >= -4) & (e <= 15)) * (17 * (e + 5)) + n - 1
-    rows = np.arange(0, src.size, src.shape[1])[:, None]
-    field = src.reshape(-1).take(_LAYOUTS.take(layout, axis=0) + rows)
-    nan = np.isnan(x)
-    slow = np.flatnonzero(~(fast & decided) & ~nan)
-    field[slow] = _ascii_rows([repr(v) for v in x[slow].tolist()], _FIELD_WIDTH)
-    field[nan] = 0
-    return field
+    s = np.empty((3, x.size), dtype=_U)
+    np.floor_divide(digits.view(_U), _U(10 ** 9), out=s[0])
+    s[2] = digits.view(_U) - s[0] * _U(10 ** 9)
+    np.floor_divide(s[2], _U(10), out=s[1])
+    s[2] -= s[1] * _U(10)
+    # SWAR: each 8-digit lane halved by multiply and shift, to a digit a byte
+    high = (s[:2] * _U(109_951_163)) >> _U(40)  # // 10**4, exact below 4.9e8
+    s[:2] = high | (s[:2] - high * _U(10_000)) << _U(32)
+    high = ((s[:2] * _U(10_486)) >> _U(20)) & _U(0x7F_0000_007F)  # each half // 100
+    s[:2] = high | (s[:2] - high * _U(100)) << _U(16)
+    high = ((s[:2] * _U(103)) >> _U(10)) & _U(0x000F_000F_000F_000F)  # each quarter // 10
+    s[:2] = high | (s[:2] - high * _U(10)) << _U(8)
+    # a word's last nonzero digit: its top set bit over 8, a float32's exponent
+    # (exact: bytes of at most 9 hold no run of set bits that rounds up)
+    last = ((s.astype(np.float32).view(np.int32) >> 23) - 127) >> 3
+    e -= _P10_MIN
+    n = np.maximum((last + _WORD_OFFSETS + 1).max(axis=0), _MIN_DIGITS.take(e))
+    s |= _KEPT_ZEROS.take(n, axis=1)
+    layout = 2 * e + (n == 1)
+    head = s & _HEAD.take(layout, axis=1)
+    point_bits = _POINT_BITS.take(layout)
+    text = np.zeros((4, x.size), dtype=_U)
+    text[:3] = _shift_words(s ^ head, point_bits) | head | _POINT.take(layout, axis=1)
+    # ``at``, the tail's bit less each word's first: a word takes tail << at, or
+    # tail >> -at where at < 0, as a shift by 64 or more (or under 0) gives 0
+    tail = (_EXP_TEXT | _U(end) << _EXP_BITS).take(layout)
+    at = (point_bits + n.astype(_U) * _U(8)).view(np.int64) - 8 * _WORD_OFFSETS
+    text[:3] |= tail << at.view(_U)
+    text[:3] |= tail >> np.negative(at, out=at).view(_U)
+    negative = np.flatnonzero(np.signbit(x))
+    text[:, negative] = _shift_words(text[:, negative], _U(8)) | _MINUS
+    slow = np.flatnonzero(~(fast & decided))
+    text[:, slow] = _le_words([("" if v != v else repr(v)).encode() + bytes([end])
+                               for v in x[slow].tolist()], 4)
+    return text
 
 
 # Reading is the writer's inverse, and it too takes a whole column at once.
@@ -176,7 +193,6 @@ def _float_field(column: np.ndarray) -> np.ndarray:
 _ONES = 0x0101_0101_0101_0101
 _BYTE = [np.uint64(8 * j) for j in range(8)]  # the shift to a word's byte j
 _ONE, _LOW_BYTE, _ALL = np.uint64(1), np.uint64(0xFF), np.uint64(2 ** 64 - 1)
-_WORD_OFFSETS = np.arange(0, _FIELD_WIDTH, 8)[:, None]
 
 
 def _every_byte(b: int) -> np.uint64:
@@ -275,9 +291,7 @@ def _decimal_values(data: bytes, ends: np.ndarray, widths: np.ndarray
     point_here[:-1] |= point_here[1:]  # ... or a later word has it
     point_here[:-2] |= point_here[2:]
     upto &= -point_here
-    moved = digits << _BYTE[1]
-    moved[1:] |= digits[:-1] >> _BYTE[7]
-    digits ^= (digits ^ moved) & upto
+    digits ^= (digits ^ _shift_words(digits, _BYTE[1])) & upto
     for mul, down, mask in _SWAR_STEPS:
         digits = ((digits * mul) >> down) & mask
     q = exponent - np.where(n_points > 0, _FIELD_WIDTH - _byte_count(upto), 0)
@@ -319,22 +333,16 @@ def read_floats(data: bytes, ends: np.ndarray, widths: np.ndarray) -> np.ndarray
     return value
 
 
-def _word_column(byte_values) -> np.ndarray:
-    """_FIELD_WIDTH byte values as a column of uint64 words."""
-    return np.asarray(byte_values, dtype=np.uint8).view(np.uint64)[:, None]
-
-
 # A stamp field as read: "YYYY-MM-DDTHH:MM:00Z,", in the three words that end
 # with it.  XOR the template, a stamp has a digit's value where the template
 # has "D", and 0 in every other byte but the leading ones, which are not its.
 _STAMP_TEXT = b"DDDD-DD-DDTDD:DD:00Z,"
 STAMP_WIDTH = len(_STAMP_TEXT)  # with its separator
-_STAMP_TEMPLATE = np.frombuffer(b"." * (_FIELD_WIDTH - STAMP_WIDTH) + _STAMP_TEXT, np.uint8)
-_STAMP_DIGIT = _STAMP_TEMPLATE == ord("D")
-_STAMP_FIXED = ~_STAMP_DIGIT & (_STAMP_TEMPLATE != ord("."))
-_STAMP_XOR = _word_column(np.where(_STAMP_DIGIT, ord("0"), _STAMP_TEMPLATE * _STAMP_FIXED))
-_STAMP_FIXED_BYTES = _word_column(_STAMP_FIXED * 0xFF)
-_STAMP_DIGIT_BYTES = _word_column(_STAMP_DIGIT * 0xFF)
+_STAMP_TEMPLATE = b"." * (_FIELD_WIDTH - STAMP_WIDTH) + _STAMP_TEXT
+_STAMP_XOR, _STAMP_FIXED_BYTES, _STAMP_DIGIT_BYTES = _le_words([
+    _STAMP_TEMPLATE.replace(b"D", b"0").replace(b".", b"\0"),
+    bytes(0 if c in b"D." else 0xFF for c in _STAMP_TEMPLATE),
+    bytes(0xFF if c == ord("D") else 0 for c in _STAMP_TEMPLATE)], 3).T[:, :, None]
 _STAMP_DIGIT_FLAGS = _STAMP_DIGIT_BYTES & _HIGH_BITS
 # Days from 1970-01-01 to the first of each year 0-9999 (numpy's calendar),
 # and each month's first day in its year and its length: month m of a
@@ -342,7 +350,8 @@ _STAMP_DIGIT_FLAGS = _STAMP_DIGIT_BYTES & _HIGH_BITS
 # length 0, so that no day of them is valid.
 _YEAR_DAY = ((np.arange(10_001) - 1970).astype("datetime64[Y]")
              .astype("datetime64[D]").astype(np.int64))
-_LEAP_MONTHS = (np.diff(_YEAR_DAY) == 366) * 100
+_LEAP_YEAR = np.diff(_YEAR_DAY) == 366
+_LEAP_MONTHS = _LEAP_YEAR * 100
 _MONTH_LENGTH = np.zeros((2, 100), dtype=np.int64)
 _MONTH_LENGTH[:, 1:13] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
 _MONTH_LENGTH[1, 2] = 29
@@ -373,38 +382,47 @@ def read_stamps(data: bytes, starts: np.ndarray) -> np.ndarray | None:
     return (_YEAR_DAY.take(year) + _MONTH_DAY.take(month) + day) * 1440 + hour * 60 + minute
 
 
-def _ascii_rows(text, width: int | None = None) -> np.ndarray:
-    """Strings as ASCII bytes, one NUL-padded row each (``width`` wide if given)."""
-    text = np.asarray(text, dtype=np.bytes_ if width is None else f"S{width}")
-    return text.view(np.uint8).reshape(text.size, text.itemsize)
+# A stamp's text ends its three words, so that the next field runs on from
+# it and a row is one run of text (the NUL pack copies run by run):
+# "\0\0\0YYYY-", "MM-DDTHH", ":MM:00Z" and the end byte, from tables by
+# minute of the day, by day of a leap and then a common year, and by year.
+_YEAR_TEXT = _le_words([f"\0\0\0{y:04d}-".encode() for y in range(10_000)], 1)[0]
+_DAY_TEXT = _le_words([day[5:].encode() for day in np.datetime_as_string(
+    np.arange("2000", "2002", dtype="datetime64[D]")).tolist()], 1)[0]
+_CLOCK_TEXT = _le_words([b"\0" * 13 + f"T{h:02d}:{m:02d}:00Z".encode()
+                         for h in range(24) for m in range(60)], 3)
 
 
-def _field(column: np.ndarray) -> np.ndarray:
-    """Each value of a column (stamps in datetime64[m]) as ASCII, one NUL-padded row each."""
-    column = np.asarray(column)
-    if column.dtype.kind == "f":
-        return _float_field(column)
-    if column.dtype.kind == "M":
-        # one string per distinct day, then the minute's clock text
-        days = column.astype("datetime64[D]")
-        day_list, day_of_row = np.unique(days, return_inverse=True)
-        day_text = _ascii_rows(np.datetime_as_string(day_list).tolist())
-        return np.hstack([day_text.take(day_of_row, axis=0),
-                          _CLOCK_TEXT.take((column - days).astype(np.intp), axis=0)])
-    return _ascii_rows(column.tolist())
+def _stamp_words(column: np.ndarray, end: int) -> np.ndarray:
+    """Each stamp's text, then ``end``, as (3, rows) words; years 0000-9999 only."""
+    minutes = column.astype("datetime64[m]", copy=False).view(np.int64)
+    days = minutes // 1440
+    if days.size and not (_YEAR_DAY[0] <= days.min() and days.max() < _YEAR_DAY[-1]):
+        raise ValueError("a stamp outside the years 0000-9999")
+    year = (days + 719_530) * 400 // 146_097  # the year, or the one after it
+    year -= _YEAR_DAY.take(year) > days
+    words = _CLOCK_TEXT.take(minutes - days * 1440, axis=1)
+    words[0] = _YEAR_TEXT.take(year)
+    words[1] |= _DAY_TEXT.take(days - _YEAR_DAY.take(year) + 366 * ~_LEAP_YEAR.take(year))
+    words[2] |= _U(end) << _U(56)
+    return words
+
+
+def _field_words(column: np.ndarray, end: int) -> np.ndarray:
+    """Each value's text, then ``end``, as NUL-padded words: (words, rows)."""
+    if column.dtype.kind in "fM":
+        return (_float_words if column.dtype.kind == "f" else _stamp_words)(column, end)
+    texts = [f"{v}".encode() + bytes([end]) for v in column.tolist()]
+    return _le_words(texts, max(map(len, texts), default=1) // 8 + 1)
 
 
 def table_bytes(*columns: np.ndarray) -> bytes:
     """The rows of a table with these columns, each ended by a newline, as ASCII."""
-    fields = [_field(column) for column in columns]
-    rows = np.empty((len(fields[0]), sum(f.shape[1] + 1 for f in fields)), dtype=np.uint8)
-    pos = 0
-    for field in fields:
-        rows[:, pos:pos + field.shape[1]] = field
-        pos += field.shape[1] + 1
-        rows[:, pos - 1] = ord(",")
-    rows[:, -1] = ord("\n")
-    return rows[rows != 0].tobytes()
+    fields = [_field_words(np.asarray(column), end)
+              for column, end in zip(columns, b"," * (len(columns) - 1) + b"\n")]
+    rows = np.empty((fields[0].shape[1], sum(map(len, fields))), dtype=_U)
+    text = np.concatenate([words.T for words in fields], axis=1, out=rows).view(np.uint8)
+    return text[text != 0].tobytes()
 
 
 def table_text(header: str, *columns: np.ndarray) -> str:

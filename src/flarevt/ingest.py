@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import os
 from dataclasses import dataclass
 from typing import IO
 
@@ -255,17 +256,26 @@ def write_flux_csv(series: FluxSeries, path=None) -> str:
     """Serialize a series to the interchange CSV (missing flux = empty field).
 
     Each flux is its shortest round-trip ``repr``.  Returns the CSV text;
-    also writes it to ``path`` when given, a chunk of rows at a time.
+    also writes it to ``path`` when given, a chunk of rows at a time, to
+    ``path + ".partial"``, which replaces ``path`` once every row is
+    written: a failed write leaves no partial file and ``path`` as it was.
     """
-    chunks = (table_bytes(series.timestamps[lo:lo + _WRITE_CHUNK_ROWS],
-                          series.flux[lo:lo + _WRITE_CHUNK_ROWS])
-              for lo in range(0, len(series), _WRITE_CHUNK_ROWS))
-    text = []
-    with open(path, "wb") if path is not None else contextlib.nullcontext() as fh:
-        for part in itertools.chain([_CANONICAL_HEADER], chunks):
-            if fh is not None:
+    parts = itertools.chain([_CANONICAL_HEADER], (
+        table_bytes(series.timestamps[lo:lo + _WRITE_CHUNK_ROWS],
+                    series.flux[lo:lo + _WRITE_CHUNK_ROWS])
+        for lo in range(0, len(series), _WRITE_CHUNK_ROWS)))
+    if path is None:
+        return "".join(part.decode("ascii") for part in parts)
+    partial, text = os.fspath(path) + ".partial", []
+    try:
+        with open(partial, "wb") as fh:
+            for part in parts:
                 fh.write(part)
-            text.append(part.decode("ascii"))
+                text.append(part.decode("ascii"))
+        os.replace(partial, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
     return "".join(text)
 
 

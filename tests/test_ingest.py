@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import tracemalloc
@@ -262,6 +263,41 @@ class TestInputLayouts:
         assert peak < 16 * n + 12 * fv.ingest._SCAN_CHUNK_BYTES
         np.testing.assert_array_equal(back.flux.view(np.uint64), flux.view(np.uint64))
 
+    @pytest.mark.parametrize("divisor,digest", [
+        (None, "94eb87540a6c7a36704862c0f14202425f4dc2b81fdc37deb96b8407fefc510a"),
+        (0.7, "af06f76ec1e521aae428ce121ed8eefe64d6ee6f7778c47ffe13bd98623d5976"),
+    ])
+    def test_written_bytes_are_pinned(self, divisor, digest):
+        # a year of the benchmark's synthetic archive; the digests are of repr's text
+        series = fv.synth_clustered_series(3e-4, 0.25, 60.0, 10.0, 1.0, seed=7)
+        if divisor is not None:
+            series = fv.apply_scaling(series, divisor)
+        text = fv.write_flux_csv(series)
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+    def test_failed_write_leaves_no_file(self, monkeypatch, tmp_path):
+        calls = []
+
+        def failing_table_bytes(*columns):
+            calls.append(len(columns[0]))
+            if len(calls) == 2:
+                raise RuntimeError("the second chunk fails")
+            return table_bytes(*columns)
+
+        table_bytes = fv.ingest.table_bytes
+        monkeypatch.setattr(fv.ingest, "table_bytes", failing_table_bytes)
+        monkeypatch.setattr(fv.ingest, "_WRITE_CHUNK_ROWS", 4)
+        series = make_series(np.geomspace(1e-7, 1e-4, 10))
+        path = tmp_path / "series.csv"
+        with pytest.raises(RuntimeError, match="second chunk"):
+            fv.write_flux_csv(series, path)
+        assert list(tmp_path.iterdir()) == []
+        path.write_bytes(b"kept")
+        calls.clear()
+        with pytest.raises(RuntimeError, match="second chunk"):
+            fv.write_flux_csv(series, path)
+        assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"kept"
+
     @pytest.mark.skipif(not os.environ.get("FLAREVT_SLOW_TESTS"),
                         reason="set FLAREVT_SLOW_TESTS=1 to round-trip 30 years "
                                "(15.8M rows, ~680 MB) through CSV")
@@ -269,10 +305,21 @@ class TestInputLayouts:
         series = fv.synth_clustered_series(3e-4, 0.25, 60.0, 10.0, 30.0, seed=7)
         path = tmp_path / "flux.csv"
         fv.write_flux_csv(series, path)
+        assert _sha256(path) == "69258eba8583cca5ab6c3b9e228a1b0f318ed397c72834d3d8669c04d633c038"
         back = fv.read_flux_csv(path)
         np.testing.assert_array_equal(back.timestamps, series.timestamps)
         np.testing.assert_array_equal(back.flux.view(np.uint64),
                                       series.flux.view(np.uint64))
+        fv.write_flux_csv(fv.apply_scaling(series, 0.7), path)
+        assert _sha256(path) == "3777846725a263dc08d14c49aab14381d1e3403554d7153305ef05d5383e5c2d"
+
+
+def _sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 class TestScaling:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 import flarevt as fv
 from flarevt import ParseError
 from flarevt.decluster import MISSING_MINUTES_POLICY, EventCatalog, catalog_from_files
-from flarevt._table import _decimal_values, _shortest_digits, read_floats, table_text
+from flarevt._table import (_decimal_values, _shortest_digits, read_floats, table_bytes,
+                            table_text)
 from flarevt.pipeline import excesses_from_csv_text, excesses_to_csv_text
 
 from helpers import FLOAT_TEXTS, make_series
@@ -117,6 +119,11 @@ EDGE_FLOATS = st.one_of(
 SIGNED_EDGE_FLOATS = st.tuples(EDGE_FLOATS, st.booleans()).map(lambda v: -v[0] if v[1] else v[0])
 
 
+def _digit_count(text: str) -> int:
+    """The significant digits in a float's repr."""
+    return len(text.lstrip("-").partition("e")[0].replace(".", "").strip("0"))
+
+
 class TestFloatText:
     """The array formatter behind every float field, against repr value for value."""
 
@@ -155,6 +162,38 @@ class TestFloatText:
     def test_notation_boundaries(self, value, text):
         assert table_text("v", np.array([value])) == f"v\n{text}\n"
 
+    def test_every_layout_matches_repr(self):
+        # each sign, digit count 1-17 and exponent -7..18 (both notations and
+        # every place of the point), then 3-digit exponents, NaN between them
+        exponents = [*range(-7, 19), -300, -290, -123, -100, 100, 123, 289, 300]
+        values = []
+        for e in exponents:
+            for n in range(1, 18):
+                value = float(f"{'1234567890123456'[:n - 1]}7e{e - n + 1}")
+                while _digit_count(repr(value)) != n:  # 16 and 17 digits that repr shortens
+                    value = math.nextafter(value, math.inf)
+                values += [value, math.nan, -value, math.nan]
+        assert {(v < 0, _digit_count(repr(v)), math.floor(math.log10(abs(v))))
+                for v in values if v == v} == {(sign, n, e) for sign in (False, True)
+                                                for n in range(1, 18) for e in exponents}
+        assert table_text("v", np.array(values)) == "v\n" + _repr_lines(values)
+
+    def test_working_memory(self):
+        n = 8192
+        series = fv.synth_clustered_series(3e-4, 0.25, 60.0, 10.0, 0.1, seed=7)
+        columns = series.timestamps[:n], series.flux[:n]
+        table_bytes(*columns)
+        tracemalloc.start()
+        try:
+            table_bytes(*columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # ~255 B a row: the stamp words (24) held while the float field's
+        # working words peak (~230); a per-byte gather index into a 24-byte
+        # field would add 192 B a row on its own
+        assert peak < 320 * n
+
     def test_write_flux_csv_nan_rows_on_chunk_edges(self, monkeypatch, tmp_path):
         monkeypatch.setattr(fv.ingest, "_WRITE_CHUNK_ROWS", 4)
         flux = np.geomspace(1e-8, 2e-3, 13) / 0.7
@@ -167,6 +206,27 @@ class TestFloatText:
         assert fv.write_flux_csv(series, path) == want
         assert path.read_bytes() == want.encode("ascii")
 
+
+
+class TestStampText:
+    """The stamp formatter behind every stamp field, against numpy's text."""
+
+    def test_stamps_match_datetime_as_string(self):
+        firsts = np.array([f"{y}-{m:02d}-01" for y in (1900, 2000, 2100) for m in range(1, 13)],
+                          dtype="datetime64[m]")
+        # month ends, leap days of 2000 (and none of 1900 or 2100), years
+        # before 1970, 0001 and 9999, in no order, as catalog columns come
+        stamps = np.concatenate([firsts, firsts - 1, np.array(
+            ["2000-02-29T12:34", "1969-12-31T23:59", "1600-02-29T00:00", "0001-01-01T00:00",
+             "0000-03-01T07:00", "9999-12-31T23:59"], dtype="datetime64[m]")])
+        np.random.default_rng(3).shuffle(stamps)
+        want = "".join(t + "Z\n" for t in np.datetime_as_string(stamps, unit="s"))
+        assert table_text("t", stamps) == "t\n" + want
+
+    @pytest.mark.parametrize("stamp", ["10000-01-01T00:00", "-0001-12-31T23:59", "NaT"])
+    def test_stamps_outside_years_0000_9999_raise(self, stamp):
+        with pytest.raises(ValueError, match="years 0000-9999"):
+            table_bytes(np.array(["2000-01-01T00:00", stamp], dtype="datetime64[m]"))
 
 # a header and a stamp before the first field, as in a flux CSV: the
 # kernel gathers up to 29 bytes back from a field's end
