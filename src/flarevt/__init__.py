@@ -12,8 +12,8 @@ diagnostics (:mod:`flarevt.diagnostics`), return levels and periods
 
 __version__ = "0.1.0"
 
-from .decluster import (EventCatalog, FlareEvent, GapSweepCurve, decluster,
-                        gap_sweep, lag1_autocorrelation)
+from .decluster import (EventCatalog, GapSweepCurve, decluster, gap_sweep,
+                        lag1_autocorrelation)
 from .diagnostics import (MrlCurve, ProbabilityPlot, mean_excess_curve,
                           probability_plot)
 from .errors import (CiUnavailableError, ConvergenceError, DomainError,
@@ -38,7 +38,7 @@ __all__ = [
     "write_flux_csv", "apply_scaling", "filter_saturation",
     "synth_clustered_series",
     # decluster
-    "FlareEvent", "EventCatalog", "GapSweepCurve", "decluster",
+    "EventCatalog", "GapSweepCurve", "decluster",
     "lag1_autocorrelation", "gap_sweep",
     # gpd
     "GpdParams", "GpdFit", "FitConvergence", "gpd_cdf", "gpd_quantile",

@@ -21,84 +21,68 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .decluster import catalog_from_files, decluster, gap_sweep
+from .decluster import catalog_from_files, checked_gaps, decluster, gap_sweep
 from .errors import DomainError, FlareVtError, ParseError, PipelineStageError
 from .gpd import fit_from_json_dict, fit_gpd, fit_to_json_dict
 from .ingest import (IngestConfig, read_flux_csv, synth_clustered_series,
                      write_flux_csv)
 from .pipeline import (STAGES, InputSpec, PipelineConfig, excesses_from_csv_text,
-                       excesses_to_csv_text, ingest_one, run_diagnostics,
-                       run_pipeline, write_json, write_text, x_class)
-from .returns import (ObservationCalendar, default_m_grid, return_curve,
-                      return_level_ci, return_period_band)
+                       excesses_to_csv_text, ingest_one, return_period_grid,
+                       run_diagnostics, run_pipeline, write_json, write_text,
+                       x_class)
+from .returns import (ObservationCalendar, return_curve, return_level_ci,
+                      return_period_band)
 
 # ingest=3, decluster=4, ... report=10
 STAGE_EXIT_CODES = {stage: code for code, stage in enumerate(STAGES, start=3)}
 
 
-def _positive_int(text: str) -> int:
-    """Parse an int >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
-    return value
+def _flag(convert, accept):
+    """An argparse type: ``convert`` the text, then have ``accept`` build the
+    object that owns the value (a config, a calendar, the gap rule).
 
-
-def _positive_int_range(text: str) -> range | list[int]:
-    """Parse 'lo:hi' (inclusive) or a comma list into increasing ints >= 1."""
-    try:
-        if ":" in text:
-            lo, hi = text.split(":")
-            gaps = range(int(lo), int(hi) + 1)
-        else:
-            gaps = [int(v) for v in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 'lo:hi' or a comma list of ints, got {text!r}") from None
-    if not gaps or gaps[0] < 1 or any(b <= a for a, b in zip(gaps, gaps[1:])):
-        raise argparse.ArgumentTypeError(
-            f"need strictly increasing gaps >= 1, got {text!r}")
-    return gaps
-
-
-def _retained_date(text: str) -> str:
-    """Parse an ISO date as IngestConfig reads its retained dates."""
-    try:
-        return IngestConfig(retained_saturation_events=(text,)).retained_saturation_events[0]
-    except DomainError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _ingest_float(field: str):
-    """An argparse type: a float that IngestConfig accepts as its ``field``."""
-    def parse(text: str) -> float:
+    A value the owner rejects is a usage error carrying the owner's own
+    message, so it exits 2 before any input is read.
+    """
+    def parse(text: str):
         try:
-            value = float(text)
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
         try:
-            IngestConfig(**{field: value})
+            accept(value)
         except DomainError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
     return parse
 
 
+def _gap_list(text: str) -> list[int]:
+    """Parse 'lo:hi' (inclusive) or a comma list of ints."""
+    try:
+        if ":" in text:
+            lo, hi = text.split(":")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'lo:hi' or a comma list of ints, got {text!r}") from None
+
+
 def _log_grid(text: str) -> tuple[float, float, int]:
     """Parse 'lo:hi:count' for a log-spaced return-period grid."""
     try:
         lo, hi, count = text.split(":")
-        lo, hi, count = float(lo), float(hi), int(count)
+        return float(lo), float(hi), int(count)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected 'lo:hi:count', got {text!r}") from None
-    if not (0.0 < lo < hi and count >= 1):
-        raise argparse.ArgumentTypeError(
-            f"need 0 < lo < hi and count >= 1, got {text!r}")
-    return lo, hi, count
+
+
+# flag types shared by several subcommands
+_THRESHOLD = _flag(float, lambda v: PipelineConfig(decluster_threshold=v, gpd_threshold=v))
+_CI = _flag(float, lambda v: PipelineConfig(ci_level=v))
 
 
 def _read_json(path) -> dict:
@@ -217,10 +201,9 @@ def _cmd_returns(args) -> int:
         did_something = True
     if args.out:
         if args.m_grid:
-            grid = default_m_grid(*args.m_grid)
+            grid = np.geomspace(*args.m_grid)
         else:
-            m_min = 1.0 / (cal.obs_per_year * fit.exceedance_rate)
-            grid = default_m_grid(max(1.0, m_min * 1.001))
+            grid = return_period_grid(fit, PipelineConfig(obs_per_year=cal.obs_per_year))
         curve = return_curve(fit, grid, cal, args.ci)
         write_text(args.out, curve.to_csv_text())
         print(f"returns: {curve.m.size} grid points -> {args.out}")
@@ -280,12 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="cleaned series CSV")
     p.add_argument("--summary", help="optional ingest summary JSON")
     # one flag per IngestConfig field; unset flags keep its defaults
-    p.add_argument("--divisor", dest="scaling_divisor", type=_ingest_float("scaling_divisor"))
-    p.add_argument("--saturation-level", type=_ingest_float("saturation_level"))
+    p.add_argument("--divisor", dest="scaling_divisor",
+                   type=_flag(float, lambda v: IngestConfig(scaling_divisor=v)))
+    p.add_argument("--saturation-level",
+                   type=_flag(float, lambda v: IngestConfig(saturation_level=v)))
     p.add_argument("--retain-date", dest="retained_saturation_events", action="append",
-                   type=_retained_date,
+                   type=_flag(str, lambda v: IngestConfig(retained_saturation_events=(v,))),
                    help="ISO date whose saturation run is kept (repeatable; replaces "
-                        "the default 2003-10-28). To blank every saturation run, give "
+                        f"the default {', '.join(IngestConfig.retained_saturation_events)})."
+                        " To blank every saturation run, give "
                         "'flarevt run' a config file with "
                         "\"retained_saturation_events\": []")
     p.add_argument("--sentinel", dest="missing_sentinels", action="append", type=float,
@@ -294,17 +280,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decluster", help="reduce a series to independent events")
     p.add_argument("--series", required=True)
-    p.add_argument("--threshold", type=float, default=1e-4)
-    p.add_argument("--gap", type=_positive_int, default=15)
+    p.add_argument("--threshold", type=_THRESHOLD,
+                   default=PipelineConfig.decluster_threshold)
+    p.add_argument("--gap", type=_flag(int, lambda v: PipelineConfig(gap_minutes=v)),
+                   default=PipelineConfig.gap_minutes)
     p.add_argument("--out-events", required=True)
     p.add_argument("--out-meta", required=True)
     p.set_defaults(handler=_cmd_decluster, stage="decluster")
 
     p = sub.add_parser("sweep", help="gap sweep of the lag-1 autocorrelation")
     p.add_argument("--series", required=True)
-    p.add_argument("--threshold", type=float, default=1e-4)
-    p.add_argument("--gaps", type=_positive_int_range, default=range(1, 31),
-                   help="'lo:hi' inclusive or comma list (default 1:30)")
+    p.add_argument("--threshold", type=_THRESHOLD,
+                   default=PipelineConfig.decluster_threshold)
+    p.add_argument("--gaps", type=_flag(_gap_list, checked_gaps),
+                   default=range(PipelineConfig.sweep_gap_lo, PipelineConfig.sweep_gap_hi + 1),
+                   help="'lo:hi' inclusive or comma list (default "
+                        f"{PipelineConfig.sweep_gap_lo}:{PipelineConfig.sweep_gap_hi})")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_sweep, stage="sweep")
 
@@ -324,20 +315,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--meta", required=True)
     p.add_argument("--fit", required=True)
-    p.add_argument("--ci", type=float, default=0.95)
-    p.add_argument("--grid-points", type=_positive_int, default=200)
+    p.add_argument("--ci", type=_CI, default=PipelineConfig.ci_level)
+    p.add_argument("--grid-points",
+                   type=_flag(int, lambda v: PipelineConfig(mrl_grid_points=v)),
+                   default=PipelineConfig.mrl_grid_points)
     p.add_argument("--out-mrl", required=True)
     p.add_argument("--out-probplot", required=True)
     p.set_defaults(handler=_cmd_diagnose, stage="diagnose")
 
     p = sub.add_parser("returns", help="return levels, periods, and intervals")
     p.add_argument("--fit", required=True)
-    p.add_argument("--level", type=float, help="flux level to invert (W/m^2)")
-    p.add_argument("--years", type=float, help="return period to evaluate")
-    p.add_argument("--m-grid", type=_log_grid,
-                   help="'lo:hi:count' log-spaced grid for --out")
-    p.add_argument("--obs-per-year", type=float, default=525_600.0)
-    p.add_argument("--ci", type=float, default=0.95)
+    p.add_argument("--level", help="flux level to invert (W/m^2)",
+                   type=_flag(float, lambda v: PipelineConfig(scenario_levels=(v,))))
+    p.add_argument("--years", help="return period to evaluate",
+                   type=_flag(float, lambda v: PipelineConfig(scenario_years=(v,))))
+    p.add_argument("--m-grid", help="'lo:hi:count' log-spaced grid for --out",
+                   type=_flag(_log_grid, lambda g: PipelineConfig(
+                       m_grid_lo=g[0], m_grid_hi=g[1], m_grid_count=g[2])))
+    p.add_argument("--obs-per-year", type=_flag(float, ObservationCalendar),
+                   default=PipelineConfig.obs_per_year)
+    p.add_argument("--ci", type=_CI, default=PipelineConfig.ci_level)
     p.add_argument("--out", help="return curve CSV")
     p.set_defaults(handler=_cmd_returns, stage="returns")
 
@@ -350,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mean cluster length in minutes")
     p.add_argument("--duration", type=float, required=True, help="years")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--base-threshold", type=float, default=1e-4)
+    p.add_argument("--base-threshold", type=float,
+                   default=PipelineConfig.decluster_threshold)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_synth, stage="synth")
 

@@ -13,7 +13,7 @@ sequence quantifies how much serial dependence survives a given gap.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,12 +25,12 @@ __all__ = [
     "DEFAULT_THRESHOLD",
     "DEFAULT_GAP_MINUTES",
     "MISSING_MINUTES_POLICY",
-    "FlareEvent",
     "EventCatalog",
     "GapSweepCurve",
     "decluster",
     "lag1_autocorrelation",
     "gap_sweep",
+    "checked_gaps",
 ]
 
 DEFAULT_THRESHOLD = 1e-4   # X1
@@ -39,21 +39,6 @@ DEFAULT_GAP_MINUTES = 15
 MISSING_MINUTES_POLICY = "missing-or-absent-minutes-count-as-quiet"
 
 _I64_MAX = np.iinfo(np.int64).max
-
-
-@dataclass(frozen=True)
-class FlareEvent:
-    """One declustered flare: the peak sample of a cluster of exceedances."""
-
-    peak_time: np.datetime64
-    peak_flux: float
-    cluster_start: np.datetime64
-    cluster_end: np.datetime64
-    cluster_sample_count: int
-
-    def __post_init__(self):
-        if not (self.cluster_start <= self.peak_time <= self.cluster_end):
-            raise DomainError("peak_time must lie within the cluster")
 
 
 # the catalog's event columns, in CSV order, and the dtype each is stored in
@@ -69,9 +54,8 @@ class EventCatalog:
 
     One frozen array per event column: ``cluster_starts``/``cluster_ends``
     bound the exceedance samples of each cluster and
-    ``cluster_sample_counts`` counts them.  ``catalog[i]`` and iteration
-    give :class:`FlareEvent` values built on demand.  The policy for
-    missing minutes is recorded in ``missing_minutes_policy``.
+    ``cluster_sample_counts`` counts them.  The policy for missing
+    minutes is recorded in ``missing_minutes_policy``.
     """
 
     peak_times: np.ndarray
@@ -101,14 +85,6 @@ class EventCatalog:
 
     def __len__(self) -> int:
         return int(self.peak_fluxes.size)
-
-    def __iter__(self) -> Iterator[FlareEvent]:
-        return map(self.__getitem__, range(len(self)))
-
-    def __getitem__(self, i: int) -> FlareEvent:
-        return FlareEvent(self.peak_times[i], float(self.peak_fluxes[i]),
-                          self.cluster_starts[i], self.cluster_ends[i],
-                          int(self.cluster_sample_counts[i]))
 
     def excesses_over(self, threshold: float) -> np.ndarray:
         """Peak excesses over a (usually higher) analysis threshold."""
@@ -258,6 +234,19 @@ class GapSweepCurve:
                           self.gaps, self.lag1, self.event_counts)
 
 
+def checked_gaps(gaps: Sequence[int]) -> np.ndarray:
+    """The sweep's gaps as int64; DomainError unless non-empty, each >= 1
+    and strictly increasing."""
+    gap_arr = np.asarray(list(gaps), dtype=np.int64)
+    if gap_arr.size == 0:
+        raise DomainError("gaps must be non-empty")
+    if np.any(gap_arr < 1):
+        raise DomainError("every gap must be >= 1")
+    if np.any(np.diff(gap_arr) <= 0):
+        raise DomainError("gaps must be strictly increasing")
+    return gap_arr
+
+
 def gap_sweep(series: FluxSeries, threshold: float,
               gaps: Sequence[int]) -> GapSweepCurve:
     """Decluster at each gap and correlate the resulting peak sequences.
@@ -267,13 +256,7 @@ def gap_sweep(series: FluxSeries, threshold: float,
     increasing values >= 1.  Gaps yielding too few events for the
     statistic are kept in the curve with NaN.
     """
-    gap_arr = np.asarray(list(gaps), dtype=np.int64)
-    if gap_arr.size == 0:
-        raise DomainError("gaps must be non-empty")
-    if np.any(gap_arr < 1):
-        raise DomainError("every gap must be >= 1")
-    if np.any(np.diff(gap_arr) <= 0):
-        raise DomainError("gaps must be strictly increasing")
+    gap_arr = checked_gaps(gaps)
     if not threshold > 0.0:
         raise DomainError("threshold must be > 0")
 

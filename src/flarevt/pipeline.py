@@ -318,6 +318,14 @@ def run_diagnostics(catalog: EventCatalog, fit: GpdFit, config: PipelineConfig
     return mrl, plot
 
 
+def return_period_grid(fit: GpdFit, config: PipelineConfig) -> np.ndarray:
+    """The config's log-spaced return periods, starting no lower than just
+    above the mean inter-exceedance time n_total / (obs_per_year * n_excesses)."""
+    m_min = fit.n_total / (config.obs_per_year * fit.n_excesses)
+    return np.geomspace(max(config.m_grid_lo, m_min * 1.001), config.m_grid_hi,
+                        config.m_grid_count)
+
+
 def build_scenarios(fit: GpdFit, config: PipelineConfig) -> dict:
     """Named headline numbers: per-level return periods, per-period levels."""
     cal = ObservationCalendar(config.obs_per_year)
@@ -463,10 +471,7 @@ def _diagnose_stage(run) -> tuple[str, ...]:
 def _returns_stage(run) -> tuple[str, ...]:
     config, fit = run.config, run.fit
     cal = ObservationCalendar(config.obs_per_year)
-    m_min = run.catalog.n_total_observations / (config.obs_per_year * fit.n_excesses)
-    grid_lo = max(config.m_grid_lo, m_min * 1.001)
-    m_grid = np.geomspace(grid_lo, config.m_grid_hi, config.m_grid_count)
-    curve = return_curve(fit, m_grid, cal, config.ci_level)
+    curve = return_curve(fit, return_period_grid(fit, config), cal, config.ci_level)
     write_text(run.out / "returns.csv", curve.to_csv_text())
     write_json(run.out / "returns.json", curve.to_json_dict(fit))
     run.table = build_return_table(fit, config)

@@ -40,7 +40,6 @@ __all__ = [
     "return_level_ci",
     "return_curve",
     "return_period_band",
-    "default_m_grid",
 ]
 
 
@@ -213,11 +212,6 @@ def return_level_ci(fit: GpdFit, m: float,
     )
 
 
-def default_m_grid(lo: float = 1.0, hi: float = 1e5, count: int = 101) -> np.ndarray:
-    """Log-spaced return periods in years."""
-    return np.geomspace(lo, hi, count)
-
-
 @dataclass(frozen=True)
 class ReturnLevelCurve:
     """Return level against return period with confidence bands.
@@ -252,7 +246,7 @@ class ReturnLevelCurve:
         return doc
 
 
-def return_curve(fit: GpdFit, m_grid=None,
+def return_curve(fit: GpdFit, m_grid,
                  cal: ObservationCalendar = _DEFAULT_CAL,
                  ci_level: float = 0.95) -> ReturnLevelCurve:
     """Evaluate level and interval over a grid of return periods.
@@ -261,7 +255,7 @@ def return_curve(fit: GpdFit, m_grid=None,
     n_total / (d * n_excesses), so the whole curve sits above the fit
     threshold.
     """
-    grid = default_m_grid() if m_grid is None else np.asarray(m_grid, dtype=np.float64)
+    grid = np.asarray(m_grid, dtype=np.float64)
     if grid.size == 0 or (grid.size > 1 and np.any(np.diff(grid) <= 0)):
         raise DomainError("m_grid must be non-empty and strictly increasing")
     m_min = 1.0 / _rate_factor(fit, cal)

@@ -100,9 +100,10 @@ def assert_catalog_matches_oracle(catalog, series, threshold, gap):
     expected = decluster_oracle(series.timestamps.astype(np.int64),
                                 series.flux, threshold, gap)
     assert len(catalog) == len(expected)
-    for event, ref in zip(catalog, expected):
-        assert int(event.peak_time.astype("datetime64[m]").astype(np.int64)) == ref["peak_t"]
-        assert event.peak_flux == ref["peak"]
-        assert int(event.cluster_start.astype(np.int64)) == ref["first"]
-        assert int(event.cluster_end.astype(np.int64)) == ref["last"]
-        assert event.cluster_sample_count == ref["count"]
+    columns = {"peak_t": catalog.peak_times.astype(np.int64),
+               "peak": catalog.peak_fluxes,
+               "first": catalog.cluster_starts.astype(np.int64),
+               "last": catalog.cluster_ends.astype(np.int64),
+               "count": catalog.cluster_sample_counts}
+    for key, column in columns.items():
+        assert column.tolist() == [ref[key] for ref in expected], key

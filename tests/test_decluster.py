@@ -16,15 +16,15 @@ class TestDecluster:
     def test_two_clusters(self):
         series = make_series([0.5, 1.2, 1.5, 0.8, 0.9, 0.7, 2.0, 0.5])
         catalog = fv.decluster(series, threshold=1.0, gap_minutes=2)
-        assert [e.peak_flux for e in catalog] == [1.5, 2.0]
-        assert [e.cluster_sample_count for e in catalog] == [2, 1]
+        assert catalog.peak_fluxes.tolist() == [1.5, 2.0]
+        assert catalog.cluster_sample_counts.tolist() == [2, 1]
 
     def test_single_quiet_minute_does_not_close(self):
         series = make_series([1.2, 0.8, 1.3])
         catalog = fv.decluster(series, threshold=1.0, gap_minutes=2)
-        assert [e.peak_flux for e in catalog] == [1.3]
-        assert catalog[0].cluster_start == series.timestamps[0]
-        assert catalog[0].cluster_end == series.timestamps[2]
+        assert catalog.peak_fluxes.tolist() == [1.3]
+        assert catalog.cluster_starts[0] == series.timestamps[0]
+        assert catalog.cluster_ends[0] == series.timestamps[2]
 
     def test_no_exceedances(self):
         series = make_series([0.1, 0.2, 0.3])
@@ -58,12 +58,12 @@ class TestDecluster:
         series = make_series([0.1, 2.0])
         catalog = fv.decluster(series, 1.0, 15)
         assert len(catalog) == 1
-        assert catalog[0].peak_time == series.timestamps[1]
+        assert catalog.peak_times[0] == series.timestamps[1]
 
     def test_peak_tie_keeps_first(self):
         series = make_series([2.0, 2.0, 1.5])
         catalog = fv.decluster(series, 1.0, 2)
-        assert catalog[0].peak_time == series.timestamps[0]
+        assert catalog.peak_times[0] == series.timestamps[0]
 
     def test_metadata_carried(self):
         series = make_series([2.0, 0.1, 0.1])
@@ -104,9 +104,8 @@ class TestDecluster:
             with np.errstate(invalid="ignore"):
                 exc_times = series.timestamps[series.flux >= threshold]
             for t in exc_times:
-                containing = [e for e in catalog
-                              if e.cluster_start <= t <= e.cluster_end]
-                assert len(containing) == 1
+                containing = (catalog.cluster_starts <= t) & (t <= catalog.cluster_ends)
+                assert np.count_nonzero(containing) == 1
 
     def test_catalog_round_trip_through_files(self):
         series = make_series([0.5, 1.2, 1.5, 0.8, 0.9, 0.7, 2.0, 0.5])
@@ -130,7 +129,9 @@ class TestDecluster:
             assert not column.flags.writeable
         assert catalog.peak_fluxes is catalog.peak_fluxes
         assert catalog.peak_times is catalog.peak_times
-        assert list(catalog.peak_fluxes) == [e.peak_flux for e in catalog]
+        assert [column.dtype for column in columns] == [
+            np.dtype("datetime64[m]"), np.float64, np.dtype("datetime64[m]"),
+            np.dtype("datetime64[m]"), np.int64]
 
 
 class TestLag1:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -141,6 +144,22 @@ class TestRunPipeline:
         assert err.value.stage == "ingest"
 
 
+# (subcommand, flag, value, the message of the object that owns the value)
+BAD_FLAG_VALUES = [
+    ("decluster", "--gap", "0", "gap_minutes must be >= 1"),
+    ("decluster", "--gap", "-2", "gap_minutes must be >= 1"),
+    ("decluster", "--gap", "x", "invalid int value: 'x'"),
+    ("diagnose", "--grid-points", "0", "mrl_grid_points must be >= 1"),
+    ("decluster", "--threshold", "-1", "thresholds must be > 0"),
+    ("sweep", "--threshold", "0", "thresholds must be > 0"),
+    ("diagnose", "--ci", "1.5", "ci_level must lie in (0, 1)"),
+    ("returns", "--ci", "2", "ci_level must lie in (0, 1)"),
+    ("returns", "--obs-per-year", "0", "obs_per_year must be > 0"),
+    ("returns", "--years", "-5", "every value of scenario_years must be > 0"),
+    ("returns", "--level", "-1", "every value of scenario_levels must be > 0"),
+]
+
+
 class TestCliStages:
     def test_chained_subcommands_match_pipeline(self, synth_csv, pipeline_config,
                                                 tmp_path):
@@ -237,23 +256,26 @@ class TestCliStages:
         assert exc.value.code == 2
         assert not (tmp_path / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("stage,option,value", [
-        ("decluster", "--gap", "0"), ("decluster", "--gap", "-2"),
-        ("decluster", "--gap", "x"), ("diagnose", "--grid-points", "0")])
-    def test_bad_counts_are_usage_error(self, stage, option, value, tmp_path):
-        # readable inputs, so that only the bad count can make the command fail
+    @pytest.mark.parametrize("stage,option,value,message", BAD_FLAG_VALUES,
+                             ids=["-".join(case[:3]) for case in BAD_FLAG_VALUES])
+    def test_bad_counts_are_usage_error(self, stage, option, value, message, tmp_path,
+                                        capsys):
+        # readable inputs, so that only the bad value can make the command fail
         _write_stage_inputs(tmp_path)
         d = tmp_path
         files = {
             "decluster": ["--series", d / "series.csv", "--out-events", d / "out_events.csv",
                           "--out-meta", d / "out_meta.json"],
+            "sweep": ["--series", d / "series.csv", "--out", d / "out_sweep.csv"],
             "diagnose": ["--events", d / "catalog.csv", "--meta", d / "catalog.json",
                          "--fit", d / "fit.json", "--out-mrl", d / "out_mrl.csv",
                          "--out-probplot", d / "out_probplot.csv"],
+            "returns": ["--fit", d / "fit.json", "--out", d / "out_returns.csv"],
         }[stage]
         with pytest.raises(SystemExit) as exc:
             main([stage, *map(str, files), option, value])
         assert exc.value.code == 2
+        assert f"argument {option}: {message}" in capsys.readouterr().err
         assert not list(tmp_path.glob("out_*"))
 
     @pytest.mark.parametrize("stage,name,corrupt,message", [
@@ -327,6 +349,12 @@ class TestCliStages:
         _write_stage_inputs(tmp_path)
         assert main(["returns", "--fit", str(tmp_path / "fit.json")]) == 2
         assert "nothing to do" in capsys.readouterr().err
+
+    def test_python_dash_m_runs_the_cli(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(fv.__file__).parents[1])}  # src/
+        done = subprocess.run([sys.executable, "-m", "flarevt", "--version"], env=env,
+                              capture_output=True, text=True, check=False)
+        assert (done.returncode, done.stdout) == (0, f"{fv.__version__}\n")
 
     def test_stage_exit_codes(self):
         assert STAGE_EXIT_CODES == {

@@ -5,6 +5,7 @@ import flarevt as fv
 from flarevt import (CiUnavailableError, DomainError, GpdParams,
                      InfiniteReturnError, ObservationCalendar,
                      SubThresholdReturnWarning)
+from flarevt.pipeline import PipelineConfig, return_period_grid
 
 # Frozen against 40-digit evaluation of the closed forms with the
 # reference analysis numbers: threshold 3.5e-4, scale 2.98e-4,
@@ -161,13 +162,15 @@ class TestReturnCurve:
         assert curve.asym_high[0] == ci.asym_high
 
     def test_levels_strictly_increasing_default_grid(self):
-        curve = fv.return_curve(reference_fit(PAPER_COV))
+        fit = reference_fit(PAPER_COV)
+        curve = fv.return_curve(fit, return_period_grid(fit, PipelineConfig()))
         assert np.all(np.diff(curve.level) > 0.0)
         assert np.all(curve.ci_low <= curve.level)
         assert np.all(curve.level <= curve.ci_high)
 
     def test_width_non_decreasing(self):
-        curve = fv.return_curve(reference_fit(PAPER_COV))
+        fit = reference_fit(PAPER_COV)
+        curve = fv.return_curve(fit, return_period_grid(fit, PipelineConfig()))
         assert np.all(np.diff(curve.ci_high - curve.ci_low) >= -1e-15)
         assert np.all(np.diff(curve.asym_high - curve.asym_low) >= -1e-15)
 
