@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__
 from .decluster import catalog_from_files, checked_gaps, decluster, gap_sweep
 from .errors import DomainError, FlareVtError, ParseError, PipelineStageError
-from .gpd import fit_from_json_dict, fit_gpd, fit_to_json_dict
+from .gpd import GpdParams, checked_threshold, fit_from_json_dict, fit_gpd, fit_to_json_dict
 from .ingest import (IngestConfig, read_flux_csv, synth_clustered_series,
                      write_flux_csv)
 from .pipeline import (STAGES, InputSpec, PipelineConfig, excesses_from_csv_text,
@@ -35,6 +36,14 @@ from .returns import (ObservationCalendar, return_curve, return_level_ci,
 
 # ingest=3, decluster=4, ... report=10
 STAGE_EXIT_CODES = {stage: code for code, stage in enumerate(STAGES, start=3)}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads ``-1e-4`` as a value, as ``-1``; argparse (3.10, 3.11) takes it for an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _flag(convert, accept):
@@ -251,7 +260,7 @@ def _cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flarevt",
         description="Peaks-over-threshold extreme value analysis of "
                     "minute-cadence X-ray flux series.")
@@ -304,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--excesses", help="serialized excess list CSV")
     group.add_argument("--events", help="event catalog CSV (with --meta)")
     p.add_argument("--meta", help="catalog metadata JSON (required with --events)")
-    p.add_argument("--threshold", type=float, required=True)
+    p.add_argument("--threshold", type=_flag(float, checked_threshold), required=True)
     p.add_argument("--n-total", type=int,
                    help="total observation count (only with --excesses)")
     p.add_argument("--out", required=True, help="fit JSON")
@@ -339,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_returns, stage="returns")
 
     p = sub.add_parser("synth", help="generate a synthetic clustered series")
-    p.add_argument("--scale", type=float, required=True)
+    p.add_argument("--scale", type=_flag(float, lambda v: GpdParams(v, 0.0)), required=True)
     p.add_argument("--shape", type=float, required=True)
     p.add_argument("--event-rate", type=float, required=True,
                    help="events per year")

@@ -31,6 +31,7 @@ __all__ = [
     "gpd_loglik",
     "gpd_sample",
     "gpd_mean_excess",
+    "checked_threshold",
     "fit_gpd",
     "fit_to_json_dict",
     "fit_from_json_dict",
@@ -398,6 +399,14 @@ def _covariance_2d(y, scale, shape):
     return cov, std
 
 
+def checked_threshold(threshold: float) -> float:
+    """The analysis threshold as a float; DomainError unless finite and >= 0."""
+    threshold = float(threshold)
+    if not 0.0 <= threshold < math.inf:
+        raise DomainError(f"threshold must be finite and >= 0, got {threshold}")
+    return threshold
+
+
 def fit_gpd(excesses, *, threshold: float = 0.0, n_total: int | None = None,
             fixed_shape: float | None = None, min_excesses: int = 20) -> GpdFit:
     """Fit the excess model by maximum likelihood.
@@ -429,12 +438,15 @@ def fit_gpd(excesses, *, threshold: float = 0.0, n_total: int | None = None,
 
     Raises
     ------
+    DomainError
+        A threshold or an excess that is not finite and >= 0.
     InsufficientDataError
         Fewer than ``min_excesses`` values.
     ConvergenceError
         The iteration did not converge, as when the likelihood's supremum
         lies on the support edge at shape -1; diagnostics attached.
     """
+    threshold = checked_threshold(threshold)
     y = _as_excess_array(excesses)
     if y.size < min_excesses:
         raise InsufficientDataError(
@@ -467,7 +479,7 @@ def fit_gpd(excesses, *, threshold: float = 0.0, n_total: int | None = None,
             cov = np.array([[var, 0.0], [0.0, 0.0]])
             std = (math.sqrt(var), 0.0)
     return GpdFit(
-        threshold=float(threshold),
+        threshold=threshold,
         params=GpdParams(scale_hat, shape_hat),
         covariance=cov,
         std_errors=std,

@@ -9,6 +9,7 @@ gap structure survives for declustering.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ MINUTES_PER_YEAR = 525_600
 CSV_HEADER = "timestamp,flux_wm2"
 
 _MINUTE = np.timedelta64(1, "m")
+_BUILD_BLOCK_ROWS = 1 << 16  # rows FluxSeries copies and checks at a time
 
 
 @dataclass(frozen=True)
@@ -54,17 +56,31 @@ class FluxSeries:
 
     def __post_init__(self):
         given = np.asarray(self.timestamps)
-        ts = given.astype("datetime64[m]")  # a copy, as is fx
-        if given.dtype.kind == "M" and given.dtype != ts.dtype and np.any(ts != given):
+        stamps = given.astype("datetime64[m]", copy=False)  # a copy unless already [m]
+        if given.dtype.kind == "M" and stamps is not given and np.any(stamps != given):
             raise DomainError("timestamps must lie on the minute grid")
-        fx = np.array(self.flux, dtype=np.float64)
-        if ts.shape != fx.shape or ts.ndim != 1:
+        values = np.asarray(self.flux, dtype=np.float64)
+        if stamps.shape != values.shape or stamps.ndim != 1:
             raise DomainError("timestamps and flux must be parallel 1-d arrays")
-        if np.any(ts[1:] <= ts[:-1]):
+        # one pass, a block at a time: copy, check and count while in cache
+        ts = stamps if stamps is not given else np.empty(stamps.size, stamps.dtype)
+        fx, ticks = np.empty(values.size), ts.view(np.int64)
+        backwards, bad_flux, observed = False, False, 0
+        for lo in range(0, fx.size, _BUILD_BLOCK_ROWS):
+            hi = lo + _BUILD_BLOCK_ROWS
+            ts[lo:hi], fx[lo:hi] = stamps[lo:hi], values[lo:hi]  # a no-op where ts is stamps
+            # pairs from the previous block's last stamp on; a pair the int64
+            # test flags is retried as datetime64, under which NaT compares false
+            k, t, f = ticks[max(lo - 1, 0):hi], ts[max(lo - 1, 0):hi], fx[lo:hi]
+            backwards = backwards or bool(np.any(k[1:] <= k[:-1]) and np.any(t[1:] <= t[:-1]))
+            bad_flux = bad_flux or np.fmin.reduce(f) < 0.0 or np.fmax.reduce(f) == np.inf
+            observed += f.size - np.count_nonzero(np.isnan(f))
+        if backwards:
             raise OrderingError("timestamps must be strictly increasing")
-        if np.any(fx < 0.0) or np.any(fx == np.inf):  # NaN compares false
+        if bad_flux:  # fmin and fmax skip NaN
             raise DomainError("flux values must be NaN or finite and >= 0")
         self._freeze(ts, fx)
+        object.__setattr__(self, "n_observations", int(observed))
 
     @classmethod
     def _adopt(cls, timestamps: np.ndarray, flux: np.ndarray) -> "FluxSeries":
@@ -81,9 +97,9 @@ class FluxSeries:
     def __len__(self) -> int:
         return int(self.timestamps.size)
 
-    @property
+    @functools.cached_property
     def n_observations(self) -> int:
-        """Number of non-missing samples."""
+        """Number of non-missing samples, counted once per series."""
         return int(np.count_nonzero(~np.isnan(self.flux)))
 
     @property
@@ -238,7 +254,7 @@ def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None)
         line_no, (_, value) = row_text(int(np.argmax(invalid)))
         raise ParseError(f"flux value '{value}' is not a finite value >= 0", line_no)
 
-    backwards = np.diff(ts_min) <= np.timedelta64(0, "m")
+    backwards = ts_min[1:] <= ts_min[:-1]  # no whole-input difference array
     if np.any(backwards):
         line_no, (ts, _) = row_text(int(np.argmax(backwards)) + 1)
         raise OrderingError(f"timestamp '{ts}' does not increase", line_no)

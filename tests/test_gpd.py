@@ -228,6 +228,13 @@ class TestFit:
         with pytest.raises(DomainError):
             fv.fit_gpd(y, n_total=50)
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+    def test_threshold_not_finite_or_negative_rejected(self, threshold):
+        y = fv.gpd_sample(GpdParams(1.0, 0.1), 100, seed=2)
+        with pytest.raises(DomainError, match="threshold must be finite and >= 0"):
+            fv.fit_gpd(y, threshold=threshold, n_total=10_000)
+        assert fv.fit_gpd(y, threshold=0.0).threshold == 0.0
+
     def test_negative_shape_sample_fits(self):
         y = fv.gpd_sample(GpdParams(1.0, -0.3), 5000, seed=44)
         fit = fv.fit_gpd(y)

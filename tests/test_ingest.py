@@ -505,6 +505,136 @@ class TestFluxSeries:
         with pytest.raises(error):
             fv.FluxSeries(ts, np.array(flux))
 
+    BLOCK = fv.ingest._BUILD_BLOCK_ROWS
+    FAULTS = {
+        "off grid": (DomainError, "timestamps must lie on the minute grid"),
+        "repeated stamp": (OrderingError, "timestamps must be strictly increasing"),
+        "-inf": (DomainError, "flux values must be NaN or finite and >= 0"),
+        "inf": (DomainError, "flux values must be NaN or finite and >= 0"),
+        "negative": (DomainError, "flux values must be NaN or finite and >= 0"),
+    }
+
+    @staticmethod
+    def _blocks_of_rows(n):
+        ts = np.datetime64("2000-01-01T00:00", "m") + np.arange(n)
+        flux = np.linspace(0.0, 1e-3, n)
+        flux[::7] = np.nan
+        return ts, flux
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("row", [BLOCK + 11, BLOCK - 1, BLOCK, 2 * BLOCK + 4],
+                             ids=["later block", "block end", "block start", "last row"])
+    def test_fault_in_any_block_is_found(self, fault, row):
+        ts, flux = self._blocks_of_rows(2 * self.BLOCK + 5)
+        if fault == "off grid":
+            ts = ts.astype("datetime64[s]")
+            ts[row] += 30
+        elif fault == "repeated stamp":
+            ts[row] = ts[row - 1]  # at the block start, a pair across blocks
+        else:
+            flux[row] = {"-inf": -np.inf, "inf": np.inf, "negative": -1e-12}[fault]
+        error, message = self.FAULTS[fault]
+        with pytest.raises(error) as exc:
+            fv.FluxSeries(ts, flux)
+        assert type(exc.value) is error and str(exc.value) == message
+
+    def test_several_faults_raise_the_first_in_check_order(self):
+        # the checks run in this order: stamp conversion, minute grid, flux
+        # conversion, shape, ordering, flux values
+        n = 2 * self.BLOCK + 5
+        ts, flux = self._blocks_of_rows(n)
+        off_grid = ts.astype("datetime64[s]")
+        off_grid[n - 1] += 30
+        backwards = ts.copy()
+        backwards[n - 1] = backwards[0]
+        bad_flux = flux.copy()
+        bad_flux[0] = -1.0
+        grid, shape = "timestamps must lie on the minute grid", \
+            "timestamps and flux must be parallel 1-d arrays"
+        cases = [
+            (off_grid, bad_flux, DomainError, grid),
+            (off_grid, flux[:-1], DomainError, grid),
+            (off_grid, ["x"] * n, DomainError, grid),
+            (["2000-01-01T00:00", "x"], ["q", 1.0], ValueError,
+             'Error parsing datetime string "x" at position 0'),
+            (ts[:2], ["1", "zz", "3"], ValueError, "could not convert string to float: 'zz'"),
+            (backwards, flux[:-1], DomainError, shape),
+            (backwards[:, None], flux[:, None], DomainError, shape),
+            (backwards, bad_flux, OrderingError, "timestamps must be strictly increasing"),
+        ]
+        for stamps, values, error, message in cases:
+            with pytest.raises(error) as exc:
+                fv.FluxSeries(stamps, values)
+            assert type(exc.value) is error and str(exc.value) == message
+
+    @pytest.mark.parametrize("stamps,values", [
+        *(((np.datetime64("2000-01-01T00:00", "m") + np.arange(3)).astype(f"datetime64[{unit}]"),
+           [1e-4, 2e-4, 3e-4]) for unit in ("s", "ms", "us", "ns")),
+        (np.array(["2000-01-01", "2000-01-02", "2000-01-03"], "datetime64[D]"),
+         [1e-4, 2e-4, 3e-4]),
+        (np.array([15778080, 15778081, 15778082]), [1e-4, 2e-4, 3e-4]),
+        (["2000-01-01T00:00", "2000-01-01T00:01", "2000-01-01T00:02"], [1e-4, 2e-4, 3e-4]),
+        (np.datetime64("2000-01-01T00:00", "m") + np.arange(3), [1e-4, None, 3e-4]),
+        (np.datetime64("2000-01-01T00:00", "m") + np.arange(3), np.array([0, 2, 3])),
+        (np.datetime64("2000-01-01T00:00", "m") + np.arange(3), ["1e-4", "nan", "3e-4"]),
+    ], ids=["s", "ms", "us", "ns", "D", "int minutes", "ISO strings", "None flux",
+            "int flux", "numeric strings"])
+    def test_input_kinds_are_copied_as_converted(self, stamps, values):
+        series = fv.FluxSeries(stamps, values)
+        want_ts = np.asarray(stamps).astype("datetime64[m]")
+        want_flux = np.array(values, dtype=np.float64)
+        assert series.timestamps.dtype == np.dtype("datetime64[m]")
+        np.testing.assert_array_equal(series.timestamps, want_ts)
+        np.testing.assert_array_equal(series.flux, want_flux)
+        assert series.n_observations == np.count_nonzero(~np.isnan(want_flux))
+
+    def test_nat_stamp_is_no_ordering_fault(self):
+        # numpy's datetime comparisons are false with NaT, so the ordering
+        # check lets a NaT stamp through, in any block
+        ts, flux = self._blocks_of_rows(2 * self.BLOCK + 5)
+        ts[[0, self.BLOCK, 2 * self.BLOCK + 4]] = np.datetime64("NaT")
+        series = fv.FluxSeries(ts, flux)
+        np.testing.assert_array_equal(series.timestamps, ts)
+
+    def test_converted_stamps_of_many_blocks(self):
+        n = 2 * self.BLOCK + 5
+        ts, flux = self._blocks_of_rows(n)
+        for given in (ts.astype("datetime64[s]"), ts.astype(np.int64)):
+            series = fv.FluxSeries(given, flux.tolist())
+            np.testing.assert_array_equal(series.timestamps, ts)
+            np.testing.assert_array_equal(series.flux, flux)
+        with pytest.raises(OrderingError):
+            fv.FluxSeries(ts[::-1].astype(np.int64), flux)
+
+    def test_n_observations_counts_non_missing_samples(self):
+        ts, flux = self._blocks_of_rows(2 * self.BLOCK + 5)
+        built = fv.FluxSeries(ts, flux)
+        adopted = [fv.parse_flux_csv(fv.write_flux_csv(built)),
+                   fv.apply_scaling(built, 0.7),
+                   fv.filter_saturation(built, fv.IngestConfig(saturation_level=5e-4))[0],
+                   fv.synth_clustered_series(3e-4, 0.25, 60.0, 10.0, 0.01, seed=1)]
+        for series in [built, *adopted]:
+            assert series.n_observations == np.count_nonzero(~np.isnan(series.flux))
+            assert vars(series)["n_observations"] == series.n_observations  # kept
+
+    def test_build_copies_and_checks_in_one_pass(self):
+        n = 1_000_000
+        ts, flux = self._blocks_of_rows(n)
+        tracemalloc.start()
+        try:
+            series = fv.FluxSeries(ts, flux)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert series.n_observations == n - (n + 6) // 7
+            count_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the two copies (16 B a row) and one block's temporaries; a
+        # whole-array mask or difference would add 1 or 8 B a row
+        assert build_peak < 16 * n + 0.75 * 2**20
+        assert count_peak < 1024
+
 
 class TestSynth:
     def test_deterministic(self):

@@ -13,7 +13,8 @@ import flarevt as fv
 from flarevt import PipelineStageError, SubThresholdReturnWarning
 from flarevt.cli import STAGE_EXIT_CODES, main
 from flarevt.gpd import fit_from_json_dict, fit_to_json_dict
-from flarevt.pipeline import PipelineConfig, build_scenarios, json_text, run_pipeline
+from flarevt.pipeline import (PipelineConfig, build_scenarios, excesses_to_csv_text, json_text,
+                              run_pipeline)
 
 TRUE_SCALE, TRUE_SHAPE = 3e-4, 0.2
 
@@ -47,16 +48,18 @@ EXPECTED_ARTIFACTS = [
 
 
 def _write_stage_inputs(d):
-    """Readable stage inputs in ``d``: a one-event catalog, an excess list and a fit."""
+    """Readable stage inputs in ``d``: a one-event catalog, an excess list, a fit
+    and the fit's 300 excesses."""
     series = d / "series.csv"
     series.write_text("timestamp,flux_wm2\n2000-01-01T00:00:00Z,2e-4\n")
     catalog = fv.decluster(fv.read_flux_csv(series))
     (d / "catalog.csv").write_text(catalog.to_csv_text())
     (d / "catalog.json").write_text(json_text(catalog.to_json_dict()))
-    fit = fv.fit_gpd(fv.gpd_sample(fv.GpdParams(1.0, 0.2), 300, seed=5),
-                     threshold=0.5, n_total=100_000)
+    excesses = fv.gpd_sample(fv.GpdParams(1.0, 0.2), 300, seed=5)
+    fit = fv.fit_gpd(excesses, threshold=0.5, n_total=100_000)
     (d / "fit.json").write_text(json_text(fit_to_json_dict(fit)))
     (d / "excesses.csv").write_text("excess\n0.5\n")
+    (d / "fit_excesses.csv").write_text(excesses_to_csv_text(excesses))
 
 
 class TestRunPipeline:
@@ -157,6 +160,12 @@ BAD_FLAG_VALUES = [
     ("returns", "--obs-per-year", "0", "obs_per_year must be > 0"),
     ("returns", "--years", "-5", "every value of scenario_years must be > 0"),
     ("returns", "--level", "-1", "every value of scenario_levels must be > 0"),
+    ("returns", "--level", "-1e-4", "every value of scenario_levels must be > 0"),
+    ("returns", "--years", "-5E+1", "every value of scenario_years must be > 0"),
+    ("synth", "--scale", "-3e-4", "scale must be finite and > 0, got -0.0003"),
+    ("fit", "--threshold", "nan", "threshold must be finite and >= 0, got nan"),
+    ("fit", "--threshold", "inf", "threshold must be finite and >= 0, got inf"),
+    ("fit", "--threshold", "-1", "threshold must be finite and >= 0, got -1.0"),
 ]
 
 
@@ -200,7 +209,6 @@ class TestCliStages:
     def test_fit_on_excess_list_matches_library_byte_for_byte(self, tmp_path):
         y = fv.gpd_sample(fv.GpdParams(1.0, 0.2), 300, seed=5)
         excesses_path = tmp_path / "excesses.csv"
-        from flarevt.pipeline import excesses_to_csv_text
         excesses_path.write_text(excesses_to_csv_text(y))
 
         out = tmp_path / "fit.json"
@@ -271,6 +279,9 @@ class TestCliStages:
                          "--fit", d / "fit.json", "--out-mrl", d / "out_mrl.csv",
                          "--out-probplot", d / "out_probplot.csv"],
             "returns": ["--fit", d / "fit.json", "--out", d / "out_returns.csv"],
+            "fit": ["--excesses", d / "fit_excesses.csv", "--out", d / "out_fit.json"],
+            "synth": ["--shape", "0.25", "--event-rate", "60", "--duration", "0.01",
+                      "--seed", "7", "--out", d / "out_synth.csv"],
         }[stage]
         with pytest.raises(SystemExit) as exc:
             main([stage, *map(str, files), option, value])
