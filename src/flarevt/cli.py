@@ -39,11 +39,13 @@ STAGE_EXIT_CODES = {stage: code for code, stage in enumerate(STAGES, start=3)}
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads ``-1e-4`` as a value, as ``-1``; argparse (3.10, 3.11) takes it for an option."""
+    """Reads ``-1e-4`` and ``-inf`` as values, as ``-1``; argparse (3.10, 3.11)
+    takes them for options.  The words are those ``float()`` reads, in any case."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf|infinity|nan))$")
 
 
 def _flag(convert, accept):

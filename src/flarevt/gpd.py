@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 SHAPE_SWITCH_TOL = 1e-6  # |shape| below this uses the exponential limit
+MIN_EXCESSES = 20        # fewer and standard-error asymptotics are meaningless
 
 
 @dataclass(frozen=True)
@@ -125,26 +126,7 @@ class GpdFit:
 
 
 def _as_excess_array(y) -> np.ndarray:
-    arr = np.ascontiguousarray(y, dtype=np.float64)
-    if arr.ndim != 1:
-        arr = arr.ravel()
-    return arr
-
-
-def _gpd_nll(excesses: np.ndarray, scale: float, shape: float) -> float:
-    """Negative log-likelihood of nonnegative excesses under GPD(scale, shape).
-
-    Returns +inf when any excess lies outside the support (only possible
-    for shape < 0), which lets the optimizer treat the support boundary as
-    a hard wall.
-    """
-    k = excesses.size
-    if abs(shape) < SHAPE_SWITCH_TOL:
-        return k * np.log(scale) + float(excesses.sum()) / scale
-    z = shape * excesses / scale
-    if z.min(initial=np.inf) <= -1.0:
-        return np.inf
-    return k * np.log(scale) + (1.0 + 1.0 / shape) * float(np.log1p(z).sum())
+    return np.ascontiguousarray(y, dtype=np.float64).ravel()
 
 
 def gpd_cdf(y, params: GpdParams):
@@ -160,13 +142,9 @@ def gpd_cdf(y, params: GpdParams):
 
     if abs(shape) < SHAPE_SWITCH_TOL:
         out = -np.expm1(-arr / scale)
-    elif shape > 0.0:
-        z = np.where(arr > 0.0, shape * arr / scale, 0.0)
-        out = -np.expm1(-np.log1p(z) / shape)
-    else:
+    else:  # past an infinite endpoint only +inf, which maps to 1 either way
         hi = arr >= params.upper_endpoint
-        z = np.where(arr > 0.0, shape * arr / scale, 0.0)
-        z = np.where(hi, 0.0, z)
+        z = np.where((arr > 0.0) & ~hi, shape * arr / scale, 0.0)
         out = -np.expm1(-np.log1p(z) / shape)
         out[hi] = 1.0
     out[arr <= 0.0] = 0.0
@@ -202,7 +180,7 @@ def gpd_loglik(excesses, params: GpdParams) -> float:
         raise InsufficientDataError("need at least one excess")
     if np.any(~np.isfinite(y)) or np.any(y < 0.0):
         raise DomainError("excesses must be finite and >= 0")
-    return -float(_gpd_nll(y, params.scale, params.shape))
+    return float(_loglik_derivatives(y, params.scale, params.shape)[0])
 
 
 def gpd_sample(params: GpdParams, count: int, seed: int) -> np.ndarray:
@@ -265,20 +243,23 @@ def _loglik_derivatives(y: np.ndarray, scale: float, shape: float):
     closed forms (Coles, 2001, sec. 4.3; Smith, 1985).  With
     z = y / scale and a = shape * z:
 
+        loglik          = -n log(scale) - (1 + 1/shape) sum log1p(a)
         d/dlog(scale)   = (1 + shape) sum z/(1+a) - n
         d/dshape        = sum (log1p(a) - a/(1+a)) / shape**2 - sum z/(1+a)
 
-    and the information is minus the matrix of second derivatives.  The
-    log-likelihood value is ``-_gpd_nll``, so inside the
-    SHAPE_SWITCH_TOL band it is the exponential limit like every other
-    function of the model.  Returns ``(-inf, None, None)`` outside the
-    support.
+    and the information is minus the matrix of second derivatives.
+    Inside the SHAPE_SWITCH_TOL band the log-likelihood is the
+    exponential limit -n log(scale) - sum z, like every other function
+    of the model.  Returns ``(-inf, None, None)`` outside the support.
     """
-    ll = -_gpd_nll(y, scale, shape)
-    if ll == -math.inf:
-        return ll, None, None
     z = y / scale
-    a = shape * y / scale      # as _gpd_nll rounds it, so 1 + a > 0
+    a = shape * y / scale      # one rounding for the support test and log1p
+    exponential = abs(shape) < SHAPE_SWITCH_TOL
+    if not exponential and a.min(initial=np.inf) <= -1.0:
+        return -math.inf, None, None
+    log1p_a = np.log1p(a)
+    tail = float(y.sum()) / scale if exponential else (1.0 + 1.0 / shape) * float(log1p_a.sum())
+    ll = -(y.size * np.log(scale) + tail)
     u = 1.0 / (1.0 + a)
     zu = z * u
     s1 = float(zu.sum())           # sum z/(1+a)
@@ -290,7 +271,7 @@ def _loglik_derivatives(y: np.ndarray, scale: float, shape: float):
         q = float((zz * z * polyval(a, _Q_COEF)).sum())
     else:
         au = a * u
-        r = np.log1p(a) - au
+        r = log1p_a - au
         h = float(r.sum()) / shape**2
         q = float((2.0 * r - au * au).sum()) / shape**3
     w = 1.0 + shape
@@ -327,23 +308,23 @@ def _maximize(y: np.ndarray, scale: float, shape: float, fixed_shape: bool):
     is below _DECREMENT_TOL.  Where the supremum lies on the support edge
     (shape -> -1, scale -> max(y)) the decrement stays away from 0, so
     such samples fail as soon as an iterate's shape comes within
-    _SHAPE_FLOOR of -1, as does a shape pinned there.  Returns scale,
-    shape, log-likelihood and diagnostics.
+    _SHAPE_FLOOR of -1, as does a shape pinned there.  Returns the last
+    iterate theta, its log-likelihood, score and information, and the
+    diagnostics.
     """
     theta = np.array([math.log(scale), shape])
     ll, score, info = _loglik_derivatives(y, scale, shape)
     evals, halvings = 1, 0
     for it in range(1, _MAX_ITER + 1):
         if theta[1] < -1.0 + _SHAPE_FLOOR:
-            return None, None, ll, FitConvergence(
+            return theta, ll, score, info, FitConvergence(
                 False, it - 1, evals, halvings,
                 _failure_message(y, theta, "shape reached the -1 corner"))
         step, regular = _ascent_step(score, info, fixed_shape)
         decrement = float(score @ step)
         if regular and decrement < _DECREMENT_TOL:
-            return (math.exp(theta[0]), float(theta[1]), ll,
-                    FitConvergence(True, it, evals, halvings,
-                                   "Newton decrement below tolerance"))
+            return theta, ll, score, info, FitConvergence(
+                True, it, evals, halvings, "Newton decrement below tolerance")
         # a step of at most 1% of a standard error (decrement 1e-4) lies
         # where the quadratic model holds; its gain can drown in rounding
         quadratic = regular and decrement < _QUADRATIC
@@ -360,11 +341,11 @@ def _maximize(y: np.ndarray, scale: float, shape: float, fixed_shape: bool):
             alpha *= 0.5
             halvings += 1
         else:
-            return None, None, ll, FitConvergence(
+            return theta, ll, score, info, FitConvergence(
                 False, it, evals, halvings,
                 _failure_message(y, theta, "no step raised the likelihood"))
         theta, ll, score, info = trial, ll_t, score_t, info_t
-    return None, None, ll, FitConvergence(
+    return theta, ll, score, info, FitConvergence(
         False, _MAX_ITER, evals, halvings,
         _failure_message(y, theta, f"no convergence in {_MAX_ITER} iterations"))
 
@@ -375,28 +356,23 @@ def _failure_message(y: np.ndarray, theta: np.ndarray, reason: str) -> str:
             f"1 + shape*max(y)/scale={1.0 + shape * float(y.max()) / scale:.3g}")
 
 
-def _information(y: np.ndarray, scale: float, shape: float):
-    """Observed information over (scale, shape), or None outside the support."""
-    _, score, info = _loglik_derivatives(y, scale, shape)
-    if info is None:
-        return None
+def _covariance(score: np.ndarray, info: np.ndarray, scale: float, fixed_shape: bool):
+    """Inverse observed information over (scale, shape) and standard errors.
+
+    ``score`` and ``info`` are over (log scale, shape) at the optimum; a
+    pinned shape has no variance.  (None, None) where the information is
+    not positive definite.
+    """
     # chain rule from log scale; the score term vanishes at the optimum
-    return np.array([[(info[0, 0] + score[0]) / scale**2, info[0, 1] / scale],
-                     [info[1, 0] / scale, info[1, 1]]])
-
-
-def _covariance_2d(y, scale, shape):
-    """Inverse observed information, or (None, None) if not positive definite."""
-    info = _information(y, scale, shape)
-    if info is None:
+    i_ss, i_sx, i_xx = (info[0, 0] + score[0]) / scale**2, info[0, 1] / scale, info[1, 1]
+    det = i_ss if fixed_shape else i_ss * i_xx - i_sx * i_sx  # of the 1x1 or 2x2 block
+    if not (i_ss > 0.0 and det > 0.0):
         return None, None
-    det = info[0, 0] * info[1, 1] - info[0, 1] * info[1, 0]
-    if info[0, 0] <= 0.0 or det <= 0.0:
-        return None, None
-    cov = np.array([[info[1, 1], -info[0, 1]],
-                    [-info[1, 0], info[0, 0]]]) / det
-    std = (math.sqrt(cov[0, 0]), math.sqrt(cov[1, 1]))
-    return cov, std
+    if fixed_shape:
+        cov = np.array([[1.0 / i_ss, 0.0], [0.0, 0.0]])
+    else:
+        cov = np.array([[i_xx, -i_sx], [-i_sx, i_ss]]) / det
+    return cov, (math.sqrt(cov[0, 0]), math.sqrt(cov[1, 1]))
 
 
 def checked_threshold(threshold: float) -> float:
@@ -408,7 +384,7 @@ def checked_threshold(threshold: float) -> float:
 
 
 def fit_gpd(excesses, *, threshold: float = 0.0, n_total: int | None = None,
-            fixed_shape: float | None = None, min_excesses: int = 20) -> GpdFit:
+            fixed_shape: float | None = None) -> GpdFit:
     """Fit the excess model by maximum likelihood.
 
     The likelihood is maximized by safeguarded Newton iteration over
@@ -416,8 +392,8 @@ def fit_gpd(excesses, *, threshold: float = 0.0, n_total: int | None = None,
     so scale positivity is structural; steps are halved to stay in the
     support and to raise the likelihood.  The start point is the
     exponential fit (scale = mean excess) with shape = 0.1.  Standard
-    errors come from the same analytic information, inverted at the
-    optimum over (scale, shape).
+    errors come from the information at the iterate the Newton
+    iteration stopped at, inverted over (scale, shape).
 
     Parameters
     ----------
@@ -433,24 +409,22 @@ def fit_gpd(excesses, *, threshold: float = 0.0, n_total: int | None = None,
         Pin the shape parameter and fit only the scale.  With
         ``fixed_shape=0.0`` this is the exponential sub-model, whose MLE
         scale is the sample mean.
-    min_excesses : int, optional
-        Guardrail below which standard-error asymptotics are meaningless.
 
     Raises
     ------
     DomainError
         A threshold or an excess that is not finite and >= 0.
     InsufficientDataError
-        Fewer than ``min_excesses`` values.
+        Fewer than ``MIN_EXCESSES`` values.
     ConvergenceError
         The iteration did not converge, as when the likelihood's supremum
         lies on the support edge at shape -1; diagnostics attached.
     """
     threshold = checked_threshold(threshold)
     y = _as_excess_array(excesses)
-    if y.size < min_excesses:
+    if y.size < MIN_EXCESSES:
         raise InsufficientDataError(
-            f"need at least {min_excesses} excesses, got {y.size}")
+            f"need at least {MIN_EXCESSES} excesses, got {y.size}")
     if np.any(~np.isfinite(y)) or np.any(y < 0.0):
         raise DomainError("excesses must be finite and >= 0")
     mean = float(y.mean())
@@ -460,27 +434,20 @@ def fit_gpd(excesses, *, threshold: float = 0.0, n_total: int | None = None,
         n_total = y.size
 
     if fixed_shape is None:
-        scale_hat, shape_hat, ll, convergence = _maximize(y, mean, 0.1, False)
+        state = _maximize(y, mean, 0.1, False)
     else:
         # start inside the support, which ends at -scale/shape
         scale0 = max(mean, -2.0 * fixed_shape * float(y.max()))
-        scale_hat, shape_hat, ll, convergence = _maximize(
-            y, scale0, float(fixed_shape), True)
+        state = _maximize(y, scale0, float(fixed_shape), True)
+    theta, ll, score, info, convergence = state
     if not convergence.converged:
         raise ConvergenceError("likelihood maximization did not converge",
                                diagnostics=convergence)
-    if fixed_shape is None:
-        cov, std = _covariance_2d(y, scale_hat, shape_hat)
-    else:
-        info = _information(y, scale_hat, shape_hat)
-        cov = std = None
-        if info[0, 0] > 0.0:
-            var = 1.0 / info[0, 0]
-            cov = np.array([[var, 0.0], [0.0, 0.0]])
-            std = (math.sqrt(var), 0.0)
+    scale_hat = math.exp(theta[0])
+    cov, std = _covariance(score, info, scale_hat, fixed_shape is not None)
     return GpdFit(
         threshold=threshold,
-        params=GpdParams(scale_hat, shape_hat),
+        params=GpdParams(scale_hat, float(theta[1])),
         covariance=cov,
         std_errors=std,
         n_excesses=int(y.size),

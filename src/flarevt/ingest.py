@@ -39,13 +39,14 @@ CSV_HEADER = "timestamp,flux_wm2"
 
 _MINUTE = np.timedelta64(1, "m")
 _BUILD_BLOCK_ROWS = 1 << 16  # rows FluxSeries copies and checks at a time
+_NAT_TICKS = np.iinfo(np.int64).min  # NaT as an int64 datetime64
 
 
 @dataclass(frozen=True)
 class FluxSeries:
     """Time-ordered minute-cadence flux samples.
 
-    ``timestamps`` is a strictly increasing ``datetime64[m]`` array and
+    ``timestamps`` is a strictly increasing ``datetime64[m]`` array with no NaT and
     ``flux`` a parallel float64 array in W/m^2 with NaN marking missing
     samples.  The constructor checks this on frozen copies of its own, so
     a series is safe to share.  The span runs from first to last stamp.
@@ -58,7 +59,8 @@ class FluxSeries:
         given = np.asarray(self.timestamps)
         stamps = given.astype("datetime64[m]", copy=False)  # a copy unless already [m]
         if given.dtype.kind == "M" and stamps is not given and np.any(stamps != given):
-            raise DomainError("timestamps must lie on the minute grid")
+            raise DomainError("timestamps must not be NaT" if np.any(np.isnat(given))
+                              else "timestamps must lie on the minute grid")
         values = np.asarray(self.flux, dtype=np.float64)
         if stamps.shape != values.shape or stamps.ndim != 1:
             raise DomainError("timestamps and flux must be parallel 1-d arrays")
@@ -69,13 +71,14 @@ class FluxSeries:
         for lo in range(0, fx.size, _BUILD_BLOCK_ROWS):
             hi = lo + _BUILD_BLOCK_ROWS
             ts[lo:hi], fx[lo:hi] = stamps[lo:hi], values[lo:hi]  # a no-op where ts is stamps
-            # pairs from the previous block's last stamp on; a pair the int64
-            # test flags is retried as datetime64, under which NaT compares false
-            k, t, f = ticks[max(lo - 1, 0):hi], ts[max(lo - 1, 0):hi], fx[lo:hi]
-            backwards = backwards or bool(np.any(k[1:] <= k[:-1]) and np.any(t[1:] <= t[:-1]))
+            k, f = ticks[max(lo - 1, 0):hi], fx[lo:hi]  # from the previous block's last stamp
+            backwards = backwards or bool(np.any(k[1:] <= k[:-1]))
             bad_flux = bad_flux or np.fmin.reduce(f) < 0.0 or np.fmax.reduce(f) == np.inf
             observed += f.size - np.count_nonzero(np.isnan(f))
-        if backwards:
+        # NaT is the int64 minimum, so past the first stamp the int64 test flags it
+        if backwards or (ticks.size and ticks[0] == _NAT_TICKS):
+            if np.any(np.isnat(ts)):
+                raise DomainError("timestamps must not be NaT")
             raise OrderingError("timestamps must be strictly increasing")
         if bad_flux:  # fmin and fmax skip NaN
             raise DomainError("flux values must be NaN or finite and >= 0")

@@ -59,6 +59,7 @@ class ObservationCalendar:
 
 
 _DEFAULT_CAL = ObservationCalendar()
+_M_MAX = 1e7  # years; a period band's upper end beyond it is reported as inf
 
 
 def _rate_factor(fit: GpdFit, cal: ObservationCalendar) -> float:
@@ -278,8 +279,7 @@ def return_curve(fit: GpdFit, m_grid,
 
 def return_period_band(fit: GpdFit, level: float,
                        cal: ObservationCalendar = _DEFAULT_CAL,
-                       ci_level: float = 0.95,
-                       m_max: float = 1e7) -> tuple[float, float, float]:
+                       ci_level: float = 0.95) -> tuple[float, float, float]:
     """Return period of ``level`` with a band read off the level intervals.
 
     The band endpoints are the periods at which the symmetric delta band
@@ -288,7 +288,7 @@ def return_period_band(fit: GpdFit, level: float,
     the upper endpoint where the lower band does.  Reading the band
     horizontally this way yields strongly asymmetric period intervals
     even though the level band itself is symmetric.  An upper endpoint
-    beyond ``m_max`` years is reported as inf.
+    beyond ``_M_MAX`` (1e7) years is reported as inf.
     """
     m_hat = return_period(fit, level, cal)
     m_min = 1.0001 / _rate_factor(fit, cal)
@@ -305,7 +305,7 @@ def return_period_band(fit: GpdFit, level: float,
     else:
         m_lo = 10.0 ** brentq(hi_gap, *lo_bracket, xtol=1e-12)
 
-    hi_bracket = (math.log10(max(m_hat, m_min * 1.01)), math.log10(m_max))
+    hi_bracket = (math.log10(max(m_hat, m_min * 1.01)), math.log10(_M_MAX))
     if lo_gap(hi_bracket[1]) < 0.0:
         m_hi = math.inf
     else:

@@ -9,7 +9,7 @@ from scipy.optimize import minimize
 import flarevt as fv
 from flarevt import (ConvergenceError, DomainError, FitConvergence, GpdParams,
                      InsufficientDataError)
-from flarevt.gpd import (SHAPE_SWITCH_TOL, _covariance_2d, _loglik_derivatives,
+from flarevt.gpd import (SHAPE_SWITCH_TOL, _covariance, _loglik_derivatives,
                          fit_from_json_dict, fit_to_json_dict)
 
 # frozen with 40-digit arithmetic from the closed forms
@@ -213,9 +213,9 @@ class TestFit:
         # away from the optimum the log-likelihood curves upward in the
         # scale direction, so the observed information is not positive
         # definite and no covariance should be reported
-        from flarevt.gpd import _covariance_2d
         y = fv.gpd_sample(GpdParams(1.0, 0.1), 500, seed=12)
-        cov, std = _covariance_2d(y, 3.0 * float(y.mean()), 0.1)
+        scale = 3.0 * float(y.mean())
+        cov, std = _covariance(*_loglik_derivatives(y, scale, 0.1)[1:], scale, False)
         assert cov is None and std is None
 
     def test_counts_recorded(self):
@@ -296,7 +296,8 @@ class TestShapeNearZero:
     def _standard_errors(self):
         y = np.random.default_rng(17).exponential(1.0, 500)
         scale = float(y.mean())
-        return y, scale, [_covariance_2d(y, scale, shape)[1] for shape in self.SHAPES]
+        return y, scale, [_covariance(*_loglik_derivatives(y, scale, shape)[1:], scale, False)[1]
+                          for shape in self.SHAPES]
 
     def test_standard_errors_continuous_across_switch(self):
         _, _, ses = self._standard_errors()
@@ -403,6 +404,60 @@ class TestDifferentialFit:
                 if pinned.scale != pytest.approx(ref_scale, rel=1e-6):
                     mismatches.append((i, n, "fixed_shape", pinned.scale, ref_scale))
         assert not mismatches
+
+
+# float.hex of scale, shape, log-likelihood, the four covariance entries and
+# the two standard errors, then (iterations, function_evals, restarts); the
+# tolerance tests above cannot see a change in the last bit
+BIT_EXACT_FITS = [
+    pytest.param(lambda: fv.gpd_sample(GpdParams(1.0, 0.25), 200, seed=1), None,
+                 ["0x1.04a5fe8538265p+0", "0x1.01581b0f2a836p-2", "-0x1.fbb91a512ce17p+7",
+                  "0x1.882e06d48ed7fp-7", "-0x1.60e5580fe7f95p-8",
+                  "-0x1.60e5580fe7f95p-8", "0x1.c1a5e86bfbe49p-8",
+                  "0x1.c01a4c46270f8p-4", "0x1.53474c7c06227p-4"],
+                 (6, 6, 0), id="free 0.25"),
+    pytest.param(lambda: fv.gpd_sample(GpdParams(1.0, -0.3), 200, seed=2), None,
+                 ["0x1.20f5c91083ff3p+0", "-0x1.b6d1f43afc4fep-2", "-0x1.1507c53b67174p+7",
+                  "0x1.95bbd9653ad1dp-7", "-0x1.fb8a75d27ebe2p-8",
+                  "-0x1.fb8a75d27ebe2p-8", "0x1.7166e7fc6911dp-8",
+                  "0x1.c7c7c2edf24b4p-4", "0x1.33846f8517dd3p-4"],
+                 (6, 7, 3), id="free -0.3"),
+    # generated in the exponential band; the fit ends just outside it
+    pytest.param(lambda: fv.gpd_sample(GpdParams(1.0, 1e-7), 200, seed=3), None,
+                 ["0x1.f35154f06bc11p-1", "-0x1.22e526914bedap-7", "-0x1.826a8ce926ef3p+7",
+                  "0x1.d742d9bc0e940p-8", "-0x1.4d023e871fc14p-9",
+                  "-0x1.4d023e871fc14p-9", "0x1.4fb36034c1f76p-9",
+                  "0x1.5b5638536d3c8p-4", "0x1.9e9526ce52345p-5"],
+                 (6, 7, 1), id="free 1e-7"),
+    # the fit ends where |shape| * max(y) / scale < 0.05, the series branch
+    pytest.param(lambda: np.random.default_rng(26).exponential(1.0, 400), None,
+                 ["0x1.0967768e7a5a1p+0", "0x1.15a925b8c3ab2p-9", "-0x1.9f472359360e4p+8",
+                  "0x1.4cbfc6dd1ebb8p-8", "-0x1.2d7b001acf730p-9",
+                  "-0x1.2d7b001acf730p-9", "0x1.237e5eeafcaf0p-9",
+                  "0x1.23dcd34d17acbp-4", "0x1.825273291e3fep-5"],
+                 (6, 7, 1), id="series"),
+    pytest.param(lambda: fv.gpd_sample(GpdParams(1.0, 0.1), 200, seed=4), 0.0,
+                 ["0x1.42099f759c66cp+0", "0x0.0p+0", "-0x1.ebcbdc7452728p+7",
+                  "0x1.034540f60ebf4p-7", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+                  "0x1.6c580c88433c3p-4", "0x0.0p+0"],
+                 (1, 1, 0), id="pinned 0.0"),
+    pytest.param(lambda: fv.gpd_sample(GpdParams(1.0, -0.3), 200, seed=5), -0.5,
+                 ["0x1.7bbd8285c8272p+0", "-0x1.0000000000000p-1", "-0x1.2bc7eae7e8792p+7",
+                  "0x1.bbcbb71553f5ap-13", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+                  "0x1.dcadf98761ceap-7", "0x0.0p+0"],
+                 (10, 21, 11), id="pinned -0.5"),
+]
+
+
+class TestBitExactFits:
+    @pytest.mark.parametrize("sample,fixed_shape,want_hex,want_counts", BIT_EXACT_FITS)
+    def test_fit_bits_pinned(self, sample, fixed_shape, want_hex, want_counts):
+        fit = fv.fit_gpd(sample(), fixed_shape=fixed_shape)
+        values = [fit.scale, fit.shape, fit.log_likelihood, *np.ravel(fit.covariance),
+                  *fit.std_errors]
+        conv = fit.convergence
+        assert [float(v).hex() for v in values] == want_hex
+        assert (conv.iterations, conv.function_evals, conv.restarts) == want_counts
 
 
 class TestMeanExcess:

@@ -588,13 +588,19 @@ class TestFluxSeries:
         np.testing.assert_array_equal(series.flux, want_flux)
         assert series.n_observations == np.count_nonzero(~np.isnan(want_flux))
 
-    def test_nat_stamp_is_no_ordering_fault(self):
-        # numpy's datetime comparisons are false with NaT, so the ordering
-        # check lets a NaT stamp through, in any block
-        ts, flux = self._blocks_of_rows(2 * self.BLOCK + 5)
-        ts[[0, self.BLOCK, 2 * self.BLOCK + 4]] = np.datetime64("NaT")
-        series = fv.FluxSeries(ts, flux)
-        np.testing.assert_array_equal(series.timestamps, ts)
+    @pytest.mark.parametrize("n,row", [(2 * BLOCK + 5, 0), (2 * BLOCK + 5, BLOCK),
+                                       (2 * BLOCK + 5, 2 * BLOCK + 4), (1, 0)],
+                             ids=["first row", "block start", "last row", "one row"])
+    def test_nat_stamp_is_no_ordering_fault(self, n, row):
+        # NaT is the int64 minimum and compares false as a datetime, so it
+        # is refused by name, in any block and in any stamp dtype
+        ts, flux = self._blocks_of_rows(n)
+        ts[row] = np.datetime64("NaT")
+        for given in (ts, ts.astype("datetime64[s]"), ts.astype(np.int64)):
+            with pytest.raises(DomainError) as exc:
+                fv.FluxSeries(given, flux)
+            assert type(exc.value) is DomainError
+            assert str(exc.value) == "timestamps must not be NaT"
 
     def test_converted_stamps_of_many_blocks(self):
         n = 2 * self.BLOCK + 5

@@ -162,6 +162,8 @@ BAD_FLAG_VALUES = [
     ("returns", "--level", "-1", "every value of scenario_levels must be > 0"),
     ("returns", "--level", "-1e-4", "every value of scenario_levels must be > 0"),
     ("returns", "--years", "-5E+1", "every value of scenario_years must be > 0"),
+    ("returns", "--level", "-inf", "every value of scenario_levels must be > 0"),
+    ("returns", "--years", "-Infinity", "every value of scenario_years must be > 0"),
     ("synth", "--scale", "-3e-4", "scale must be finite and > 0, got -0.0003"),
     ("fit", "--threshold", "nan", "threshold must be finite and >= 0, got nan"),
     ("fit", "--threshold", "inf", "threshold must be finite and >= 0, got inf"),

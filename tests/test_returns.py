@@ -208,7 +208,7 @@ class TestReturnPeriodBand:
 
     def test_band_clamps_to_the_shortest_and_an_unbounded_period(self):
         # just above the threshold the upper band already exceeds the level at
-        # the shortest period, and the lower band stays below it up to m_max
+        # the shortest period, and the lower band stays below it up to _M_MAX (1e7 years)
         m_hat, m_lo, m_hi = fv.return_period_band(reference_fit(PAPER_COV), 3.6e-4)
         assert m_lo == pytest.approx(1.0001 * MEAN_INTEREXCEEDANCE_YEARS, rel=1e-9)
         assert m_lo < m_hat
