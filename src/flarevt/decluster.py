@@ -221,10 +221,7 @@ class GapSweepCurve:
     event_counts: np.ndarray
 
     def __post_init__(self):
-        gaps = np.asarray(self.gaps, dtype=np.int64)
-        if gaps.size == 0 or np.any(np.diff(gaps) <= 0):
-            raise DomainError("gaps must be non-empty and strictly increasing")
-        object.__setattr__(self, "gaps", gaps)
+        object.__setattr__(self, "gaps", checked_gaps(self.gaps))
         object.__setattr__(self, "lag1", np.asarray(self.lag1, dtype=np.float64))
         object.__setattr__(self, "event_counts",
                            np.asarray(self.event_counts, dtype=np.int64))

@@ -180,7 +180,7 @@ def gpd_loglik(excesses, params: GpdParams) -> float:
         raise InsufficientDataError("need at least one excess")
     if np.any(~np.isfinite(y)) or np.any(y < 0.0):
         raise DomainError("excesses must be finite and >= 0")
-    return float(_loglik_derivatives(y, params.scale, params.shape)[0])
+    return float(_loglik_terms(y, params.scale, params.shape)[0])
 
 
 def gpd_sample(params: GpdParams, count: int, seed: int) -> np.ndarray:
@@ -236,6 +236,19 @@ _ARMIJO = 1e-4        # sufficient-increase fraction of the predicted gain
 _QUADRATIC = 1e-4     # below this decrement a full Newton step is taken
 
 
+def _loglik_terms(y: np.ndarray, scale: float, shape: float):
+    """Log-likelihood at (scale, shape), and a = shape * y / scale and log1p(a)
+    for the derivatives; ``(-inf, None, None)`` outside the support.  Inside the
+    SHAPE_SWITCH_TOL band it is the exponential limit -n log(scale) - sum y / scale."""
+    a = shape * y / scale      # one rounding for the support test and log1p
+    exponential = abs(shape) < SHAPE_SWITCH_TOL
+    if not exponential and a.min(initial=np.inf) <= -1.0:
+        return -math.inf, None, None
+    log1p_a = np.log1p(a)
+    tail = float(y.sum()) / scale if exponential else (1.0 + 1.0 / shape) * float(log1p_a.sum())
+    return -(y.size * np.log(scale) + tail), a, log1p_a
+
+
 def _loglik_derivatives(y: np.ndarray, scale: float, shape: float):
     """Log-likelihood, score and observed information at (scale, shape).
 
@@ -247,19 +260,14 @@ def _loglik_derivatives(y: np.ndarray, scale: float, shape: float):
         d/dlog(scale)   = (1 + shape) sum z/(1+a) - n
         d/dshape        = sum (log1p(a) - a/(1+a)) / shape**2 - sum z/(1+a)
 
-    and the information is minus the matrix of second derivatives.
-    Inside the SHAPE_SWITCH_TOL band the log-likelihood is the
-    exponential limit -n log(scale) - sum z, like every other function
-    of the model.  Returns ``(-inf, None, None)`` outside the support.
+    and the information is minus the matrix of second derivatives.  The
+    log-likelihood comes from :func:`_loglik_terms`; outside the support
+    the result is ``(-inf, None, None)``.
     """
+    ll, a, log1p_a = _loglik_terms(y, scale, shape)
+    if a is None:
+        return ll, None, None
     z = y / scale
-    a = shape * y / scale      # one rounding for the support test and log1p
-    exponential = abs(shape) < SHAPE_SWITCH_TOL
-    if not exponential and a.min(initial=np.inf) <= -1.0:
-        return -math.inf, None, None
-    log1p_a = np.log1p(a)
-    tail = float(y.sum()) / scale if exponential else (1.0 + 1.0 / shape) * float(log1p_a.sum())
-    ll = -(y.size * np.log(scale) + tail)
     u = 1.0 / (1.0 + a)
     zu = z * u
     s1 = float(zu.sum())           # sum z/(1+a)

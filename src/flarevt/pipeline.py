@@ -331,53 +331,37 @@ def build_scenarios(fit: GpdFit, config: PipelineConfig) -> dict:
     cal = ObservationCalendar(config.obs_per_year)
     scenarios: dict[str, dict] = {}
     for level in config.scenario_levels:
-        key = f"x{x_class(level):g}_return_period"
+        entry = scenarios[f"x{x_class(level):g}_return_period"] = {
+            "level_wm2": level, "x_class": x_class(level)}
         if level <= fit.threshold:
-            scenarios[key] = {"level_wm2": level, "x_class": x_class(level),
-                              "note": "level at or below the fit threshold"}
+            entry["note"] = "level at or below the fit threshold"
             continue
         try:
             m_hat, m_lo, m_hi = return_period_band(fit, level, cal, config.ci_level)
         except Exception as exc:  # no usable covariance, unbounded, ...
-            scenarios[key] = {"level_wm2": level, "x_class": x_class(level),
-                              "note": str(exc)}
+            entry["note"] = str(exc)
             continue
-        scenarios[key] = {
-            "level_wm2": level,
-            "x_class": x_class(level),
-            "return_period_years": m_hat,
-            "ci_low_years": m_lo,
-            "ci_high_years": None if math.isinf(m_hi) else m_hi,
-            "ci_level": config.ci_level,
-        }
+        entry.update(return_period_years=m_hat, ci_low_years=m_lo,
+                     ci_high_years=None if math.isinf(m_hi) else m_hi,
+                     ci_level=config.ci_level)
     for years in config.scenario_years:
         ci = return_level_ci(fit, years, cal, config.ci_level)
         scenarios[f"level_{years:g}yr"] = {
-            "m_years": years,
-            "level_wm2": ci.level,
-            "x_class": x_class(ci.level),
-            "ci_low_wm2": ci.asym_low,
-            "ci_high_wm2": ci.asym_high,
-            "sym_ci_low_wm2": ci.low,
-            "sym_ci_high_wm2": ci.high,
-            "ci_level": config.ci_level,
-        }
+            **_level_row(years, ci), "sym_ci_low_wm2": ci.low,
+            "sym_ci_high_wm2": ci.high, "ci_level": config.ci_level}
     return scenarios
+
+
+def _level_row(m: float, ci) -> dict:
+    """A return level as the report quotes it: with the asymmetric interval."""
+    return {"m_years": m, "level_wm2": ci.level, "x_class": x_class(ci.level),
+            "ci_low_wm2": ci.asym_low, "ci_high_wm2": ci.asym_high}
 
 
 def build_return_table(fit: GpdFit, config: PipelineConfig) -> list[dict]:
     cal = ObservationCalendar(config.obs_per_year)
-    table = []
-    for m in config.return_table_years:
-        ci = return_level_ci(fit, m, cal, config.ci_level)
-        table.append({
-            "m_years": m,
-            "level_wm2": ci.level,
-            "x_class": x_class(ci.level),
-            "ci_low_wm2": ci.asym_low,
-            "ci_high_wm2": ci.asym_high,
-        })
-    return table
+    return [_level_row(m, return_level_ci(fit, m, cal, config.ci_level))
+            for m in config.return_table_years]
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +457,7 @@ def _returns_stage(run) -> tuple[str, ...]:
     cal = ObservationCalendar(config.obs_per_year)
     curve = return_curve(fit, return_period_grid(fit, config), cal, config.ci_level)
     write_text(run.out / "returns.csv", curve.to_csv_text())
-    write_json(run.out / "returns.json", curve.to_json_dict(fit))
+    write_json(run.out / "returns.json", {**curve.to_json_dict(), "fit": fit_to_json_dict(fit)})
     run.table = build_return_table(fit, config)
     run.scenarios = build_scenarios(fit, config)
     write_json(run.out / "return_table.json", run.table)

@@ -28,7 +28,7 @@ from scipy.stats import norm
 
 from ._table import table_points, table_text
 from .errors import CiUnavailableError, DomainError, InfiniteReturnError
-from .gpd import SHAPE_SWITCH_TOL, GpdFit, fit_to_json_dict
+from .gpd import SHAPE_SWITCH_TOL, GpdFit
 
 __all__ = [
     "ObservationCalendar",
@@ -67,6 +67,14 @@ def _rate_factor(fit: GpdFit, cal: ObservationCalendar) -> float:
     return cal.obs_per_year * fit.exceedance_rate
 
 
+def _level(fit: GpdFit, r: float) -> float:
+    """Level exceeded on average once per ``r`` expected exceedances."""
+    scale, shape = fit.scale, fit.shape
+    if abs(shape) < SHAPE_SWITCH_TOL:
+        return fit.threshold + scale * math.log(r)
+    return fit.threshold + (scale / shape) * (r ** shape - 1.0)
+
+
 def return_level(fit: GpdFit, m: float,
                  cal: ObservationCalendar = _DEFAULT_CAL) -> float:
     """Level exceeded on average once per ``m`` years.
@@ -83,10 +91,7 @@ def return_level(fit: GpdFit, m: float,
         warnings.warn(
             f"return level for m={m} years lies below the fit threshold",
             SubThresholdReturnWarning, stacklevel=2)
-    scale, shape = fit.scale, fit.shape
-    if abs(shape) < SHAPE_SWITCH_TOL:
-        return fit.threshold + scale * math.log(r)
-    return fit.threshold + (scale / shape) * (r ** shape - 1.0)
+    return _level(fit, r)
 
 
 def return_period(fit: GpdFit, level: float,
@@ -114,29 +119,50 @@ def return_period(fit: GpdFit, level: float,
     return math.exp(log_r) / _rate_factor(fit, cal)
 
 
-def _gradient(fit: GpdFit, m: float, cal: ObservationCalendar) -> np.ndarray:
-    """d(return level)/d(zeta, scale, shape) at the fitted values."""
-    zeta = fit.exceedance_rate
-    scale, shape = fit.scale, fit.shape
-    r = m * cal.obs_per_year * zeta
-    log_r = math.log(r)
-    if abs(shape) < SHAPE_SWITCH_TOL:
-        return np.array([scale / zeta, log_r, scale * log_r * log_r / 2.0])
-    rx = r ** shape
-    return np.array([
-        scale * rx / zeta,
-        (rx - 1.0) / shape,
-        scale * (-(rx - 1.0) / shape**2 + rx * log_r / shape),
-    ])
-
-
 @functools.lru_cache(maxsize=8)
 def _normal_quantile(ci_level: float) -> float:
     """Two-sided standard normal quantile for ``ci_level``.
 
-    Cached: a period band evaluates the same interval level a dozen times.
+    Cached: ``norm.ppf`` costs ~0.1 ms, more than a whole interval, and a
+    Monte Carlo study asks for the same level thousands of times.
     """
     return float(norm.ppf(0.5 + ci_level / 2.0))
+
+
+def _delta_inputs(fit: GpdFit, ci_level: float) -> tuple[np.ndarray, float]:
+    """The (zeta, scale, shape) covariance and the normal quantile for ``ci_level``."""
+    if fit.covariance is None:
+        raise CiUnavailableError("fit covariance is unavailable")
+    if not 0.0 < ci_level < 1.0:
+        raise DomainError("ci_level must lie in (0, 1)")
+    zeta = fit.exceedance_rate
+    if not 0.0 < zeta < 1.0:
+        raise DomainError("exceedance rate must lie strictly in (0, 1)")
+    cov = np.zeros((3, 3))
+    cov[0, 0] = zeta * (1.0 - zeta) / fit.n_total
+    cov[1:, 1:] = fit.covariance
+    return cov, _normal_quantile(ci_level)
+
+
+def _delta(fit: GpdFit, m: float, cal: ObservationCalendar,
+           cov: np.ndarray) -> tuple[float, float]:
+    """The ``m``-year level and its delta-method standard error sqrt(g' cov g)."""
+    if not m > 0.0:
+        raise DomainError("m must be > 0 years")
+    level = _level(fit, m * _rate_factor(fit, cal))
+    zeta = fit.exceedance_rate
+    scale, shape = fit.scale, fit.shape
+    # (m * d) * zeta here, m * (d * zeta) in the level: one shared r would
+    # move the last bit of most curve intervals, so each keeps its rounding
+    r = m * cal.obs_per_year * zeta
+    log_r = math.log(r)
+    if abs(shape) < SHAPE_SWITCH_TOL:
+        g = np.array([scale / zeta, log_r, scale * log_r * log_r / 2.0])
+    else:
+        rx = r ** shape
+        g = np.array([scale * rx / zeta, (rx - 1.0) / shape,
+                      scale * (-(rx - 1.0) / shape**2 + rx * log_r / shape)])
+    return level, math.sqrt(max(float(g @ cov @ g), 0.0))
 
 
 @dataclass(frozen=True)
@@ -159,16 +185,31 @@ class ReturnLevelInterval:
     ci_level: float
 
 
+def _interval(fit: GpdFit, m: float, cal: ObservationCalendar, ci_level: float,
+              cov: np.ndarray, z: float) -> ReturnLevelInterval:
+    level, se = _delta(fit, m, cal, cov)
+    low, high = level - z * se, level + z * se
+    excess = level - fit.threshold
+    if se == 0.0 or excess <= 0.0:
+        asym_low, asym_high = low, high
+    else:
+        # degenerate as the level approaches the threshold: spread -> inf
+        spread = z * se / excess
+        asym_low = fit.threshold + excess * math.exp(-spread)
+        asym_high = (fit.threshold + excess * math.exp(spread)
+                     if spread < 700.0 else math.inf)
+    return ReturnLevelInterval(float(m), level, se, low, high, asym_low, asym_high,
+                               ci_level)
+
+
 def return_level_ci(fit: GpdFit, m: float,
                     cal: ObservationCalendar = _DEFAULT_CAL,
-                    ci_level: float = 0.95,
-                    zeta_variance: float | None = None) -> ReturnLevelInterval:
+                    ci_level: float = 0.95) -> ReturnLevelInterval:
     """Confidence interval for the ``m``-year return level.
 
-    The variance is g' V g with g the analytic gradient over
-    (zeta, scale, shape) and V the fit covariance extended by the
-    exceedance-rate variance (binomial by default, overridable via
-    ``zeta_variance`` for sensitivity checks).
+    The variance is g' V g, with V the fit covariance extended by the
+    binomial exceedance-rate variance.  Below the mean inter-exceedance
+    time the level falls under the fit threshold, with no warning.
 
     Raises
     ------
@@ -176,41 +217,7 @@ def return_level_ci(fit: GpdFit, m: float,
         The fit carries no usable covariance (level itself is still
         computable via :func:`return_level`).
     """
-    if fit.covariance is None:
-        raise CiUnavailableError("fit covariance is unavailable")
-    if not 0.0 < ci_level < 1.0:
-        raise DomainError("ci_level must lie in (0, 1)")
-    zeta = fit.exceedance_rate
-    if not 0.0 < zeta < 1.0:
-        raise DomainError("exceedance rate must lie strictly in (0, 1)")
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SubThresholdReturnWarning)
-        level = return_level(fit, m, cal)
-    g = _gradient(fit, m, cal)
-    var_zeta = zeta * (1.0 - zeta) / fit.n_total if zeta_variance is None else float(zeta_variance)
-    cov = np.zeros((3, 3))
-    cov[0, 0] = var_zeta
-    cov[1:, 1:] = fit.covariance
-    variance = float(g @ cov @ g)
-    se = math.sqrt(max(variance, 0.0))
-    z = _normal_quantile(ci_level)
-
-    excess = level - fit.threshold
-    if se == 0.0 or excess <= 0.0:
-        asym_low, asym_high = level - z * se, level + z * se
-    else:
-        # degenerate as the level approaches the threshold: spread -> inf
-        spread = z * se / excess
-        asym_low = fit.threshold + excess * math.exp(-spread)
-        asym_high = (fit.threshold + excess * math.exp(spread)
-                     if spread < 700.0 else math.inf)
-    return ReturnLevelInterval(
-        m=float(m), level=level, std_error=se,
-        low=level - z * se, high=level + z * se,
-        asym_low=asym_low, asym_high=asym_high,
-        ci_level=ci_level,
-    )
+    return _interval(fit, m, cal, ci_level, *_delta_inputs(fit, ci_level))
 
 
 @dataclass(frozen=True)
@@ -233,8 +240,8 @@ class ReturnLevelCurve:
         return table_text("m_years,level,ci_low,ci_high",
                           self.m, self.level, self.ci_low, self.ci_high)
 
-    def to_json_dict(self, fit: GpdFit | None = None) -> dict:
-        doc = {
+    def to_json_dict(self) -> dict:
+        return {
             "ci_level": float(self.ci_level),
             "ci_method": "delta",
             "asymmetric_ci_method": "delta-log-excess",
@@ -242,9 +249,6 @@ class ReturnLevelCurve:
                 ("m_years", "level", "ci_low", "ci_high", "asym_ci_low", "asym_ci_high"),
                 self.m, self.level, self.ci_low, self.ci_high, self.asym_low, self.asym_high),
         }
-        if fit is not None:
-            doc["fit"] = fit_to_json_dict(fit)
-        return doc
 
 
 def return_curve(fit: GpdFit, m_grid,
@@ -263,18 +267,11 @@ def return_curve(fit: GpdFit, m_grid,
     if grid[0] <= m_min:
         raise DomainError(
             f"m_grid must start above the mean inter-exceedance time {m_min:.4g} years")
-
-    n = grid.size
-    level = np.empty(n)
-    lo = np.empty(n)
-    hi = np.empty(n)
-    alo = np.empty(n)
-    ahi = np.empty(n)
-    for i, m in enumerate(grid):
-        ci = return_level_ci(fit, float(m), cal, ci_level)
-        level[i], lo[i], hi[i] = ci.level, ci.low, ci.high
-        alo[i], ahi[i] = ci.asym_low, ci.asym_high
-    return ReturnLevelCurve(grid, level, lo, hi, alo, ahi, ci_level)
+    cov, z = _delta_inputs(fit, ci_level)
+    cis = [_interval(fit, m, cal, ci_level, cov, z) for m in grid.tolist()]
+    columns = (np.array([getattr(ci, name) for ci in cis])
+               for name in ("level", "low", "high", "asym_low", "asym_high"))
+    return ReturnLevelCurve(grid, *columns, ci_level)
 
 
 def return_period_band(fit: GpdFit, level: float,
@@ -291,23 +288,17 @@ def return_period_band(fit: GpdFit, level: float,
     beyond ``_M_MAX`` (1e7) years is reported as inf.
     """
     m_hat = return_period(fit, level, cal)
+    cov, z = _delta_inputs(fit, ci_level)
     m_min = 1.0001 / _rate_factor(fit, cal)
 
-    def hi_gap(log_m):
-        return return_level_ci(fit, 10.0 ** log_m, cal, ci_level).high - level
+    def gap(log_m, side):
+        """Upper (side +1) or lower (side -1) band at 10**log_m, less the level."""
+        at, se = _delta(fit, 10.0 ** log_m, cal, cov)
+        return at + side * z * se - level
 
-    def lo_gap(log_m):
-        return return_level_ci(fit, 10.0 ** log_m, cal, ci_level).low - level
-
-    lo_bracket = (math.log10(m_min), math.log10(max(m_hat, m_min * 1.01)))
-    if hi_gap(lo_bracket[0]) >= 0.0:
-        m_lo = m_min
-    else:
-        m_lo = 10.0 ** brentq(hi_gap, *lo_bracket, xtol=1e-12)
-
-    hi_bracket = (math.log10(max(m_hat, m_min * 1.01)), math.log10(_M_MAX))
-    if lo_gap(hi_bracket[1]) < 0.0:
-        m_hi = math.inf
-    else:
-        m_hi = 10.0 ** brentq(lo_gap, *hi_bracket, xtol=1e-12)
+    lo, mid, hi = (math.log10(m) for m in (m_min, max(m_hat, m_min * 1.01), _M_MAX))
+    m_lo = (m_min if gap(lo, 1.0) >= 0.0
+            else 10.0 ** brentq(gap, lo, mid, args=(1.0,), xtol=1e-12))
+    m_hi = (math.inf if gap(hi, -1.0) < 0.0
+            else 10.0 ** brentq(gap, mid, hi, args=(-1.0,), xtol=1e-12))
     return m_hat, m_lo, m_hi

@@ -201,6 +201,11 @@ class TestGapSweep:
         with pytest.raises(DomainError):
             fv.gap_sweep(series, 1.0, [3, 2])
 
+    @pytest.mark.parametrize("gaps", [[], [0, 1], [3, 2], [2, 2]])
+    def test_curve_follows_the_sweep_gap_rule(self, gaps):
+        with pytest.raises(DomainError):
+            fv.GapSweepCurve(gaps, np.full(len(gaps), np.nan), np.zeros(len(gaps)))
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.data())
     def test_matches_decluster_at_every_gap(self, data):

@@ -119,6 +119,18 @@ class TestLoglik:
         for excesses in ([3.0], [1.0, 9.0]):
             assert fv.gpd_loglik(excesses, GpdParams(1.0, -0.5)) == -np.inf
 
+    @pytest.mark.parametrize("shape", [0.26, -0.3, 1e-7])
+    def test_equals_the_derivative_routine_value(self, shape):
+        y = fv.gpd_sample(GpdParams(1.0, shape), 171, seed=1)
+        for scale in (1.0, 1.3):
+            assert (fv.gpd_loglik(y, GpdParams(scale, shape))
+                    == _loglik_derivatives(y, scale, shape)[0])
+
+    def test_derivative_routine_outside_the_support(self):
+        y = np.array([1.0, 9.0])
+        assert _loglik_derivatives(y, 1.0, -0.5) == (-np.inf, None, None)
+        assert fv.gpd_loglik(y, GpdParams(1.0, -0.5)) == -np.inf
+
     def test_empty_rejected(self):
         with pytest.raises(InsufficientDataError):
             fv.gpd_loglik([], REFERENCE)

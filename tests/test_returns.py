@@ -1,3 +1,8 @@
+import dataclasses
+import hashlib
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,18 +28,85 @@ CI_SYM_100YR = (0.00175398401808, 0.00858810236594)
 CI_ASYM_100YR = (0.00272313127721, 0.0101440041002)
 
 
-def reference_fit(covariance=None):
+def reference_fit(covariance=None, shape=0.26):
     std = None
     if covariance is not None:
         covariance = np.asarray(covariance, dtype=float)
         std = (float(np.sqrt(covariance[0, 0])), float(np.sqrt(covariance[1, 1])))
-    return fv.GpdFit(threshold=3.5e-4, params=GpdParams(2.98e-4, 0.26),
+    return fv.GpdFit(threshold=3.5e-4, params=GpdParams(2.98e-4, shape),
                      covariance=covariance, std_errors=std,
                      n_excesses=171, n_total=15_768_000, log_likelihood=0.0,
                      convergence=fv.FitConvergence(True, 0, 0, 0, "frozen"))
 
 
 PAPER_COV = np.diag([(0.02e-4) ** 2, 0.09 ** 2])
+
+# float.hex pins, recorded from the implementation they guard, so that a
+# change in the last bit fails.  Per fit: (level, std_error, low, high,
+# asym_low, asym_high) of return_level_ci at 10, 150 and 1e4 years; the
+# return_period_band triple at X45 and X200 (None: InfiniteReturnError, the
+# level lies past the fitted endpoint); and the sha256 of the float.hex of
+# the five curve columns on the pipeline's default return-period grid.
+BIT_FITS = {"paper": (PAPER_COV, 0.26), "tight": (PAPER_COV / 100.0, 0.26),
+            "exponential": (PAPER_COV, 1e-7), "bounded": (PAPER_COV, -0.2)}
+BIT_PINS = {
+    "paper": (
+        {
+            10.0: ('0x1.4575d4774df9cp-9', '0x1.e20f43edba3d6p-12', '0x1.9eb73604fcf58p-10',
+                   '0x1.bb900dec1d78cp-9', '0x1.ca435ffe487a7p-10', '0x1.d86c921f60ecbp-9'),
+            150.0: ('0x1.7e5e17228b352p-8', '0x1.17cc0f66163a7p-9', '0x1.b0af866e922e8p-10',
+                    '0x1.48482654b8ef5p-7', '0x1.7d19b3ed05612p-9', '0x1.8cd9e629f2899p-7'),
+            1e4: ('0x1.36b0f9aa9990ep-6', '0x1.ab3821bf86d40p-7', '-0x1.afe74c3f7e4a0p-8',
+                  '0x1.6cade332895a2p-5', '0x1.4c03d427d6757p-8', '0x1.2e5332da7b692p-4'),
+        },
+        {
+            45e-4: ('0x1.f99dece58678cp+5', '0x1.3a4ab87758166p+4', 'inf'),
+            200e-4: ('0x1.7c6ffcd7768bcp+13', '0x1.f0aa4e9e46c1ep+9', 'inf'),
+        },
+        "76e7878c8c5a4200f686a76f9dcf94d08cc1d7e30546c29adbed59239853e355"),
+    "tight": (
+        {
+            10.0: ('0x1.4575d4774df9cp-9', '0x1.4d7de9f08d5dbp-14', '0x1.3108c61871197p-9',
+                   '0x1.59e2e2d62ada1p-9', '0x1.31c337ff67b6ep-9', '0x1.5aa6a30a2f5cap-9'),
+            150.0: ('0x1.7e5e17228b352p-8', '0x1.06b86086fcf0cp-12', '0x1.5e2f55e81a5f6p-8',
+                    '0x1.9e8cd85cfc0aep-8', '0x1.5f9568f680047p-8', '0x1.a008f1fdb3ee4p-8'),
+            1e4: ('0x1.36b0f9aa9990ep-6', '0x1.64ce6946a43b9p-10', '0x1.0afbbc493270ap-6',
+                  '0x1.6266370c00b12p-6', '0x1.0df89c4ee390bp-6', '0x1.65afc91b54ad0p-6'),
+        },
+        {
+            45e-4: ('0x1.f99dece58678cp+5', '0x1.91f2a0d0ac5c1p+5', '0x1.49fbc8223c10ep+6'),
+            200e-4: ('0x1.7c6ffcd7768bcp+13', '0x1.da798c3c1a315p+12', '0x1.60537c74e0399p+14'),
+        },
+        "29d8559111ca30e8a84278ac32e089afe254501eca46df294a0eb5e424dff0d8"),
+    "exponential": (
+        {
+            10.0: ('0x1.9796d398a7c02p-10', '0x1.ce7dc88656178p-13', '0x1.2647e7149ff18p-10',
+                   '0x1.0472e00e57c76p-9', '0x1.3860e1f98e9d6p-10', '0x1.0ff199a866b84p-9'),
+            150.0: ('0x1.3591ce146aa5fp-9', '0x1.40bde089e18bep-11', '0x1.30d168b76b11ep-10',
+                    '0x1.d2bae7cd1fc2fp-9', '0x1.7e595405de790p-10', '0x1.0637f6922cee8p-8'),
+            1e4: ('0x1.d99b9545f76c1p-9', '0x1.a5a4946914358p-10', '0x1.e33e11e0f5918p-12',
+                  '0x1.bb67b427e8130p-8', '0x1.a1552dda5c9b5p-10', '0x1.246f4f25dbcd1p-7'),
+        },
+        {
+            45e-4: ('0x1.7ec029b1f64b3p+17', '0x1.255e9996a7d44p+9', 'inf'),
+            200e-4: ('0x1.8960770ed142fp+92', '0x1.8302467eea808p+29', 'inf'),
+        },
+        "d508039e8c590b0cb63fa480e28a3740db646debe53c4ba4ea517a82d4eba9d7"),
+    "bounded": (
+        {
+            10.0: ('0x1.34581b8c1d23ep-10', '0x1.124bf10d59d75p-13', '0x1.e2491379adcfap-11',
+                   '0x1.778bad5b635ffp-10', '0x1.f52300d6c18a2p-11', '0x1.8323557459b2ep-10'),
+            150.0: ('0x1.7d1c038125253p-10', '0x1.12fbb8de1b468p-12', '0x1.ecbd7cc2f0c3ep-11',
+                    '0x1.01eca45068f44p-9', '0x1.1163a8f8f66f7p-10', '0x1.145b332fcb3f4p-9'),
+            1e4: ('0x1.b6a34fe338b44p-10', '0x1.c43212f5eb996p-12', '0x1.b221e04b62635p-11',
+                  '0x1.4a1ad7d0601b7p-9', '0x1.12e4498952238p-10', '0x1.7665033d55a40p-9'),
+        },
+        {
+            45e-4: None,
+            200e-4: None,
+        },
+        "4ae7b695452141c957ee04efea142ba6c610a5150a22ff77d947448ef4cb0ff8"),
+}
 
 
 class TestReturnLevel:
@@ -123,12 +195,13 @@ class TestReturnPeriod:
 
 
 class TestReturnLevelCi:
-    def test_zero_covariance_zero_width(self):
+    def test_zero_fit_covariance_leaves_the_rate_term(self):
         fit = reference_fit(covariance=np.zeros((2, 2)))
-        ci = fv.return_level_ci(fit, 100.0, zeta_variance=0.0)
-        assert ci.std_error == 0.0
-        assert ci.low == ci.high == ci.level
-        assert ci.asym_low == ci.asym_high == ci.level
+        ci = fv.return_level_ci(fit, 100.0)
+        zeta = fit.exceedance_rate
+        g_zeta = fit.scale * (100.0 * 525_600.0 * zeta) ** fit.shape / zeta
+        assert ci.std_error == pytest.approx(
+            g_zeta * math.sqrt(zeta * (1.0 - zeta) / fit.n_total), rel=1e-12)
 
     def test_reference_interval_regression(self):
         ci = fv.return_level_ci(reference_fit(PAPER_COV), 100.0)
@@ -148,6 +221,25 @@ class TestReturnLevelCi:
     def test_asymmetric_interval_is_right_skewed(self):
         ci = fv.return_level_ci(reference_fit(PAPER_COV), 100.0)
         assert ci.asym_high - ci.level > ci.level - ci.asym_low
+
+    def test_no_warning_below_the_mean_interexceedance_time(self):
+        fit = reference_fit(PAPER_COV)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ci = fv.return_level_ci(fit, 0.01)
+        assert ci.level < fit.threshold
+
+    def test_error_order(self):
+        # missing covariance, then ci_level, then the exceedance rate, then m
+        with pytest.raises(CiUnavailableError):
+            fv.return_level_ci(reference_fit(), 0.0, ci_level=2.0)
+        with pytest.raises(DomainError, match="ci_level"):
+            fv.return_level_ci(reference_fit(PAPER_COV), 0.0, ci_level=2.0)
+        every_minute = dataclasses.replace(reference_fit(PAPER_COV), n_total=171)
+        with pytest.raises(DomainError, match="exceedance rate"):
+            fv.return_level_ci(every_minute, 0.0)
+        with pytest.raises(DomainError, match="m must be > 0"):
+            fv.return_level_ci(reference_fit(PAPER_COV), 0.0)
 
 
 class TestReturnCurve:
@@ -219,6 +311,34 @@ class TestReturnPeriodBand:
         m_hat, m_lo, m_hi = fv.return_period_band(fit, 45e-4)
         assert m_lo < m_hat < m_hi < np.inf
         assert fv.return_level_ci(fit, m_hi).low == pytest.approx(45e-4, rel=1e-6)
+
+
+@pytest.mark.parametrize("name", list(BIT_FITS))
+class TestBitExact:
+    def test_intervals(self, name):
+        fit = reference_fit(*BIT_FITS[name])
+        for m, pins in BIT_PINS[name][0].items():
+            ci = fv.return_level_ci(fit, m)
+            got = tuple(float(v).hex() for v in (ci.level, ci.std_error, ci.low, ci.high,
+                                                 ci.asym_low, ci.asym_high))
+            assert got == pins, m
+
+    def test_bands(self, name):
+        fit = reference_fit(*BIT_FITS[name])
+        for level, pins in BIT_PINS[name][1].items():
+            if pins is None:
+                with pytest.raises(InfiniteReturnError):
+                    fv.return_period_band(fit, level)
+            else:
+                assert tuple(float(v).hex() for v in fv.return_period_band(fit, level)) == pins
+
+    def test_curve(self, name):
+        fit = reference_fit(*BIT_FITS[name])
+        curve = fv.return_curve(fit, return_period_grid(fit, PipelineConfig()))
+        columns = np.concatenate([curve.level, curve.ci_low, curve.ci_high,
+                                  curve.asym_low, curve.asym_high])
+        text = ",".join(float(v).hex() for v in columns)
+        assert hashlib.sha256(text.encode()).hexdigest() == BIT_PINS[name][2]
 
 
 class TestCalendar:
