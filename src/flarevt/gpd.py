@@ -242,7 +242,8 @@ def _loglik_terms(y: np.ndarray, scale: float, shape: float):
     SHAPE_SWITCH_TOL band it is the exponential limit -n log(scale) - sum y / scale."""
     a = shape * y / scale      # one rounding for the support test and log1p
     exponential = abs(shape) < SHAPE_SWITCH_TOL
-    if not exponential and a.min(initial=np.inf) <= -1.0:
+    # y >= 0, so only a negative shape can leave the support
+    if not exponential and shape < 0.0 and a.min(initial=np.inf) <= -1.0:
         return -math.inf, None, None
     log1p_a = np.log1p(a)
     tail = float(y.sum()) / scale if exponential else (1.0 + 1.0 / shape) * float(log1p_a.sum())
@@ -267,21 +268,29 @@ def _loglik_derivatives(y: np.ndarray, scale: float, shape: float):
     ll, a, log1p_a = _loglik_terms(y, scale, shape)
     if a is None:
         return ll, None, None
+    # the five summed terms go into the rows of one buffer, reduced in one
+    # call: a row-wise add.reduce is the same pairwise sum as each row's .sum()
+    t = np.empty((5, y.size))
+    zu, zuu, zuzu, h_terms, q_terms = t
     z = y / scale
-    u = 1.0 / (1.0 + a)
-    zu = z * u
-    s1 = float(zu.sum())           # sum z/(1+a)
-    s2 = float((zu * u).sum())     # sum z/(1+a)**2
-    s3 = float((zu * zu).sum())    # sum z**2/(1+a)**2
-    if abs(shape) * float(z.max()) < _SERIES_TOL:
+    u = np.add(a, 1.0)
+    np.divide(1.0, u, out=u)                        # 1/(1+a)
+    np.multiply(z, u, out=zu)                       # z/(1+a)
+    np.multiply(zu, u, out=zuu)                     # z/(1+a)**2
+    np.multiply(zu, zu, out=zuzu)                   # z**2/(1+a)**2
+    series = abs(shape) * float(z.max()) < _SERIES_TOL
+    if series:
         zz = z * z
-        h = float((zz * polyval(a, _P_COEF)).sum())
-        q = float((zz * z * polyval(a, _Q_COEF)).sum())
+        np.multiply(zz, polyval(a, _P_COEF), out=h_terms)
+        np.multiply(np.multiply(zz, z, out=zz), polyval(a, _Q_COEF), out=q_terms)
     else:
-        au = a * u
-        r = log1p_a - au
-        h = float(r.sum()) / shape**2
-        q = float((2.0 * r - au * au).sum()) / shape**3
+        au = np.multiply(a, u, out=u)
+        r = np.subtract(log1p_a, au, out=h_terms)
+        np.multiply(2.0, r, out=q_terms)
+        q_terms -= np.multiply(au, au, out=au)
+    s1, s2, s3, h, q = np.add.reduce(t, axis=1).tolist()
+    if not series:
+        h, q = h / shape**2, q / shape**3
     w = 1.0 + shape
     score = np.array([w * s1 - y.size, h - s1])
     info = np.array([[w * s2, w * s3 - s1],
@@ -290,21 +299,22 @@ def _loglik_derivatives(y: np.ndarray, scale: float, shape: float):
 
 
 def _ascent_step(score: np.ndarray, info: np.ndarray, fixed_shape: bool):
-    """Newton step, and whether the information was positive definite.
+    """Newton step as a pair of floats, and whether the information was
+    positive definite.
 
     An indefinite information matrix gets its eigenvalues replaced by
     their magnitudes, which keeps the step an ascent direction.
     """
+    (i_tt, i_tx), (_, i_xx) = info.tolist()
+    g_t, g_x = score.tolist()
     if fixed_shape:  # concave in log scale for shape > -1: info[0, 0] > 0
-        return np.array([score[0] / info[0, 0], 0.0]), True
-    (i_tt, i_tx), (_, i_xx) = info
+        return (g_t / i_tt, 0.0), True
     det = i_tt * i_xx - i_tx * i_tx
     if i_tt > 0.0 and det > 0.0:
-        return np.array([i_xx * score[0] - i_tx * score[1],
-                         i_tt * score[1] - i_tx * score[0]]) / det, True
+        return ((i_xx * g_t - i_tx * g_x) / det, (i_tt * g_x - i_tx * g_t) / det), True
     lam, vec = np.linalg.eigh(info)
     lam = np.maximum(np.abs(lam), 1e-12 * np.abs(lam).max())
-    return vec @ ((vec.T @ score) / lam), False
+    return tuple((vec @ ((vec.T @ score) / lam)).tolist()), False
 
 
 def _maximize(y: np.ndarray, scale: float, shape: float, fixed_shape: bool):
@@ -317,21 +327,25 @@ def _maximize(y: np.ndarray, scale: float, shape: float, fixed_shape: bool):
     (shape -> -1, scale -> max(y)) the decrement stays away from 0, so
     such samples fail as soon as an iterate's shape comes within
     _SHAPE_FLOOR of -1, as does a shape pinned there.  Returns the last
-    iterate theta, its log-likelihood, score and information, and the
-    diagnostics.
+    iterate (log scale, shape) as floats, its log-likelihood, score and
+    information, and the diagnostics.
+
+    The iterate and the step are Python floats: their elementwise
+    arithmetic rounds as numpy's does, at a fraction of the cost on two
+    elements.  The decrement stays a numpy dot, whose rounding differs.
     """
-    theta = np.array([math.log(scale), shape])
+    log_scale = math.log(scale)
     ll, score, info = _loglik_derivatives(y, scale, shape)
     evals, halvings = 1, 0
     for it in range(1, _MAX_ITER + 1):
-        if theta[1] < -1.0 + _SHAPE_FLOOR:
-            return theta, ll, score, info, FitConvergence(
+        if shape < -1.0 + _SHAPE_FLOOR:
+            return (log_scale, shape), ll, score, info, FitConvergence(
                 False, it - 1, evals, halvings,
-                _failure_message(y, theta, "shape reached the -1 corner"))
-        step, regular = _ascent_step(score, info, fixed_shape)
-        decrement = float(score @ step)
+                _failure_message(y, log_scale, shape, "shape reached the -1 corner"))
+        (step_t, step_x), regular = _ascent_step(score, info, fixed_shape)
+        decrement = float(score @ np.array((step_t, step_x)))
         if regular and decrement < _DECREMENT_TOL:
-            return theta, ll, score, info, FitConvergence(
+            return (log_scale, shape), ll, score, info, FitConvergence(
                 True, it, evals, halvings, "Newton decrement below tolerance")
         # a step of at most 1% of a standard error (decrement 1e-4) lies
         # where the quadratic model holds; its gain can drown in rounding
@@ -339,27 +353,26 @@ def _maximize(y: np.ndarray, scale: float, shape: float, fixed_shape: bool):
         gain = -math.inf if quadratic else _ARMIJO * decrement
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
-            trial = theta + alpha * step
-            if trial[1] > -1.0:
-                ll_t, score_t, info_t = _loglik_derivatives(
-                    y, math.exp(trial[0]), trial[1])
+            trial_t, trial_x = log_scale + alpha * step_t, shape + alpha * step_x
+            if trial_x > -1.0:
+                ll_t, score_t, info_t = _loglik_derivatives(y, math.exp(trial_t), trial_x)
                 evals += 1
                 if score_t is not None and ll_t >= ll + alpha * gain:
                     break
             alpha *= 0.5
             halvings += 1
         else:
-            return theta, ll, score, info, FitConvergence(
+            return (log_scale, shape), ll, score, info, FitConvergence(
                 False, it, evals, halvings,
-                _failure_message(y, theta, "no step raised the likelihood"))
-        theta, ll, score, info = trial, ll_t, score_t, info_t
-    return theta, ll, score, info, FitConvergence(
+                _failure_message(y, log_scale, shape, "no step raised the likelihood"))
+        log_scale, shape, ll, score, info = trial_t, trial_x, ll_t, score_t, info_t
+    return (log_scale, shape), ll, score, info, FitConvergence(
         False, _MAX_ITER, evals, halvings,
-        _failure_message(y, theta, f"no convergence in {_MAX_ITER} iterations"))
+        _failure_message(y, log_scale, shape, f"no convergence in {_MAX_ITER} iterations"))
 
 
-def _failure_message(y: np.ndarray, theta: np.ndarray, reason: str) -> str:
-    scale, shape = math.exp(theta[0]), float(theta[1])
+def _failure_message(y: np.ndarray, log_scale: float, shape: float, reason: str) -> str:
+    scale = math.exp(log_scale)
     return (f"{reason}; last iterate scale={scale!r}, shape={shape!r}, "
             f"1 + shape*max(y)/scale={1.0 + shape * float(y.max()) / scale:.3g}")
 
@@ -371,8 +384,9 @@ def _covariance(score: np.ndarray, info: np.ndarray, scale: float, fixed_shape: 
     pinned shape has no variance.  (None, None) where the information is
     not positive definite.
     """
+    (i_tt, i_tx), (_, i_xx) = info.tolist()
     # chain rule from log scale; the score term vanishes at the optimum
-    i_ss, i_sx, i_xx = (info[0, 0] + score[0]) / scale**2, info[0, 1] / scale, info[1, 1]
+    i_ss, i_sx = (i_tt + score.tolist()[0]) / scale**2, i_tx / scale
     det = i_ss if fixed_shape else i_ss * i_xx - i_sx * i_sx  # of the 1x1 or 2x2 block
     if not (i_ss > 0.0 and det > 0.0):
         return None, None
@@ -433,9 +447,10 @@ def fit_gpd(excesses, *, threshold: float = 0.0, n_total: int | None = None,
     if y.size < MIN_EXCESSES:
         raise InsufficientDataError(
             f"need at least {MIN_EXCESSES} excesses, got {y.size}")
-    if np.any(~np.isfinite(y)) or np.any(y < 0.0):
+    y_max = float(y.max())
+    if not (0.0 <= float(y.min()) and y_max < math.inf):  # NaN fails both
         raise DomainError("excesses must be finite and >= 0")
-    mean = float(y.mean())
+    mean = float(np.add.reduce(y)) / y.size   # as y.mean() rounds it
     if mean <= 0.0:
         raise DomainError("excesses must contain positive values")
     if n_total is None:
@@ -445,17 +460,17 @@ def fit_gpd(excesses, *, threshold: float = 0.0, n_total: int | None = None,
         state = _maximize(y, mean, 0.1, False)
     else:
         # start inside the support, which ends at -scale/shape
-        scale0 = max(mean, -2.0 * fixed_shape * float(y.max()))
+        scale0 = max(mean, -2.0 * fixed_shape * y_max)
         state = _maximize(y, scale0, float(fixed_shape), True)
-    theta, ll, score, info, convergence = state
+    (log_scale, shape), ll, score, info, convergence = state
     if not convergence.converged:
         raise ConvergenceError("likelihood maximization did not converge",
                                diagnostics=convergence)
-    scale_hat = math.exp(theta[0])
+    scale_hat = math.exp(log_scale)
     cov, std = _covariance(score, info, scale_hat, fixed_shape is not None)
     return GpdFit(
         threshold=threshold,
-        params=GpdParams(scale_hat, float(theta[1])),
+        params=GpdParams(scale_hat, shape),
         covariance=cov,
         std_errors=std,
         n_excesses=int(y.size),

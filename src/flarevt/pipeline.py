@@ -103,15 +103,15 @@ class PipelineConfig:
             raise DomainError("ci_level must lie in (0, 1)")
         if not self.obs_per_year > 0.0:
             raise DomainError("obs_per_year must be > 0")
-        if not (0.0 < self.m_grid_lo < self.m_grid_hi and self.m_grid_count >= 1):
-            raise DomainError("m_grid must satisfy 0 < lo < hi and count >= 1")
+        if not (0.0 < self.m_grid_lo < self.m_grid_hi < math.inf and self.m_grid_count >= 1):
+            raise DomainError("m_grid must satisfy 0 < lo < hi < inf and count >= 1")
         if not (1 <= self.sweep_gap_lo <= self.sweep_gap_hi):
             raise DomainError("sweep gap range must satisfy 1 <= lo <= hi")
         if self.mrl_grid_points < 1:
             raise DomainError("mrl_grid_points must be >= 1")
         for name in ("return_table_years", "scenario_years", "scenario_levels"):
-            if not all(value > 0.0 for value in getattr(self, name)):
-                raise DomainError(f"every value of {name} must be > 0")
+            if not all(0.0 < value < math.inf for value in getattr(self, name)):
+                raise DomainError(f"every value of {name} must be > 0 and finite")
 
     def to_dict(self) -> dict:
         return _to_json(PipelineConfig, self)

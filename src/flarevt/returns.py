@@ -60,6 +60,7 @@ class ObservationCalendar:
 
 _DEFAULT_CAL = ObservationCalendar()
 _M_MAX = 1e7  # years; a period band's upper end beyond it is reported as inf
+_BAD_PERIOD = "m must be > 0 years and finite"
 
 
 def _rate_factor(fit: GpdFit, cal: ObservationCalendar) -> float:
@@ -67,12 +68,11 @@ def _rate_factor(fit: GpdFit, cal: ObservationCalendar) -> float:
     return cal.obs_per_year * fit.exceedance_rate
 
 
-def _level(fit: GpdFit, r: float) -> float:
+def _level(threshold: float, scale: float, shape: float, r: float) -> float:
     """Level exceeded on average once per ``r`` expected exceedances."""
-    scale, shape = fit.scale, fit.shape
     if abs(shape) < SHAPE_SWITCH_TOL:
-        return fit.threshold + scale * math.log(r)
-    return fit.threshold + (scale / shape) * (r ** shape - 1.0)
+        return threshold + scale * math.log(r)
+    return threshold + (scale / shape) * (r ** shape - 1.0)
 
 
 def return_level(fit: GpdFit, m: float,
@@ -83,15 +83,15 @@ def return_level(fit: GpdFit, m: float,
     the fit threshold; it is still returned, with a
     :class:`SubThresholdReturnWarning`.
     """
-    if not m > 0.0:
-        raise DomainError("m must be > 0 years")
+    if not 0.0 < m < math.inf:
+        raise DomainError(_BAD_PERIOD)
     r = m * _rate_factor(fit, cal)
     # tolerance keeps the exact-threshold period from warning on rounding
     if r < 1.0 - 1e-9:
         warnings.warn(
             f"return level for m={m} years lies below the fit threshold",
             SubThresholdReturnWarning, stacklevel=2)
-    return _level(fit, r)
+    return _level(fit.threshold, fit.scale, fit.shape, r)
 
 
 def return_period(fit: GpdFit, level: float,
@@ -129,8 +129,13 @@ def _normal_quantile(ci_level: float) -> float:
     return float(norm.ppf(0.5 + ci_level / 2.0))
 
 
-def _delta_inputs(fit: GpdFit, ci_level: float) -> tuple[np.ndarray, float]:
-    """The (zeta, scale, shape) covariance and the normal quantile for ``ci_level``."""
+def _delta_inputs(fit: GpdFit, cal: ObservationCalendar, ci_level: float):
+    """What every delta-method interval of one fit shares.
+
+    The per-fit constants (threshold, zeta, scale, shape, d, d * zeta) that
+    :func:`_delta` takes, the (zeta, scale, shape) covariance, and the
+    normal quantile for ``ci_level``.
+    """
     if fit.covariance is None:
         raise CiUnavailableError("fit covariance is unavailable")
     if not 0.0 < ci_level < 1.0:
@@ -141,20 +146,21 @@ def _delta_inputs(fit: GpdFit, ci_level: float) -> tuple[np.ndarray, float]:
     cov = np.zeros((3, 3))
     cov[0, 0] = zeta * (1.0 - zeta) / fit.n_total
     cov[1:, 1:] = fit.covariance
-    return cov, _normal_quantile(ci_level)
+    d = cal.obs_per_year
+    fixed = (fit.threshold, zeta, fit.scale, fit.shape, d, d * zeta)
+    return fixed, cov, _normal_quantile(ci_level)
 
 
-def _delta(fit: GpdFit, m: float, cal: ObservationCalendar,
-           cov: np.ndarray) -> tuple[float, float]:
-    """The ``m``-year level and its delta-method standard error sqrt(g' cov g)."""
-    if not m > 0.0:
-        raise DomainError("m must be > 0 years")
-    level = _level(fit, m * _rate_factor(fit, cal))
-    zeta = fit.exceedance_rate
-    scale, shape = fit.scale, fit.shape
+def _delta(m: float, fixed: tuple, cov: np.ndarray) -> tuple[float, float]:
+    """The ``m``-year level and its delta-method standard error sqrt(g' cov g),
+    from the per-fit constants and covariance of :func:`_delta_inputs`."""
+    if not 0.0 < m < math.inf:
+        raise DomainError(_BAD_PERIOD)
+    threshold, zeta, scale, shape, d, rate = fixed
+    level = _level(threshold, scale, shape, m * rate)
     # (m * d) * zeta here, m * (d * zeta) in the level: one shared r would
     # move the last bit of most curve intervals, so each keeps its rounding
-    r = m * cal.obs_per_year * zeta
+    r = m * d * zeta
     log_r = math.log(r)
     if abs(shape) < SHAPE_SWITCH_TOL:
         g = np.array([scale / zeta, log_r, scale * log_r * log_r / 2.0])
@@ -185,18 +191,19 @@ class ReturnLevelInterval:
     ci_level: float
 
 
-def _interval(fit: GpdFit, m: float, cal: ObservationCalendar, ci_level: float,
-              cov: np.ndarray, z: float) -> ReturnLevelInterval:
-    level, se = _delta(fit, m, cal, cov)
+def _interval(m: float, fixed: tuple, cov: np.ndarray, z: float,
+              ci_level: float) -> ReturnLevelInterval:
+    level, se = _delta(m, fixed, cov)
     low, high = level - z * se, level + z * se
-    excess = level - fit.threshold
+    threshold = fixed[0]
+    excess = level - threshold
     if se == 0.0 or excess <= 0.0:
         asym_low, asym_high = low, high
     else:
         # degenerate as the level approaches the threshold: spread -> inf
         spread = z * se / excess
-        asym_low = fit.threshold + excess * math.exp(-spread)
-        asym_high = (fit.threshold + excess * math.exp(spread)
+        asym_low = threshold + excess * math.exp(-spread)
+        asym_high = (threshold + excess * math.exp(spread)
                      if spread < 700.0 else math.inf)
     return ReturnLevelInterval(float(m), level, se, low, high, asym_low, asym_high,
                                ci_level)
@@ -217,7 +224,7 @@ def return_level_ci(fit: GpdFit, m: float,
         The fit carries no usable covariance (level itself is still
         computable via :func:`return_level`).
     """
-    return _interval(fit, m, cal, ci_level, *_delta_inputs(fit, ci_level))
+    return _interval(m, *_delta_inputs(fit, cal, ci_level), ci_level)
 
 
 @dataclass(frozen=True)
@@ -267,8 +274,8 @@ def return_curve(fit: GpdFit, m_grid,
     if grid[0] <= m_min:
         raise DomainError(
             f"m_grid must start above the mean inter-exceedance time {m_min:.4g} years")
-    cov, z = _delta_inputs(fit, ci_level)
-    cis = [_interval(fit, m, cal, ci_level, cov, z) for m in grid.tolist()]
+    fixed, cov, z = _delta_inputs(fit, cal, ci_level)
+    cis = [_interval(m, fixed, cov, z, ci_level) for m in grid.tolist()]
     columns = (np.array([getattr(ci, name) for ci in cis])
                for name in ("level", "low", "high", "asym_low", "asym_high"))
     return ReturnLevelCurve(grid, *columns, ci_level)
@@ -288,12 +295,12 @@ def return_period_band(fit: GpdFit, level: float,
     beyond ``_M_MAX`` (1e7) years is reported as inf.
     """
     m_hat = return_period(fit, level, cal)
-    cov, z = _delta_inputs(fit, ci_level)
+    fixed, cov, z = _delta_inputs(fit, cal, ci_level)
     m_min = 1.0001 / _rate_factor(fit, cal)
 
     def gap(log_m, side):
         """Upper (side +1) or lower (side -1) band at 10**log_m, less the level."""
-        at, se = _delta(fit, 10.0 ** log_m, cal, cov)
+        at, se = _delta(10.0 ** log_m, fixed, cov)
         return at + side * z * se - level
 
     lo, mid, hi = (math.log10(m) for m in (m_min, max(m_hat, m_min * 1.01), _M_MAX))

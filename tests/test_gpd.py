@@ -3,14 +3,16 @@ import time
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 from scipy import stats
 from scipy.optimize import minimize
 
 import flarevt as fv
 from flarevt import (ConvergenceError, DomainError, FitConvergence, GpdParams,
                      InsufficientDataError)
-from flarevt.gpd import (SHAPE_SWITCH_TOL, _covariance, _loglik_derivatives,
-                         fit_from_json_dict, fit_to_json_dict)
+from flarevt.gpd import (_P_COEF, _Q_COEF, _SERIES_TOL, MIN_EXCESSES, SHAPE_SWITCH_TOL,
+                         _covariance, _loglik_derivatives, fit_from_json_dict,
+                         fit_to_json_dict)
 
 # frozen with 40-digit arithmetic from the closed forms
 CDF_AT_REFERENCE_PARAMS = 0.997224165602     # y=41.5e-4, scale=2.98e-4, shape=0.26
@@ -356,6 +358,39 @@ class TestShapeNearZero:
         assert info[0, 1] == info[1, 0]
 
 
+def _derivatives_by_row_sums(y, scale, shape):
+    """Score and information with each term summed by its own .sum(), the
+    reference for the one row-wise reduction of _loglik_derivatives."""
+    a = shape * y / scale
+    z = y / scale
+    u = 1.0 / (1.0 + a)
+    zu = z * u
+    s1, s2, s3 = float(zu.sum()), float((zu * u).sum()), float((zu * zu).sum())
+    if abs(shape) * float(z.max()) < _SERIES_TOL:
+        zz = z * z
+        h = float((zz * polyval(a, _P_COEF)).sum())
+        q = float((zz * z * polyval(a, _Q_COEF)).sum())
+    else:
+        au = a * u
+        r = np.log1p(a) - au
+        h = float(r.sum()) / shape**2
+        q = float((2.0 * r - au * au).sum()) / shape**3
+    w = 1.0 + shape
+    return [w * s1 - y.size, h - s1], [[w * s2, w * s3 - s1], [w * s3 - s1, q - s3]]
+
+
+@pytest.mark.parametrize("shape", [-0.3, 1e-7, 4e-3, 0.26, 0.8])
+def test_derivatives_equal_per_term_sums(shape):
+    # every sample size from MIN_EXCESSES to 400 and a few past numpy's
+    # 8,192-element buffer, bit for bit
+    rng = np.random.default_rng(31)
+    for n in [*range(MIN_EXCESSES, 401), 8191, 8192, 8193, 20_000]:
+        y = rng.exponential(1.0, n)
+        scale = max(1.1 * float(y.mean()), -2.0 * shape * float(y.max()))  # in the support
+        _, score, info = _loglik_derivatives(y, scale, shape)
+        assert (score.tolist(), info.tolist()) == _derivatives_by_row_sums(y, scale, shape), n
+
+
 def _reference_nll(theta, y, shape=None):
     """Per-excess GPD negative log-likelihood at (log scale, shape)."""
     log_scale = theta[0]
@@ -458,6 +493,19 @@ BIT_EXACT_FITS = [
                   "0x1.bbcbb71553f5ap-13", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
                   "0x1.dcadf98761ceap-7", "0x0.0p+0"],
                  (10, 21, 11), id="pinned -0.5"),
+    # one Newton step on an indefinite information matrix (the eigh branch)
+    pytest.param(lambda: fv.gpd_sample(GpdParams(1.0, -0.3), 200, seed=6), None,
+                 ["0x1.261b5a3a121cbp+0", "-0x1.8748fcb968bfap-2", "-0x1.2ea9183d90138p+7",
+                  "0x1.54f4b7b95ccd4p-7", "-0x1.68f35dec0073ep-8",
+                  "-0x1.68f35dec0073ep-8", "0x1.d9a22eb53318fp-9",
+                  "0x1.a1d0a8a226fd8p-4", "0x1.ec717986bc3e3p-5"],
+                 (9, 13, 6), id="indefinite step"),
+    # a positive pinned shape
+    pytest.param(lambda: fv.gpd_sample(GpdParams(1.0, 0.25), 200, seed=6), 0.25,
+                 ["0x1.1e403567062a5p+0", "0x1.0000000000000p-2", "-0x1.0f7e829a1748cp+8",
+                  "0x1.337b688137496p-7", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+                  "0x1.8cc688bd9dcf1p-4", "0x0.0p+0"],
+                 (5, 5, 0), id="pinned 0.25"),
 ]
 
 

@@ -164,6 +164,9 @@ BAD_FLAG_VALUES = [
     ("returns", "--years", "-5E+1", "every value of scenario_years must be > 0"),
     ("returns", "--level", "-inf", "every value of scenario_levels must be > 0"),
     ("returns", "--years", "-Infinity", "every value of scenario_years must be > 0"),
+    ("returns", "--years", "inf", "every value of scenario_years must be > 0 and finite"),
+    ("returns", "--level", "Infinity", "every value of scenario_levels must be > 0 and finite"),
+    ("returns", "--m-grid", "1:inf:5", "m_grid must satisfy 0 < lo < hi < inf and count >= 1"),
     ("synth", "--scale", "-3e-4", "scale must be finite and > 0, got -0.0003"),
     ("fit", "--threshold", "nan", "threshold must be finite and >= 0, got nan"),
     ("fit", "--threshold", "inf", "threshold must be finite and >= 0, got inf"),

@@ -341,6 +341,68 @@ class TestBitExact:
         assert hashlib.sha256(text.encode()).hexdigest() == BIT_PINS[name][2]
 
 
+# Criterion 09's Monte Carlo path end to end, as the mc_fit_study benchmark
+# runs it: 200 seeded replicates of ~Binomial(15,768,000, 171/15,768,000)
+# excesses from GPD(2.98e-4, 0.26) over 3.5e-4, each through fit_gpd, the
+# 150-year return_level_ci and the X45 return_period_band (every replicate
+# at this seed has a covariance and a band).  The sha256 is over the
+# float.hex of every output and the fit's convergence counts.
+MONTE_CARLO_SHA256 = "cc2be0c2be09d6a067ccc105868e39e2cdf004cdb4f3a2f6ba64005be4abb572"
+
+
+def _monte_carlo_path_text(replicates=200, seed=9):
+    rng = np.random.default_rng(seed)
+    params = GpdParams(2.98e-4, 0.26)
+    n_total = 15_768_000
+    cal = ObservationCalendar(525_600.0)
+    lines = []
+    for _ in range(replicates):
+        y = fv.gpd_quantile(rng.random(int(rng.binomial(n_total, 171 / n_total))), params)
+        fit = fv.fit_gpd(y, threshold=3.5e-4, n_total=n_total)
+        ci = fv.return_level_ci(fit, 150.0, cal)
+        band = fv.return_period_band(fit, 45e-4, cal)
+        c = fit.convergence
+        values = [fit.scale, fit.shape, fit.log_likelihood, *np.ravel(fit.covariance),
+                  *fit.std_errors, ci.level, ci.std_error, ci.low, ci.high, ci.asym_low,
+                  ci.asym_high, *band]
+        lines.append(" ".join([float(v).hex() for v in values]
+                              + [str(c.iterations), str(c.function_evals), str(c.restarts)]))
+    return "\n".join(lines)
+
+
+def test_monte_carlo_path_bits_pinned():
+    text = _monte_carlo_path_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == MONTE_CARLO_SHA256
+
+
+class TestNonFinitePeriod:
+    @pytest.mark.parametrize("m", [math.inf, math.nan])
+    def test_return_level_refuses(self, m):
+        with pytest.raises(DomainError, match="m must be > 0 years and finite"):
+            fv.return_level(reference_fit(), m)
+
+    @pytest.mark.parametrize("m", [math.inf, math.nan])
+    def test_interval_refuses_without_a_warning(self, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="m must be > 0 years and finite"):
+                fv.return_level_ci(reference_fit(PAPER_COV), m)
+
+    def test_curve_refuses_an_infinite_grid_point(self):
+        with pytest.raises(DomainError, match="m must be > 0 years and finite"):
+            fv.return_curve(reference_fit(PAPER_COV), [10.0, 100.0, math.inf])
+
+    @pytest.mark.parametrize("key", ["return_table_years", "scenario_years",
+                                     "scenario_levels"])
+    def test_config_refuses_an_infinite_value(self, key):
+        with pytest.raises(DomainError, match=f"every value of {key} must be > 0 and finite"):
+            PipelineConfig(**{key: (1.0, math.inf)})
+
+    def test_config_refuses_an_infinite_grid_end(self):
+        with pytest.raises(DomainError, match="0 < lo < hi < inf"):
+            PipelineConfig(m_grid_hi=math.inf)
+
+
 class TestCalendar:
     def test_default_minutes(self):
         assert ObservationCalendar().obs_per_year == 525_600.0
