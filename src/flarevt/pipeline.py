@@ -16,6 +16,7 @@ import json
 import math
 import os
 import typing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
 from numbers import Real
 from pathlib import Path
@@ -272,13 +273,16 @@ def x_class(flux: float) -> float:
 # ---------------------------------------------------------------------------
 
 def ingest_one(spec: InputSpec) -> tuple[FluxSeries, dict]:
-    """Read, scale, and desaturate one file; returns the series and a summary."""
-    raw = read_flux_csv(spec.path, spec.ingest)
+    """Read (and hash, on a second thread), scale, and desaturate one file;
+    returns the series and a summary."""
+    with ThreadPoolExecutor(1) as pool:
+        sha256 = pool.submit(_sha256_file, spec.path)
+        raw = read_flux_csv(spec.path, spec.ingest)
     scaled = apply_scaling(raw, spec.ingest.scaling_divisor)
     cleaned, removed = filter_saturation(scaled, spec.ingest)
     info = {
         "file": Path(spec.path).name,
-        "sha256": _sha256_file(spec.path),
+        "sha256": sha256.result(),
         "rows": len(raw),
         "n_observations": cleaned.n_observations,
         "scaling_divisor": spec.ingest.scaling_divisor,

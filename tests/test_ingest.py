@@ -1,6 +1,11 @@
 import hashlib
 import io
+import json
 import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,7 +16,7 @@ from hypothesis import strategies as st
 import flarevt as fv
 from flarevt import DomainError, EmptyInputError, OrderingError, ParseError
 
-from helpers import FLOAT_TEXTS, make_series
+from helpers import EPOCH, FLOAT_TEXTS, MINUTE, make_series
 
 CSV_TWO_ROWS = """timestamp,flux_wm2
 2003-10-28T11:00:00Z,1.0e-4
@@ -197,7 +202,7 @@ class TestInputLayouts:
         written = fv.write_flux_csv(parsed[0])
         reference = _flux_csv((t, "" if np.isnan(v) else repr(v))
                               for t, v in zip(stamps, want.tolist()))
-        assert written == reference
+        assert written == reference.encode("ascii")
         back = fv.parse_flux_csv(written)
         np.testing.assert_array_equal(back.timestamps, minutes)
         np.testing.assert_array_equal(back.flux.view(np.uint64), want.view(np.uint64))
@@ -245,23 +250,18 @@ class TestInputLayouts:
                 fv.parse_flux_csv(layout)
             assert str(exc.value).startswith(error)
 
-    def test_scan_keeps_no_whole_input_row_arrays(self):
+    def test_scan_keeps_no_whole_input_row_arrays(self, monkeypatch):
+        monkeypatch.setattr(fv.ingest, "_WORKERS", 1)
         n = 200_000
-        rng = np.random.default_rng(23)
-        flux = 1e-4 * rng.pareto(2.0, n) / 0.7
-        flux[rng.random(n) < 0.1] = np.nan
-        data = fv.write_flux_csv(make_series(flux)).encode("ascii")
-        tracemalloc.start()
-        try:
-            back = fv.parse_flux_csv(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the stamp and flux arrays (16 B a row, 32 while they are joined) and
-        # one chunk's working arrays (~10 B a byte of the chunk); a row index
-        # over the whole input (16 B a row) would add more
-        assert peak < 16 * n + 12 * fv.ingest._SCAN_CHUNK_BYTES
-        np.testing.assert_array_equal(back.flux.view(np.uint64), flux.view(np.uint64))
+        # the stamp and flux arrays (16 B a row) and one chunk's working
+        # arrays (~10 B a byte of the chunk); a row index over the whole
+        # input (16 B a row) would add more
+        assert _scan_peak(n) < 16 * n + 12 * fv.ingest._SCAN_CHUNK_BYTES
+
+    def test_two_worker_scan_keeps_no_whole_input_row_arrays(self, monkeypatch):
+        monkeypatch.setattr(fv.ingest, "_WORKERS", 2)
+        n = 600_000  # a whole-input row index (9.6 MB) is then well over one chunk's arrays
+        assert _scan_peak(n) < 16 * n + 24 * fv.ingest._SCAN_CHUNK_BYTES
 
     @pytest.mark.parametrize("divisor,digest", [
         (None, "94eb87540a6c7a36704862c0f14202425f4dc2b81fdc37deb96b8407fefc510a"),
@@ -272,8 +272,7 @@ class TestInputLayouts:
         series = fv.synth_clustered_series(3e-4, 0.25, 60.0, 10.0, 1.0, seed=7)
         if divisor is not None:
             series = fv.apply_scaling(series, divisor)
-        text = fv.write_flux_csv(series)
-        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+        assert hashlib.sha256(fv.write_flux_csv(series)).hexdigest() == digest
 
     def test_failed_write_leaves_no_file(self, monkeypatch, tmp_path):
         calls = []
@@ -312,6 +311,141 @@ class TestInputLayouts:
                                       series.flux.view(np.uint64))
         fv.write_flux_csv(fv.apply_scaling(series, 0.7), path)
         assert _sha256(path) == "3777846725a263dc08d14c49aab14381d1e3403554d7153305ef05d5383e5c2d"
+
+    @pytest.mark.skipif(not os.environ.get("FLAREVT_SLOW_TESTS"),
+                        reason="set FLAREVT_SLOW_TESTS=1 to run 30 years (15.8M rows, "
+                               "~680 MB of CSV) through run_pipeline")
+    def test_thirty_year_run_pipeline_peak(self, tmp_path):
+        path, out = tmp_path / "flux.csv", tmp_path / "out"
+        fv.write_flux_csv(fv.synth_clustered_series(3e-4, 0.25, 60.0, 10.0, 30.0, seed=7), path)
+        # a saturation level no flux reaches, so that series.csv is the input
+        config = {"ingest": {"scaling_divisor": 1.0, "saturation_level": 1.0},
+                  "gpd_threshold": 1e-4}
+        # a process's ru_maxrss starts at the peak of the process it was
+        # started from, so the run is started from a small Python process
+        run = [sys.executable, "-c", _PEAK_RUN, json.dumps(config), str(path), str(out)]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fv.__file__)))
+        done = subprocess.run([sys.executable, "-c", _SPAWN, *run], env=env, check=True,
+                              stdout=subprocess.PIPE, text=True)
+        digest = "69258eba8583cca5ab6c3b9e228a1b0f318ed397c72834d3d8669c04d633c038"
+        assert _sha256(out / "series.csv") == digest
+        assert json.loads((out / "ingest.json").read_text())["files"][0]["sha256"] == digest
+        assert int(done.stdout) * 1024 < 1.4 * 2 ** 30  # ru_maxrss is in KiB
+
+
+_SPAWN = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+_PEAK_RUN = """
+import json, resource, sys
+from flarevt.pipeline import PipelineConfig, run_pipeline
+config = PipelineConfig.from_dict(json.loads(sys.argv[1]))
+run_pipeline(config, [sys.argv[2]], sys.argv[3], fixed_clock=True)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+class TestChunkPool:
+    """The chunk loops give the same rows, bytes and errors on any number of threads."""
+
+    @pytest.fixture(params=[1, 2, 3])
+    def workers(self, request, monkeypatch):
+        monkeypatch.setattr(fv.ingest, "_WORKERS", request.param)
+        monkeypatch.setattr(fv.ingest, "_SCAN_CHUNK_BYTES", 100)  # two to four rows
+        monkeypatch.setattr(fv.ingest, "_WRITE_CHUNK_ROWS", 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads take turns often, so a lost chunk would show
+        try:
+            yield request.param
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _series(n: int = 400) -> fv.FluxSeries:
+        flux = np.geomspace(1e-9, 2e-3, n) / 0.7
+        flux[0::5] = flux[4::5] = np.nan  # the first and last row of every write chunk
+        return make_series(flux, start=np.datetime64("1969-12-31T23:00", "m"))
+
+    def test_same_series_and_bytes(self, workers, tmp_path):
+        series = self._series()
+        stamps = np.datetime_as_string(series.timestamps, unit="s").tolist()
+        want = _flux_csv((t, "" if v != v else repr(v))
+                         for t, v in zip(stamps, series.flux.tolist())).encode("ascii")
+        path = tmp_path / "series.csv"
+        assert fv.write_flux_csv(series) == want
+        assert fv.write_flux_csv(series, path) == want and path.read_bytes() == want
+        data = want[:-1]  # the last line without its newline
+        assert fv.ingest._scan_canonical(data) is not None
+        back = fv.parse_flux_csv(data)
+        np.testing.assert_array_equal(back.timestamps, series.timestamps)
+        np.testing.assert_array_equal(back.flux.view(np.uint64), series.flux.view(np.uint64))
+
+    @pytest.mark.parametrize("column,bad,error", [
+        (0, "2000-01-01T04:61:00", "bad timestamp value '2000-01-01T04:61:00'"),
+        (1, "1e-5x", "bad flux value '1e-5x'"),
+    ])
+    def test_bad_field_in_a_late_chunk_names_its_line(self, workers, column, bad, error):
+        rows = [[t, "1e-5"] for t in np.datetime_as_string(
+            EPOCH + np.arange(300) * MINUTE, unit="s").tolist()]
+        rows[290][column] = bad
+        text = _flux_csv(rows)
+        assert fv.ingest._scan_canonical(text) is None
+        with pytest.raises(ParseError, match=f"^line 292: {error}"):
+            fv.parse_flux_csv(text)
+
+    def test_failed_chunk_leaves_no_file_and_no_thread(self, workers, monkeypatch, tmp_path):
+        def failing_table_bytes(stamps, flux):
+            chunk = int((stamps[0] - start) // MINUTE) // fv.ingest._WRITE_CHUNK_ROWS
+            if chunk == 4:  # fails after chunk 6 has failed on another thread
+                time.sleep(0.05)
+                raise RuntimeError("chunk 4 fails")
+            if chunk == 6:
+                raise RuntimeError("chunk 6 fails")
+            if chunk == 7:  # still running when chunk 4 fails
+                time.sleep(0.2)
+            return table_bytes(stamps, flux)
+
+        series = self._series()
+        start, table_bytes = series.timestamps[0], fv.ingest.table_bytes
+        monkeypatch.setattr(fv.ingest, "table_bytes", failing_table_bytes)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk 4"):
+            fv.write_flux_csv(series, tmp_path / "series.csv")
+        assert list(tmp_path.iterdir()) == []
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_path_write_keeps_one_copy_of_its_text(self, n_workers, monkeypatch, tmp_path):
+        monkeypatch.setattr(fv.ingest, "_WORKERS", n_workers)
+        rng = np.random.default_rng(29)
+        flux = 1e-4 * rng.pareto(2.0, 400_000) / 0.7
+        flux[rng.random(flux.size) < 0.1] = np.nan
+        series, path = make_series(flux), tmp_path / "series.csv"
+        tracemalloc.start()
+        try:
+            text = fv.write_flux_csv(series, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the text, grown in place by at most an eighth, and a chunk's working
+        # arrays a worker (test_table's 320 B a row); chunk texts kept beside
+        # the text, as a list to join, would add a second copy
+        assert peak < 1.15 * len(text) + n_workers * 320 * fv.ingest._WRITE_CHUNK_ROWS
+        assert path.read_bytes() == text
+
+
+def _scan_peak(n: int) -> int:
+    """tracemalloc's peak over parsing the CSV of n rows, 10% of them NaN."""
+    rng = np.random.default_rng(23)
+    flux = 1e-4 * rng.pareto(2.0, n) / 0.7
+    flux[rng.random(n) < 0.1] = np.nan
+    data = fv.write_flux_csv(make_series(flux))
+    tracemalloc.start()
+    try:
+        back = fv.parse_flux_csv(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(back.flux.view(np.uint64), flux.view(np.uint64))
+    return peak
 
 
 def _sha256(path) -> str:

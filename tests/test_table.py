@@ -203,7 +203,7 @@ class TestFloatText:
         want = "timestamp,flux_wm2\n" + "".join(
             f"{t}Z,{line}" for t, line in zip(stamps, _repr_lines(flux.tolist()).splitlines(True)))
         path = tmp_path / "series.csv"
-        assert fv.write_flux_csv(series, path) == want
+        assert fv.write_flux_csv(series, path) == want.encode("ascii")
         assert path.read_bytes() == want.encode("ascii")
 
 
