@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .decluster import catalog_from_files, checked_gaps, decluster, gap_sweep
+from .decluster import catalog_from_files, checked_gaps, checked_rule, decluster, gap_sweep
 from .errors import DomainError, FlareVtError, ParseError, PipelineStageError
 from .gpd import GpdParams, checked_threshold, fit_from_json_dict, fit_gpd, fit_to_json_dict
 from .ingest import (IngestConfig, read_flux_csv, synth_clustered_series,
@@ -31,8 +31,8 @@ from .pipeline import (STAGES, InputSpec, PipelineConfig, excesses_from_csv_text
                        excesses_to_csv_text, ingest_one, return_period_grid,
                        run_diagnostics, run_pipeline, write_json, write_text,
                        x_class)
-from .returns import (ObservationCalendar, return_curve, return_level_ci,
-                      return_period_band)
+from .returns import (ObservationCalendar, normal_quantile, return_curve,
+                      return_level_ci, return_period_band)
 
 # ingest=3, decluster=4, ... report=10
 STAGE_EXIT_CODES = {stage: code for code, stage in enumerate(STAGES, start=3)}
@@ -50,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _flag(convert, accept):
     """An argparse type: ``convert`` the text, then have ``accept`` build the
-    object that owns the value (a config, a calendar, the gap rule).
+    object that owns the value (a config, a calendar) or call its check.
 
     A value the owner rejects is a usage error carrying the owner's own
     message, so it exits 2 before any input is read.
@@ -89,11 +89,6 @@ def _log_grid(text: str) -> tuple[float, float, int]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected 'lo:hi:count', got {text!r}") from None
-
-
-# flag types shared by several subcommands
-_THRESHOLD = _flag(float, lambda v: PipelineConfig(decluster_threshold=v, gpd_threshold=v))
-_CI = _flag(float, lambda v: PipelineConfig(ci_level=v))
 
 
 def _read_json(path) -> dict:
@@ -211,10 +206,8 @@ def _cmd_returns(args) -> int:
               f"X{x_class(ci.asym_high):.1f}]")
         did_something = True
     if args.out:
-        if args.m_grid:
-            grid = np.geomspace(*args.m_grid)
-        else:
-            grid = return_period_grid(fit, PipelineConfig(obs_per_year=cal.obs_per_year))
+        grid = (np.geomspace(*args.m_grid) if args.m_grid
+                else return_period_grid(fit, PipelineConfig(obs_per_year=cal.obs_per_year)))
         curve = return_curve(fit, grid, cal, args.ci)
         write_text(args.out, curve.to_csv_text())
         print(f"returns: {curve.m.size} grid points -> {args.out}")
@@ -291,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decluster", help="reduce a series to independent events")
     p.add_argument("--series", required=True)
-    p.add_argument("--threshold", type=_THRESHOLD,
+    p.add_argument("--threshold", type=_flag(float, checked_rule),
                    default=PipelineConfig.decluster_threshold)
     p.add_argument("--gap", type=_flag(int, lambda v: PipelineConfig(gap_minutes=v)),
                    default=PipelineConfig.gap_minutes)
@@ -301,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="gap sweep of the lag-1 autocorrelation")
     p.add_argument("--series", required=True)
-    p.add_argument("--threshold", type=_THRESHOLD,
+    p.add_argument("--threshold", type=_flag(float, checked_rule),
                    default=PipelineConfig.decluster_threshold)
     p.add_argument("--gaps", type=_flag(_gap_list, checked_gaps),
                    default=range(PipelineConfig.sweep_gap_lo, PipelineConfig.sweep_gap_hi + 1),
@@ -326,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--meta", required=True)
     p.add_argument("--fit", required=True)
-    p.add_argument("--ci", type=_CI, default=PipelineConfig.ci_level)
+    p.add_argument("--ci", type=_flag(float, normal_quantile),
+                   default=PipelineConfig.ci_level)
     p.add_argument("--grid-points",
                    type=_flag(int, lambda v: PipelineConfig(mrl_grid_points=v)),
                    default=PipelineConfig.mrl_grid_points)
@@ -345,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
                        m_grid_lo=g[0], m_grid_hi=g[1], m_grid_count=g[2])))
     p.add_argument("--obs-per-year", type=_flag(float, ObservationCalendar),
                    default=PipelineConfig.obs_per_year)
-    p.add_argument("--ci", type=_CI, default=PipelineConfig.ci_level)
+    p.add_argument("--ci", type=_flag(float, normal_quantile),
+                   default=PipelineConfig.ci_level)
     p.add_argument("--out", help="return curve CSV")
     p.set_defaults(handler=_cmd_returns, stage="returns")
 

@@ -30,6 +30,7 @@ __all__ = [
     "decluster",
     "lag1_autocorrelation",
     "gap_sweep",
+    "checked_rule",
     "checked_gaps",
 ]
 
@@ -155,12 +156,7 @@ def decluster(series: FluxSeries, threshold: float = DEFAULT_THRESHOLD,
     gap_minutes : int
         Number of consecutive quiet minutes that closes a cluster.
     """
-    if not threshold > 0.0:
-        raise DomainError("threshold must be > 0")
-    gap = int(gap_minutes)
-    if gap < 1:
-        raise DomainError("gap_minutes must be >= 1")
-
+    threshold, gap = checked_rule(threshold, gap_minutes)
     ts, flux = series.timestamps, series.flux
     exc = np.flatnonzero(flux >= threshold)
     starts = _cluster_starts(ts[exc].astype(np.int64), gap)
@@ -178,7 +174,7 @@ def decluster(series: FluxSeries, threshold: float = DEFAULT_THRESHOLD,
         cluster_starts=ts[exc[starts]],
         cluster_ends=ts[exc[starts + counts - 1]],
         cluster_sample_counts=counts,
-        decluster_threshold=float(threshold),
+        decluster_threshold=threshold,
         gap_minutes=gap,
         n_total_observations=series.n_observations,
         span_years=series.span_years,
@@ -231,6 +227,19 @@ class GapSweepCurve:
                           self.gaps, self.lag1, self.event_counts)
 
 
+def checked_rule(threshold: float,
+                 gap_minutes: int = DEFAULT_GAP_MINUTES) -> tuple[float, int]:
+    """The declustering threshold as a float and gap as an int; DomainError
+    unless the threshold is finite and > 0 and the gap >= 1."""
+    threshold = float(threshold)
+    if not 0.0 < threshold < np.inf:
+        raise DomainError(f"decluster threshold must be finite and > 0, got {threshold}")
+    gap = int(gap_minutes)
+    if gap < 1:
+        raise DomainError("gap_minutes must be >= 1")
+    return threshold, gap
+
+
 def checked_gaps(gaps: Sequence[int]) -> np.ndarray:
     """The sweep's gaps as int64; DomainError unless non-empty, each >= 1
     and strictly increasing."""
@@ -254,8 +263,7 @@ def gap_sweep(series: FluxSeries, threshold: float,
     statistic are kept in the curve with NaN.
     """
     gap_arr = checked_gaps(gaps)
-    if not threshold > 0.0:
-        raise DomainError("threshold must be > 0")
+    threshold = checked_rule(threshold)[0]
 
     exc = np.flatnonzero(series.flux >= threshold)
     minutes, flux_exc = series.timestamps[exc].astype(np.int64), series.flux[exc]

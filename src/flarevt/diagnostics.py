@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from ._table import table_points, table_text
 from .errors import DomainError, InsufficientDataError
 from .gpd import GpdFit, gpd_cdf
+from .returns import normal_quantile
 
 __all__ = [
     "MrlCurve",
@@ -112,15 +112,13 @@ def mean_excess_curve(peaks, u_grid=None, ci_level: float = 0.95) -> MrlCurve:
     x = np.asarray(peaks, dtype=np.float64).ravel()
     if x.size == 0:
         raise InsufficientDataError("peaks are empty")
-    if not 0.0 < ci_level < 1.0:
-        raise DomainError("ci_level must lie in (0, 1)")
+    z = normal_quantile(ci_level)
     if u_grid is None:
         u_grid = default_threshold_grid(float(x.min()), x)
     grid = np.asarray(u_grid, dtype=np.float64).ravel()
     if grid.size == 0 or (grid.size > 1 and np.any(np.diff(grid) <= 0)):
         raise DomainError("u_grid must be non-empty and strictly increasing")
 
-    z = float(norm.ppf(0.5 + ci_level / 2.0))
     u0_out, mean_out, half_out, n_out = [], [], [], []
     x_sorted = np.sort(x)
     for u0 in grid:

@@ -27,15 +27,15 @@ import numpy as np
 from . import __version__
 from ._table import read_table, table_text
 from .decluster import (DEFAULT_GAP_MINUTES, DEFAULT_THRESHOLD, EventCatalog,
-                        GapSweepCurve, decluster, gap_sweep)
+                        GapSweepCurve, checked_rule, decluster, gap_sweep)
 from .diagnostics import (MrlCurve, ProbabilityPlot, default_threshold_grid,
                           mean_excess_curve, probability_plot)
-from .errors import DomainError, OrderingError, PipelineStageError
-from .gpd import GpdFit, fit_gpd, fit_to_json_dict
+from .errors import DomainError, FlareVtError, OrderingError, PipelineStageError
+from .gpd import GpdFit, checked_threshold, fit_gpd, fit_to_json_dict
 from .ingest import FluxSeries, IngestConfig, filter_saturation, read_flux_csv, \
     apply_scaling, write_flux_csv
-from .returns import (ObservationCalendar, return_curve, return_level_ci,
-                      return_period_band)
+from .returns import (ObservationCalendar, normal_quantile, return_curve,
+                      return_level_ci, return_period_band)
 
 __all__ = [
     "STAGES",
@@ -94,16 +94,13 @@ class PipelineConfig:
     out_dir: str = "flarevt_out"
 
     def __post_init__(self):
-        if not (self.decluster_threshold > 0.0 and self.gpd_threshold > 0.0):
-            raise DomainError("thresholds must be > 0")
+        # each value with a library owner is checked by it, in its words
+        checked_rule(self.decluster_threshold, self.gap_minutes)
+        checked_threshold(self.gpd_threshold)
+        normal_quantile(self.ci_level)
+        ObservationCalendar(self.obs_per_year)
         if self.gpd_threshold < self.decluster_threshold:
             raise DomainError("gpd_threshold must be >= decluster_threshold")
-        if self.gap_minutes < 1:
-            raise DomainError("gap_minutes must be >= 1")
-        if not 0.0 < self.ci_level < 1.0:
-            raise DomainError("ci_level must lie in (0, 1)")
-        if not self.obs_per_year > 0.0:
-            raise DomainError("obs_per_year must be > 0")
         if not (0.0 < self.m_grid_lo < self.m_grid_hi < math.inf and self.m_grid_count >= 1):
             raise DomainError("m_grid must satisfy 0 < lo < hi < inf and count >= 1")
         if not (1 <= self.sweep_gap_lo <= self.sweep_gap_hi):
@@ -342,7 +339,7 @@ def build_scenarios(fit: GpdFit, config: PipelineConfig) -> dict:
             continue
         try:
             m_hat, m_lo, m_hi = return_period_band(fit, level, cal, config.ci_level)
-        except Exception as exc:  # no usable covariance, unbounded, ...
+        except FlareVtError as exc:  # no usable covariance, unbounded, ...
             entry["note"] = str(exc)
             continue
         entry.update(return_period_years=m_hat, ci_low_years=m_lo,

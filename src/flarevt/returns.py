@@ -40,6 +40,7 @@ __all__ = [
     "return_level_ci",
     "return_curve",
     "return_period_band",
+    "normal_quantile",
 ]
 
 
@@ -54,8 +55,8 @@ class ObservationCalendar:
     obs_per_year: float = 525_600.0
 
     def __post_init__(self):
-        if not self.obs_per_year > 0.0:
-            raise DomainError("obs_per_year must be > 0")
+        if not 0.0 < self.obs_per_year < math.inf:
+            raise DomainError("obs_per_year must be > 0 and finite")
 
 
 _DEFAULT_CAL = ObservationCalendar()
@@ -120,12 +121,14 @@ def return_period(fit: GpdFit, level: float,
 
 
 @functools.lru_cache(maxsize=8)
-def _normal_quantile(ci_level: float) -> float:
-    """Two-sided standard normal quantile for ``ci_level``.
+def normal_quantile(ci_level: float) -> float:
+    """Two-sided standard normal quantile z for ``ci_level`` in (0, 1).
 
     Cached: ``norm.ppf`` costs ~0.1 ms, more than a whole interval, and a
     Monte Carlo study asks for the same level thousands of times.
     """
+    if not 0.0 < ci_level < 1.0:
+        raise DomainError("ci_level must lie in (0, 1)")
     return float(norm.ppf(0.5 + ci_level / 2.0))
 
 
@@ -138,8 +141,7 @@ def _delta_inputs(fit: GpdFit, cal: ObservationCalendar, ci_level: float):
     """
     if fit.covariance is None:
         raise CiUnavailableError("fit covariance is unavailable")
-    if not 0.0 < ci_level < 1.0:
-        raise DomainError("ci_level must lie in (0, 1)")
+    z = normal_quantile(ci_level)
     zeta = fit.exceedance_rate
     if not 0.0 < zeta < 1.0:
         raise DomainError("exceedance rate must lie strictly in (0, 1)")
@@ -148,7 +150,7 @@ def _delta_inputs(fit: GpdFit, cal: ObservationCalendar, ci_level: float):
     cov[1:, 1:] = fit.covariance
     d = cal.obs_per_year
     fixed = (fit.threshold, zeta, fit.scale, fit.shape, d, d * zeta)
-    return fixed, cov, _normal_quantile(ci_level)
+    return fixed, cov, z
 
 
 def _delta(m: float, fixed: tuple, cov: np.ndarray) -> tuple[float, float]:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -10,11 +11,13 @@ import numpy as np
 import pytest
 
 import flarevt as fv
-from flarevt import PipelineStageError, SubThresholdReturnWarning
+from flarevt import PipelineStageError, SubThresholdReturnWarning, pipeline
 from flarevt.cli import STAGE_EXIT_CODES, main
 from flarevt.gpd import fit_from_json_dict, fit_to_json_dict
 from flarevt.pipeline import (PipelineConfig, build_scenarios, excesses_to_csv_text, json_text,
                               run_pipeline)
+
+from helpers import make_series
 
 TRUE_SCALE, TRUE_SHAPE = 3e-4, 0.2
 
@@ -153,8 +156,8 @@ BAD_FLAG_VALUES = [
     ("decluster", "--gap", "-2", "gap_minutes must be >= 1"),
     ("decluster", "--gap", "x", "invalid int value: 'x'"),
     ("diagnose", "--grid-points", "0", "mrl_grid_points must be >= 1"),
-    ("decluster", "--threshold", "-1", "thresholds must be > 0"),
-    ("sweep", "--threshold", "0", "thresholds must be > 0"),
+    ("decluster", "--threshold", "-1", "decluster threshold must be finite and > 0, got -1.0"),
+    ("sweep", "--threshold", "0", "decluster threshold must be finite and > 0, got 0.0"),
     ("diagnose", "--ci", "1.5", "ci_level must lie in (0, 1)"),
     ("returns", "--ci", "2", "ci_level must lie in (0, 1)"),
     ("returns", "--obs-per-year", "0", "obs_per_year must be > 0"),
@@ -492,6 +495,42 @@ class TestCliRun:
         assert not (tmp_path / "out" / "series.csv").exists()
 
 
+# The owner of each numeric rule: its library call, config key, CLI flag, a finite
+# value out of its range, and the message it refuses a value with.
+RULE_OWNERS = {
+    "interval level": (lambda v: fv.mean_excess_curve([1.0, 2.0, 3.0], ci_level=v),
+                       "ci_level", ("returns", "--ci"), 1.5, "ci_level must lie in (0, 1)"),
+    "calendar": (fv.ObservationCalendar, "obs_per_year", ("returns", "--obs-per-year"), 0.0,
+                 "obs_per_year must be > 0 and finite"),
+    "declustering": (lambda v: fv.decluster(make_series([1.0]), v), "decluster_threshold",
+                     ("decluster", "--threshold"), 0.0,
+                     "decluster threshold must be finite and > 0, got "),
+    "fit threshold": (lambda v: fv.fit_gpd(np.ones(30), threshold=v), "gpd_threshold",
+                      ("fit", "--threshold"), -1.0, "threshold must be finite and >= 0, got "),
+}
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "out of range"])
+@pytest.mark.parametrize("owner", RULE_OWNERS)
+def test_rule_owner_refuses_value_everywhere(owner, value, synth_csv, tmp_path, capsys):
+    call, key, flag, out_of_range, message = RULE_OWNERS[owner]
+    number = out_of_range if value == "out of range" else float(value)
+    with pytest.raises(fv.DomainError, match=re.escape(message)):
+        call(number)
+    with pytest.raises(fv.DomainError, match=re.escape(message)):
+        PipelineConfig.from_dict({key: number})
+    # a config file holding the value fails before the output directory is made
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({key: number, "out_dir": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(config_path), str(synth_csv)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(SystemExit) as exc:
+        main([*flag, str(number)])
+    assert exc.value.code == 2
+    assert f"argument {flag[1]}: {message}" in capsys.readouterr().err
+
+
 class TestConfig:
     def test_defaults_are_reference_analysis(self):
         config = PipelineConfig()
@@ -588,6 +627,27 @@ class TestConfig:
         no_cov = build_scenarios(replace(fit, covariance=None, std_errors=None), config)
         assert no_cov["x45_return_period"]["note"] == "fit covariance is unavailable"
         assert "return_period_years" not in no_cov["x45_return_period"]
+        bounded = fv.fit_gpd(fv.gpd_sample(fv.GpdParams(3e-4, -0.3), 300, seed=5),
+                             threshold=3.5e-4, n_total=1_000_000)
+        assert bounded.threshold - bounded.scale / bounded.shape < 45e-4
+        assert build_scenarios(bounded, config)["x45_return_period"]["note"] == (
+            "level lies beyond the fitted upper endpoint; it is never exceeded")
+
+    def test_untyped_error_fails_the_returns_stage(self, synth_csv, tmp_path, monkeypatch):
+        # only the library's typed errors become a scenario note
+        def broken(*args):
+            raise TypeError("not a flarevt error")
+        monkeypatch.setattr(pipeline, "return_period_band", broken)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"ingest": {"scaling_divisor": 1.0},
+                                           "gpd_threshold": 1e-4}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), str(synth_csv),
+                     "--out", str(out)]) == STAGE_EXIT_CODES["returns"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed_stage"] == "returns"
+        assert manifest["error"] == "not a flarevt error"
+        assert not (out / "scenarios.json").exists()
 
     def test_scenarios_trace_to_fit(self, synth_csv, pipeline_config, tmp_path):
         report = run_pipeline(pipeline_config, [synth_csv],
