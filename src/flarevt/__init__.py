@@ -25,7 +25,7 @@ from .gpd import (FitConvergence, GpdFit, GpdParams, fit_gpd, gpd_cdf,
 from .ingest import (FluxSeries, IngestConfig, apply_scaling, filter_saturation,
                      parse_flux_csv, read_flux_csv, synth_clustered_series,
                      write_flux_csv)
-from .pipeline import AnalysisReport, InputSpec, PipelineConfig, run_pipeline
+from .pipeline import InputSpec, PipelineConfig, run_pipeline
 from .returns import (ObservationCalendar, ReturnLevelCurve,
                       ReturnLevelInterval, SubThresholdReturnWarning,
                       return_curve, return_level, return_level_ci,
@@ -50,7 +50,7 @@ __all__ = [
     "SubThresholdReturnWarning", "return_level", "return_period",
     "return_level_ci", "return_curve", "return_period_band",
     # pipeline
-    "PipelineConfig", "InputSpec", "AnalysisReport", "run_pipeline",
+    "PipelineConfig", "InputSpec", "run_pipeline",
     # errors
     "FlareVtError", "ParseError", "OrderingError", "EmptyInputError",
     "DomainError", "InsufficientDataError", "ZeroVarianceError",

@@ -459,6 +459,16 @@ def to_minutes(stamps: np.ndarray, row_text, column: int) -> np.ndarray:
     return minutes
 
 
+def check_nonnegative(values: np.ndarray, row_text, column: int, name: str,
+                      skip=False) -> None:
+    """ParseError naming the line of the first value, outside ``skip``, that
+    is not finite and >= 0."""
+    ok = skip | ((values >= 0.0) & (values < np.inf))
+    if not np.all(ok):
+        line_no, texts = row_text(int(np.argmin(ok)))
+        raise ParseError(f"{name} value '{texts[column]}' is not a finite value >= 0", line_no)
+
+
 def _decode(data: str | bytes) -> str:
     if isinstance(data, str):
         return data

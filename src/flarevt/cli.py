@@ -13,7 +13,6 @@ stage-specific code when a pipeline stage fails (see STAGE_EXIT_CODES).
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from dataclasses import fields
@@ -23,12 +22,12 @@ import numpy as np
 
 from . import __version__
 from .decluster import catalog_from_files, checked_gaps, checked_rule, decluster, gap_sweep
-from .errors import DomainError, FlareVtError, ParseError, PipelineStageError
+from .errors import DomainError, FlareVtError, PipelineStageError
 from .gpd import GpdParams, checked_threshold, fit_from_json_dict, fit_gpd, fit_to_json_dict
 from .ingest import (IngestConfig, read_flux_csv, synth_clustered_series,
                      write_flux_csv)
 from .pipeline import (STAGES, InputSpec, PipelineConfig, excesses_from_csv_text,
-                       excesses_to_csv_text, ingest_one, return_period_grid,
+                       excesses_to_csv_text, ingest_one, read_json, return_period_grid,
                        run_diagnostics, run_pipeline, write_json, write_text,
                        x_class)
 from .returns import (ObservationCalendar, normal_quantile, return_curve,
@@ -91,14 +90,6 @@ def _log_grid(text: str) -> tuple[float, float, int]:
             f"expected 'lo:hi:count', got {text!r}") from None
 
 
-def _read_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ParseError(f"{path}: not a JSON document: {exc}") from None
-
-
 def _ingest_config_from_args(args) -> IngestConfig:
     """IngestConfig's defaults, overridden by the flags that were given."""
     given = {f.name: getattr(args, f.name) for f in fields(IngestConfig)}
@@ -138,7 +129,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _load_catalog(events_path, meta_path):
-    return catalog_from_files(Path(events_path).read_bytes(), _read_json(meta_path))
+    return catalog_from_files(Path(events_path).read_bytes(), read_json(meta_path))
 
 
 def _cmd_fit(args) -> int:
@@ -170,7 +161,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     catalog = _load_catalog(args.events, args.meta)
-    fit = fit_from_json_dict(_read_json(args.fit))
+    fit = fit_from_json_dict(read_json(args.fit))
     config = PipelineConfig(
         decluster_threshold=catalog.decluster_threshold,
         gap_minutes=catalog.gap_minutes,
@@ -188,7 +179,7 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_returns(args) -> int:
-    fit = fit_from_json_dict(_read_json(args.fit))
+    fit = fit_from_json_dict(read_json(args.fit))
     cal = ObservationCalendar(args.obs_per_year)
     did_something = False
     if args.level is not None:
@@ -239,12 +230,10 @@ def _cmd_run(args) -> int:
         print("run: no input files (give positional paths or config 'inputs')",
               file=sys.stderr)
         return 2
-    out_dir = args.out if args.out else config.out_dir
-    report = run_pipeline(config, inputs, out_dir=out_dir,
-                          fixed_clock=args.fixed_clock)
-    fit = report.fit
-    print(f"run: report -> {Path(out_dir) / 'report.json'}")
-    print(f"  events: {report.catalog['n_events']}, "
+    report = run_pipeline(config, inputs, args.out, fixed_clock=args.fixed_clock)
+    fit = report["fit"]
+    print(f"run: report -> {Path(args.out) / 'report.json'}")
+    print(f"  events: {report['catalog']['n_events']}, "
           f"excesses over {config.gpd_threshold:g}: {fit['n_excesses']}")
     print(f"  fit: scale={fit['scale']:.6g} shape={fit['shape']:.4g}")
     return 0
@@ -278,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
                         " To blank every saturation run, give "
                         "'flarevt run' a config file with "
                         "\"retained_saturation_events\": []")
-    p.add_argument("--sentinel", dest="missing_sentinels", action="append", type=float,
+    p.add_argument("--sentinel", dest="missing_sentinels", action="append",
+                   type=_flag(float, lambda v: IngestConfig(missing_sentinels=(v,))),
                    help="raw value treated as missing (repeatable)")
     p.set_defaults(handler=_cmd_ingest, stage="ingest")
 
@@ -361,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the full pipeline")
     p.add_argument("inputs", nargs="*", help="flux CSV files")
     p.add_argument("--config", help="pipeline config JSON")
-    p.add_argument("--out", help="output directory (overrides config)")
+    p.add_argument("--out", default="flarevt_out", help="output directory (default flarevt_out)")
     p.add_argument("--fixed-clock", action="store_true",
                    help="omit timestamps for byte-reproducible reports")
     p.set_defaults(handler=_cmd_run, stage="run")

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._table import read_table, table_text
+from ._table import check_nonnegative, read_table, table_text
 from .errors import DomainError, InsufficientDataError, ParseError, ZeroVarianceError
 from .ingest import FluxSeries
 
@@ -109,13 +109,14 @@ class EventCatalog:
 def catalog_from_files(csv_data: str | bytes, meta: dict) -> EventCatalog:
     """Rebuild a catalog from its CSV event table and JSON metadata.
 
-    A malformed table raises ParseError naming its 1-based line, and a
-    missing or ill-typed metadata value raises ParseError naming the key
-    or the metadata.
+    A malformed table, or a peak flux that is not finite and >= 0, raises
+    ParseError naming its 1-based line, and a missing or ill-typed metadata
+    value raises ParseError naming the key or the metadata.
     """
     columns, empty, row_text = read_table(csv_data, _CSV_HEADER, _COLUMNS)
     if np.any(empty):
         raise ParseError("bad peak_fluxes value ''", row_text(int(np.argmax(empty)))[0])
+    check_nonnegative(columns[1], row_text, 1, "peak_flux")
     try:
         return EventCatalog(
             *columns,

@@ -19,8 +19,9 @@ from typing import IO
 
 import numpy as np
 
-from ._table import STAMP_WIDTH, Table, read_floats, read_stamps, read_table, table_bytes
-from .errors import DomainError, EmptyInputError, OrderingError, ParseError
+from ._table import (STAMP_WIDTH, Table, check_nonnegative, read_floats, read_stamps,
+                     read_table, table_bytes)
+from .errors import DomainError, EmptyInputError, OrderingError
 from .gpd import GpdParams, gpd_quantile
 
 __all__ = [
@@ -141,10 +142,12 @@ class IngestConfig:
     missing_sentinels: tuple[float, ...] = (-99999.0,)
 
     def __post_init__(self):
-        if not self.scaling_divisor > 0.0:
-            raise DomainError("scaling_divisor must be > 0")
-        if not self.saturation_level > 0.0:
-            raise DomainError("saturation_level must be > 0")
+        _check_divisor(self.scaling_divisor)
+        if not 0.0 < self.saturation_level < np.inf:
+            raise DomainError("saturation_level must be > 0 and finite")
+        sentinels = tuple(float(v) for v in self.missing_sentinels)
+        if not all(np.isfinite(sentinels)):
+            raise DomainError("every value of missing_sentinels must be finite")
         # normalize eagerly so bad dates fail at config time
         try:
             dates = tuple(str(np.datetime64(d, "D"))
@@ -156,8 +159,12 @@ class IngestConfig:
                               f"{self.retained_saturation_events[dates.index('NaT')]!r} "
                               "is not a date")
         object.__setattr__(self, "retained_saturation_events", dates)
-        object.__setattr__(self, "missing_sentinels",
-                           tuple(float(v) for v in self.missing_sentinels))
+        object.__setattr__(self, "missing_sentinels", sentinels)
+
+
+def _check_divisor(divisor: float) -> None:
+    if not 0.0 < divisor < np.inf:
+        raise DomainError("scaling_divisor must be > 0 and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +299,7 @@ def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None)
         empty |= flux == sentinel
     flux[empty] = np.nan
 
-    invalid = ~empty & (~np.isfinite(flux) | (flux < 0.0))
-    if np.any(invalid):
-        line_no, (_, value) = row_text(int(np.argmax(invalid)))
-        raise ParseError(f"flux value '{value}' is not a finite value >= 0", line_no)
+    check_nonnegative(flux, row_text, 1, "flux", skip=empty)
 
     backwards = ts_min[1:] <= ts_min[:-1]  # no whole-input difference array
     if np.any(backwards):
@@ -349,8 +353,7 @@ def write_flux_csv(series: FluxSeries, path=None) -> bytes:
 
 def apply_scaling(series: FluxSeries, divisor: float) -> FluxSeries:
     """Divide every non-missing flux by ``divisor`` (cross-satellite scaling)."""
-    if not divisor > 0.0:
-        raise DomainError("scaling divisor must be > 0")
+    _check_divisor(divisor)
     with np.errstate(over="ignore"):
         flux = series.flux / divisor
     if np.any(flux == np.inf):

@@ -25,12 +25,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from ._table import read_table, table_text
+from ._table import check_nonnegative, read_table, table_text
 from .decluster import (DEFAULT_GAP_MINUTES, DEFAULT_THRESHOLD, EventCatalog,
                         GapSweepCurve, checked_rule, decluster, gap_sweep)
 from .diagnostics import (MrlCurve, ProbabilityPlot, default_threshold_grid,
                           mean_excess_curve, probability_plot)
-from .errors import DomainError, FlareVtError, OrderingError, PipelineStageError
+from .errors import DomainError, FlareVtError, OrderingError, ParseError, PipelineStageError
 from .gpd import GpdFit, checked_threshold, fit_gpd, fit_to_json_dict
 from .ingest import FluxSeries, IngestConfig, filter_saturation, read_flux_csv, \
     apply_scaling, write_flux_csv
@@ -41,8 +41,8 @@ __all__ = [
     "STAGES",
     "PipelineConfig",
     "InputSpec",
-    "AnalysisReport",
     "run_pipeline",
+    "read_json",
     "write_json",
     "write_text",
     "json_text",
@@ -91,7 +91,6 @@ class PipelineConfig:
     scenario_levels: tuple[float, ...] = (45e-4, 200e-4)
     scenario_years: tuple[float, ...] = (150.0,)
     mrl_grid_points: int = 200
-    out_dir: str = "flarevt_out"
 
     def __post_init__(self):
         # each value with a library owner is checked by it, in its words
@@ -125,11 +124,7 @@ class PipelineConfig:
     @classmethod
     def from_json_file(cls, path) -> tuple["PipelineConfig", list["InputSpec"]]:
         """Load config and any declared inputs from a JSON document."""
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise DomainError(f"{path}: not a JSON document: {exc}") from None
+        doc = read_json(path)
         config = cls.from_dict(doc)
         inputs = doc.get("inputs", [])
         if not isinstance(inputs, list):
@@ -137,11 +132,9 @@ class PipelineConfig:
         return config, [coerce_input_spec(entry, config.ingest) for entry in inputs]
 
     def config_hash(self) -> str:
-        """Content hash of the resolved configuration (output dir excluded)."""
-        doc = self.to_dict()
-        doc.pop("out_dir")
+        """Content hash of the resolved configuration."""
         return hashlib.sha256(
-            json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+            json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def coerce_input_spec(entry, default_ingest: IngestConfig) -> InputSpec:
@@ -229,6 +222,15 @@ def _from_json(tp, value, where: str):
 # serialization helpers
 # ---------------------------------------------------------------------------
 
+def read_json(path):
+    """The JSON document in a file; ParseError naming the file if it is not one."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ParseError(f"{path}: not a JSON document: {exc}") from None
+
+
 def json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -256,8 +258,11 @@ def excesses_to_csv_text(excesses: np.ndarray) -> str:
 
 
 def excesses_from_csv_text(data: str | bytes) -> np.ndarray:
-    """The excess list; ParseError naming the line of a bad header or value."""
-    return read_table(data, "excess", {"excess": np.float64}).columns[0]
+    """The excess list; ParseError naming the line of a bad header or of a
+    value that is not finite and >= 0."""
+    (excesses,), _, row_text = read_table(data, "excess", {"excess": np.float64})
+    check_nonnegative(excesses, row_text, 0, "excess")
+    return excesses
 
 
 def x_class(flux: float) -> float:
@@ -369,30 +374,6 @@ def build_return_table(fit: GpdFit, config: PipelineConfig) -> list[dict]:
 # the pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Everything the pipeline learned, with pointers to the artifacts."""
-
-    schema_version: int
-    generated_at: str | None
-    config: dict
-    ingest: dict
-    catalog: dict
-    gap_sweep: dict
-    fit: dict
-    diagnostics: dict
-    return_table: list
-    scenarios: dict
-    provenance: dict
-    artifacts: dict
-
-    def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def to_json_text(self) -> str:
-        return json_text(self.to_json_dict())
-
-
 def _sweep_summary(curve: GapSweepCurve, configured_gap: int) -> dict:
     doc = {"n_gaps": int(curve.gaps.size)}
     for label, gap in (("lag1_at_gap_1", 1), ("lag1_at_configured_gap", configured_gap)):
@@ -478,13 +459,11 @@ def _report_stage(run) -> tuple[str, ...]:
         ingest_doc["saturation_note"] = (
             f"{removed_total} saturated run(s) blanked to missing; "
             "sub-saturation behaviour during those runs is discarded")
-    config_doc = config.to_dict()
-    config_doc.pop("out_dir")  # run location, not analysis content
-    run.report = AnalysisReport(
+    run.report = dict(
         schema_version=REPORT_SCHEMA_VERSION,
         generated_at=None if run.fixed_clock
         else _dt.datetime.now(_dt.timezone.utc).isoformat(),
-        config=config_doc,
+        config=config.to_dict(),
         ingest=ingest_doc,
         catalog=run.catalog.to_json_dict(),
         gap_sweep=_sweep_summary(run.sweep, config.gap_minutes),
@@ -506,7 +485,7 @@ def _report_stage(run) -> tuple[str, ...]:
         },
         artifacts=dict(run.artifacts),
     )
-    write_text(run.out / "report.json", run.report.to_json_text())
+    write_json(run.out / "report.json", run.report)
     return ("report.json",)
 
 
@@ -524,8 +503,8 @@ _STAGE_TABLE = {
 STAGES = tuple(_STAGE_TABLE)
 
 
-def run_pipeline(config: PipelineConfig, inputs, out_dir=None,
-                 fixed_clock: bool = False) -> AnalysisReport:
+def run_pipeline(config: PipelineConfig, inputs, out_dir,
+                 fixed_clock: bool = False) -> dict:
     """Run every stage over the input files and write all artifacts.
 
     ``inputs`` is a list of paths or :class:`InputSpec`; per-file ingest
@@ -533,10 +512,9 @@ def run_pipeline(config: PipelineConfig, inputs, out_dir=None,
     stage failure a ``manifest.json`` listing completed stages is written
     and :class:`PipelineStageError` raised.
 
-    Returns the report, which has also been written to
-    ``<out_dir>/report.json``.
+    Returns the report document, as written to ``<out_dir>/report.json``.
     """
-    out = Path(out_dir if out_dir is not None else config.out_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     specs = [entry if isinstance(entry, InputSpec)
              else coerce_input_spec(entry, config.ingest)

@@ -219,10 +219,10 @@ def test_criterion_10_full_archive_reproduction(tmp_path):
     report_doc = run_pipeline(config, inputs, out_dir=tmp_path / "archive",
                               fixed_clock=True)
 
-    fit = report_doc.fit
+    fit = report_doc["fit"]
     n_exc = fit["n_excesses"]
     scale, shape = fit["scale"], fit["shape"]
-    sweep = report_doc.gap_sweep
+    sweep = report_doc["gap_sweep"]
     raw_series = fv.read_flux_csv(tmp_path / "archive" / "series.csv")
     flux = raw_series.flux
     raw_r1 = fv.lag1_autocorrelation(flux[~np.isnan(flux)])

@@ -474,9 +474,10 @@ class TestScaling:
         assert np.isnan(scaled.flux[0])
         assert series.n_observations == scaled.n_observations == 1
 
-    @pytest.mark.parametrize("divisor", [0.0, -0.7])
+    @pytest.mark.parametrize("divisor", [0.0, -0.7, np.inf, np.nan])
     def test_bad_divisor(self, divisor):
-        with pytest.raises(DomainError):
+        # the rule and the words of IngestConfig.scaling_divisor
+        with pytest.raises(DomainError, match="scaling_divisor must be > 0 and finite"):
             fv.apply_scaling(make_series([1e-4]), divisor)
 
     def test_overflow_to_inf_rejected(self):

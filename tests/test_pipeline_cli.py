@@ -73,7 +73,7 @@ class TestRunPipeline:
         for name in EXPECTED_ARTIFACTS:
             assert (tmp_path / "out" / name).exists(), name
 
-        fit = fit_from_json_dict(report.fit)
+        fit = fit_from_json_dict(report["fit"])
         se = fit.std_errors
         assert abs(fit.scale - TRUE_SCALE) <= 3 * se[0]
         assert abs(fit.shape - TRUE_SHAPE) <= 3 * se[1]
@@ -85,8 +85,9 @@ class TestRunPipeline:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["failed_stage"] is None
         assert manifest["completed_stages"][-1] == "report"
-        assert report.generated_at is None
-        assert report.scenarios  # named headline rows present
+        assert report["generated_at"] is None
+        assert report["scenarios"]  # named headline rows present
+        assert report == json.loads((tmp_path / "out" / "report.json").read_text())
 
     def test_report_is_byte_deterministic(self, synth_csv, pipeline_config,
                                           tmp_path):
@@ -308,8 +309,24 @@ class TestCliStages:
         ("returns", "fit.json",
          lambda text: json_text({k: v for k, v in json.loads(text).items()
                                  if k != "convergence"}), "'convergence'"),
-        ("returns", "fit.json", lambda text: text[:len(text) // 2], "fit.json"),
-        ("diagnose", "fit.json", lambda text: text[:len(text) // 2], "fit.json"),
+        ("returns", "fit.json", lambda text: text[:len(text) // 2],
+         "fit.json: not a JSON document"),
+        ("diagnose", "fit.json", lambda text: text[:len(text) // 2],
+         "fit.json: not a JSON document"),
+        ("fit", "catalog.json", lambda text: text[:len(text) // 2],
+         "catalog.json: not a JSON document"),
+        ("diagnose", "catalog.json", lambda text: text[:len(text) // 2],
+         "catalog.json: not a JSON document"),
+        ("fit", "excesses.csv", lambda text: text + "nan\n",
+         "line 3: excess value 'nan' is not a finite value >= 0"),
+        ("fit", "excesses.csv", lambda text: text + "inf\n",
+         "line 3: excess value 'inf' is not a finite value >= 0"),
+        ("fit", "excesses.csv", lambda text: text + "-3e-5\n",
+         "line 3: excess value '-3e-5' is not a finite value >= 0"),
+        ("fit", "catalog.csv", lambda text: text.replace("0.0002", "nan"),
+         "line 2: peak_flux value 'nan' is not a finite value >= 0"),
+        ("diagnose", "catalog.csv", lambda text: text.replace("0.0002", "-0.0002"),
+         "line 2: peak_flux value '-0.0002' is not a finite value >= 0"),
         ("fit", "excesses.csv", lambda text: text + "\udcff1\n",
          "line 3: invalid UTF-8 byte 0xff"),
         ("fit", "catalog.csv", lambda text: text.replace("peak_time", "peak_t\udce9me"),
@@ -450,6 +467,33 @@ class TestCliRun:
     def test_run_without_inputs_is_usage_error(self, tmp_path):
         assert main(["run", "--out", str(tmp_path / "out")]) == 2
 
+    def test_run_writes_flarevt_out_by_default(self, synth_csv, pipeline_config, tmp_path,
+                                               monkeypatch):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(pipeline_config.to_dict()))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(config_path), str(synth_csv),
+                     "--fixed-clock"]) == 0
+        assert (tmp_path / "flarevt_out" / "report.json").is_file()
+
+    def test_out_dir_in_config_is_usage_error(self, synth_csv, tmp_path, capsys):
+        # the output directory is run_pipeline's argument and --out, not a config key
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"out_dir": str(tmp_path / "out")}))
+        assert main(["run", "--config", str(config_path), str(synth_csv)]) == 2
+        assert "error: unknown keys in config: ['out_dir']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_truncated_config_is_one_error_line(self, synth_csv, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"gpd_threshold": 1e-4')
+        assert main(["run", "--config", str(config_path), str(synth_csv),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{config_path}: not a JSON document" in err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_key_is_usage_error(self, synth_csv, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"no_such_key": 1}))
@@ -484,6 +528,9 @@ class TestCliRun:
         {"return_table_years": [-1]},
         {"scenario_years": [0]},
         {"scenario_levels": [-45e-4]},
+        {"ingest": {"scaling_divisor": float("inf")}},
+        {"ingest": {"saturation_level": float("inf")}},
+        {"ingest": {"missing_sentinels": [float("nan")]}},
     ])
     def test_bad_config_value_fails_before_ingest(self, doc, synth_csv, tmp_path):
         with pytest.raises(fv.DomainError):
@@ -521,8 +568,9 @@ def test_rule_owner_refuses_value_everywhere(owner, value, synth_csv, tmp_path, 
         PipelineConfig.from_dict({key: number})
     # a config file holding the value fails before the output directory is made
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({key: number, "out_dir": str(tmp_path / "out")}))
-    assert main(["run", "--config", str(config_path), str(synth_csv)]) == 2
+    config_path.write_text(json.dumps({key: number}))
+    assert main(["run", "--config", str(config_path), str(synth_csv),
+                 "--out", str(tmp_path / "out")]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     with pytest.raises(SystemExit) as exc:
@@ -547,6 +595,10 @@ class TestConfig:
         ("--divisor", "nan", "scaling_divisor must be > 0"),
         ("--divisor", "x", "invalid float value: 'x'"),
         ("--saturation-level", "0", "saturation_level must be > 0"),
+        ("--divisor", "inf", "scaling_divisor must be > 0 and finite"),
+        ("--saturation-level", "inf", "saturation_level must be > 0 and finite"),
+        ("--sentinel", "nan", "every value of missing_sentinels must be finite"),
+        ("--sentinel", "-inf", "every value of missing_sentinels must be finite"),
     ])
     def test_bad_ingest_value_is_usage_error(self, option, value, message, tmp_path, capsys):
         # a nonexistent input: the value is rejected before any input is read
@@ -595,7 +647,6 @@ class TestConfig:
             "scenario_levels": [45e-4, 200e-4],
             "scenario_years": [150.0],
             "mrl_grid_points": 200,
-            "out_dir": "flarevt_out",
         }
         assert PipelineConfig().config_hash() == (
             "0c5a7ce89896c428d7c4060dd05c14c2f1fe3e16e342610ec8ff3972650c24aa")
@@ -652,13 +703,13 @@ class TestConfig:
     def test_scenarios_trace_to_fit(self, synth_csv, pipeline_config, tmp_path):
         report = run_pipeline(pipeline_config, [synth_csv],
                               out_dir=tmp_path / "out", fixed_clock=True)
-        fit = fit_from_json_dict(report.fit)
-        row = report.scenarios["x45_return_period"]
+        fit = fit_from_json_dict(report["fit"])
+        row = report["scenarios"]["x45_return_period"]
         if "return_period_years" in row:
             assert row["return_period_years"] == pytest.approx(
                 fv.return_period(fit, 45e-4), rel=1e-12)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SubThresholdReturnWarning)
             expected = fv.return_level_ci(fit, 150.0).level
-        assert report.scenarios["level_150yr"]["level_wm2"] == pytest.approx(
+        assert report["scenarios"]["level_150yr"]["level_wm2"] == pytest.approx(
             expected, rel=1e-12)

@@ -23,6 +23,8 @@ from helpers import FLOAT_TEXTS, make_series
 MINUTES = st.integers(-100 * 525_960, 100 * 525_960)
 # finite floats, subnormal and huge values included
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+# the values a peak flux or an excess may take: finite and >= 0, -0.0 included
+NONNEGATIVE_FLOATS = st.floats(min_value=-0.0, allow_infinity=False)
 
 CATALOG_HEADER = "peak_time,peak_flux,cluster_start,cluster_end,cluster_samples"
 
@@ -41,7 +43,7 @@ def _meta(catalog: EventCatalog) -> dict:
 
 class TestRoundTrip:
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.lists(st.tuples(MINUTES, MINUTES, MINUTES, FLOATS,
+    @given(st.lists(st.tuples(MINUTES, MINUTES, MINUTES, NONNEGATIVE_FLOATS,
                               st.integers(0, 2**62)), max_size=12))
     def test_catalog(self, rows):
         catalog = _catalog(rows)
@@ -50,7 +52,7 @@ class TestRoundTrip:
         assert back.peak_fluxes.tobytes() == catalog.peak_fluxes.tobytes()
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.lists(FLOATS, max_size=20))
+    @given(st.lists(NONNEGATIVE_FLOATS, max_size=20))
     def test_excesses_bit_for_bit(self, values):
         y = np.array(values, dtype=np.float64)
         back = excesses_from_csv_text(excesses_to_csv_text(y))
