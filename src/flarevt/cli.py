@@ -68,12 +68,12 @@ def _flag(convert, accept):
     return parse
 
 
-def _gap_list(text: str) -> list[int]:
+def _gap_list(text: str) -> range | list[int]:
     """Parse 'lo:hi' (inclusive) or a comma list of ints."""
     try:
         if ":" in text:
             lo, hi = text.split(":")
-            return list(range(int(lo), int(hi) + 1))
+            return range(int(lo), int(hi) + 1)  # checked_gaps refuses one too long to list
         return [int(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
@@ -122,7 +122,7 @@ def _cmd_decluster(args) -> int:
 
 def _cmd_sweep(args) -> int:
     series = read_flux_csv(args.series)
-    curve = gap_sweep(series, args.threshold, list(args.gaps))
+    curve = gap_sweep(series, args.threshold, args.gaps)
     write_text(args.out, curve.to_csv_text())
     print(f"sweep: {curve.gaps.size} gap(s) -> {args.out}")
     return 0

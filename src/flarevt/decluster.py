@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import ingest
 from ._table import check_nonnegative, read_table, table_text
 from .errors import DomainError, InsufficientDataError, ParseError, ZeroVarianceError
 from .ingest import FluxSeries
@@ -133,6 +134,15 @@ def catalog_from_files(csv_data: str | bytes, meta: dict) -> EventCatalog:
         raise ParseError(f"bad catalog metadata: {exc}") from None
 
 
+def _exceedances(flux: np.ndarray, threshold: float) -> np.ndarray:
+    """Index of each sample at or above ``threshold``, in order, scanned a task
+    of rows at a time on the chunk threads."""
+    n = ingest._TASK_ROWS
+    parts = ingest._in_order(lambda lo: lo + np.flatnonzero(flux[lo:lo + n] >= threshold),
+                             range(0, flux.size, n))
+    return np.concatenate([np.empty(0, np.intp), *parts])
+
+
 def _cluster_starts(minutes: np.ndarray, gap: int) -> np.ndarray:
     """Index of each cluster's first exceedance, given the exceedance minutes."""
     # an exceedance more than `gap` minutes after the previous one opens a cluster
@@ -159,7 +169,7 @@ def decluster(series: FluxSeries, threshold: float = DEFAULT_THRESHOLD,
     """
     threshold, gap = checked_rule(threshold, gap_minutes)
     ts, flux = series.timestamps, series.flux
-    exc = np.flatnonzero(flux >= threshold)
+    exc = _exceedances(flux, threshold)
     starts = _cluster_starts(ts[exc].astype(np.int64), gap)
     counts = np.diff(np.append(starts, exc.size))
 
@@ -242,13 +252,17 @@ def checked_rule(threshold: float,
 
 
 def checked_gaps(gaps: Sequence[int]) -> np.ndarray:
-    """The sweep's gaps as int64; DomainError unless non-empty, each >= 1
-    and strictly increasing."""
-    gap_arr = np.asarray(list(gaps), dtype=np.int64)
+    """The sweep's gaps as int64; DomainError unless non-empty, each in
+    [1, 2**63) and strictly increasing."""
+    out_of_range = "every gap must be >= 1 and < 2**63"
+    try:
+        gap_arr = np.asarray(list(gaps), dtype=np.int64)
+    except OverflowError:  # a gap past int64, or a range too long for a list
+        raise DomainError(out_of_range) from None
     if gap_arr.size == 0:
         raise DomainError("gaps must be non-empty")
     if np.any(gap_arr < 1):
-        raise DomainError("every gap must be >= 1")
+        raise DomainError(out_of_range)
     if np.any(np.diff(gap_arr) <= 0):
         raise DomainError("gaps must be strictly increasing")
     return gap_arr
@@ -266,7 +280,7 @@ def gap_sweep(series: FluxSeries, threshold: float,
     gap_arr = checked_gaps(gaps)
     threshold = checked_rule(threshold)[0]
 
-    exc = np.flatnonzero(series.flux >= threshold)
+    exc = _exceedances(series.flux, threshold)
     minutes, flux_exc = series.timestamps[exc].astype(np.int64), series.flux[exc]
     lag1 = np.full(gap_arr.size, np.nan)
     counts = np.zeros(gap_arr.size, dtype=np.int64)

@@ -67,17 +67,26 @@ class FluxSeries:
         values = np.asarray(self.flux, dtype=np.float64)
         if stamps.shape != values.shape or stamps.ndim != 1:
             raise DomainError("timestamps and flux must be parallel 1-d arrays")
-        # one pass, a block at a time: copy, check and count while in cache
         ts = stamps if stamps is not given else np.empty(stamps.size, stamps.dtype)
         fx, ticks = np.empty(values.size), ts.view(np.int64)
+
+        def build(start: int) -> tuple[bool, bool, int]:
+            """Copies, checks and counts one task's rows, a block at a time while in cache."""
+            backwards, bad_flux, observed, stop = False, False, 0, start + _TASK_ROWS
+            for lo in range(start, min(stop, fx.size), _BUILD_BLOCK_ROWS):
+                hi = min(lo + _BUILD_BLOCK_ROWS, stop)
+                ts[lo:hi], fx[lo:hi] = stamps[lo:hi], values[lo:hi]  # a no-op where ts is stamps
+                k, f = ticks[max(lo - 1, start):hi], fx[lo:hi]  # seams are checked after all tasks
+                backwards = backwards or bool(np.any(k[1:] <= k[:-1]))
+                bad_flux = bad_flux or np.fmin.reduce(f) < 0.0 or np.fmax.reduce(f) == np.inf
+                observed += f.size - np.count_nonzero(np.isnan(f))
+            return backwards, bad_flux, observed
+
         backwards, bad_flux, observed = False, False, 0
-        for lo in range(0, fx.size, _BUILD_BLOCK_ROWS):
-            hi = lo + _BUILD_BLOCK_ROWS
-            ts[lo:hi], fx[lo:hi] = stamps[lo:hi], values[lo:hi]  # a no-op where ts is stamps
-            k, f = ticks[max(lo - 1, 0):hi], fx[lo:hi]  # from the previous block's last stamp
-            backwards = backwards or bool(np.any(k[1:] <= k[:-1]))
-            bad_flux = bad_flux or np.fmin.reduce(f) < 0.0 or np.fmax.reduce(f) == np.inf
-            observed += f.size - np.count_nonzero(np.isnan(f))
+        for back, bad, count in _in_order(build, range(0, fx.size, _TASK_ROWS)):
+            backwards, bad_flux, observed = backwards or back, bad_flux or bad, observed + count
+        seams = np.arange(_TASK_ROWS, fx.size, _TASK_ROWS)  # each task's first stamp
+        backwards = backwards or bool(np.any(ticks[seams] <= ticks[seams - 1]))
         # NaT is the int64 minimum, so past the first stamp the int64 test flags it
         if backwards or (ticks.size and ticks[0] == _NAT_TICKS):
             if np.any(np.isnat(ts)):
@@ -175,9 +184,11 @@ def _check_divisor(divisor: float) -> None:
 # then ``YYYY-MM-DDTHH:MM:00Z,<flux>`` rows, each ended by a newline.
 _CANONICAL_HEADER = (CSV_HEADER + "\n").encode("ascii")
 _SCAN_CHUNK_BYTES = 1 << 19  # bytes decoded at a time, with ~10x that in working arrays
+# rows a whole-series pass hands a chunk thread; shorter numpy calls lose to GIL handoffs
+_TASK_ROWS = 1 << 19
 _WRITE_CHUNK_ROWS = 1 << 14  # rows formatted at a time, with ~250 B a row in working arrays
 _CSV_KINDS = {"timestamp": "datetime64[m]", "flux": np.float64}
-# chunk threads: numpy releases the GIL in its kernels, and the cap bounds their arrays
+# chunk threads: one a CPU this process may use, capped to bound their working arrays
 _WORKERS = min(8, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from ._table import check_nonnegative, read_table, table_text
 from .decluster import (DEFAULT_GAP_MINUTES, DEFAULT_THRESHOLD, EventCatalog,
-                        GapSweepCurve, checked_rule, decluster, gap_sweep)
+                        GapSweepCurve, checked_gaps, checked_rule, decluster, gap_sweep)
 from .diagnostics import (MrlCurve, ProbabilityPlot, default_threshold_grid,
                           mean_excess_curve, probability_plot)
 from .errors import DomainError, FlareVtError, OrderingError, ParseError, PipelineStageError
@@ -102,8 +102,9 @@ class PipelineConfig:
             raise DomainError("gpd_threshold must be >= decluster_threshold")
         if not (0.0 < self.m_grid_lo < self.m_grid_hi < math.inf and self.m_grid_count >= 1):
             raise DomainError("m_grid must satisfy 0 < lo < hi < inf and count >= 1")
-        if not (1 <= self.sweep_gap_lo <= self.sweep_gap_hi):
-            raise DomainError("sweep gap range must satisfy 1 <= lo <= hi")
+        if not self.sweep_gap_lo <= self.sweep_gap_hi:
+            raise DomainError("sweep gap range must satisfy lo <= hi")
+        checked_gaps(sorted({self.sweep_gap_lo, self.sweep_gap_hi}))  # its ends, not the range
         if self.mrl_grid_points < 1:
             raise DomainError("mrl_grid_points must be >= 1")
         for name in ("return_table_years", "scenario_years", "scenario_levels"):

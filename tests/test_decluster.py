@@ -200,6 +200,9 @@ class TestGapSweep:
             fv.gap_sweep(series, 1.0, [0, 1])
         with pytest.raises(DomainError):
             fv.gap_sweep(series, 1.0, [3, 2])
+        for gaps in ([2**63], [1, 10**20], [-10**20, 1], range(1, 10**20)):
+            with pytest.raises(DomainError, match=r"^every gap must be >= 1 and < 2\*\*63$"):
+                fv.gap_sweep(series, 1.0, gaps)
 
     @pytest.mark.parametrize("gaps", [[], [0, 1], [3, 2], [2, 2]])
     def test_curve_follows_the_sweep_gap_rule(self, gaps):

@@ -432,6 +432,104 @@ class TestChunkPool:
         assert path.read_bytes() == text
 
 
+class TestWholeSeriesPasses:
+    """The series build and the exceedance scan give the same result and the same
+    error on any number of threads, wherever a fault sits against the task seams."""
+
+    TASK, N = 8, 100  # tasks of rows [0, 8), [8, 16), ..., [96, 100)
+
+    @pytest.fixture(params=[1, 2, 3])
+    def workers(self, request, monkeypatch):
+        monkeypatch.setattr(fv.ingest, "_WORKERS", request.param)
+        monkeypatch.setattr(fv.ingest, "_TASK_ROWS", self.TASK)
+        monkeypatch.setattr(fv.ingest, "_BUILD_BLOCK_ROWS", 3)  # blocks of 3, 3, 2 a task
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads take turns often, so a lost task would show
+        threads = threading.active_count()
+        try:
+            yield request.param
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads  # none left running, errors or not
+
+    def _arrays(self):
+        ts = np.datetime64("2000-01-01T00:00", "m") + np.arange(self.N)
+        flux = np.linspace(1e-6, 1e-3, self.N)
+        flux[::5] = np.nan
+        return ts, flux
+
+    def test_same_series_on_any_worker_count(self, workers):
+        ts, flux = self._arrays()
+        for given in (ts, ts.astype("datetime64[s]")):
+            series = fv.FluxSeries(given, flux)
+            np.testing.assert_array_equal(series.timestamps, ts)
+            np.testing.assert_array_equal(series.flux.view(np.uint64), flux.view(np.uint64))
+            assert series.n_observations == np.count_nonzero(~np.isnan(flux)) == 80
+            assert not series.timestamps.flags.writeable and not series.flux.flags.writeable
+
+    @pytest.mark.parametrize("row", [16, 96, 11, 13],
+                             ids=["task seam", "last seam", "block start", "inside a block"])
+    def test_repeated_stamp_is_ordering_error(self, workers, row):
+        ts, flux = self._arrays()
+        ts[row] = ts[row - 1]
+        with pytest.raises(OrderingError) as exc:
+            fv.FluxSeries(ts, flux)
+        assert str(exc.value) == "timestamps must be strictly increasing"
+
+    @pytest.mark.parametrize("row", [0, 16, 13], ids=["first stamp", "task seam", "inside"])
+    def test_nat_stamp_is_domain_error(self, workers, row):
+        ts, flux = self._arrays()
+        ts[row] = np.datetime64("NaT")
+        with pytest.raises(DomainError) as exc:
+            fv.FluxSeries(ts, flux)
+        assert type(exc.value) is DomainError and str(exc.value) == "timestamps must not be NaT"
+
+    @pytest.mark.parametrize("value", [-1e-12, np.inf])
+    def test_bad_flux_in_the_last_task(self, workers, value):
+        ts, flux = self._arrays()
+        flux[98] = value
+        with pytest.raises(DomainError) as exc:
+            fv.FluxSeries(ts, flux)
+        assert str(exc.value) == "flux values must be NaN or finite and >= 0"
+
+    def test_errors_leave_caller_arrays_alone(self, workers):
+        ts, flux = self._arrays()
+        ts[40] = ts[39]
+        before = ts.copy(), flux.copy()
+        with pytest.raises(OrderingError):
+            fv.FluxSeries(ts, flux)
+        np.testing.assert_array_equal(ts, before[0])
+        np.testing.assert_array_equal(flux, before[1])
+
+    @pytest.mark.parametrize("n", [N, 0])
+    def test_exceedance_scan_matches_one_thread_and_plain_scan(self, workers, monkeypatch, n):
+        ts, flux = self._arrays()
+        flux[~np.isnan(flux)] = 1e-5
+        flux[6:11], flux[14:18], flux[94:97] = 5e-3, 6e-3, 7e-3  # across the seams at 8, 16, 96
+        flux[50] = 2e-3
+        flux[[7, 15, 23, 95]] = np.nan  # and gaps at the last row of a task
+        series = fv.FluxSeries(ts[:n], flux[:n])
+        module = sys.modules["flarevt.decluster"]  # fv.decluster is the function
+        np.testing.assert_array_equal(module._exceedances(series.flux, 4e-4),
+                                      np.flatnonzero(series.flux >= 4e-4))
+
+        def passes():
+            return (fv.decluster(series, 4e-4, 2),
+                    fv.gap_sweep(series, 4e-4, [1, 2, 3, 5, 40]))
+
+        catalog, curve = passes()
+        monkeypatch.setattr(fv.ingest, "_WORKERS", 1)
+        one_thread = passes()
+        monkeypatch.setattr(module, "_exceedances",
+                            lambda values, threshold: np.flatnonzero(values >= threshold))
+        plain = passes()
+        for want_catalog, want_curve in (one_thread, plain):
+            assert catalog == want_catalog
+            for name in ("gaps", "lag1", "event_counts"):
+                np.testing.assert_array_equal(getattr(curve, name), getattr(want_curve, name))
+        assert len(catalog) == (4 if n else 0)
+
+
 def _scan_peak(n: int) -> int:
     """tracemalloc's peak over parsing the CSV of n rows, 10% of them NaN."""
     rng = np.random.default_rng(23)

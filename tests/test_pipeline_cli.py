@@ -175,6 +175,9 @@ BAD_FLAG_VALUES = [
     ("fit", "--threshold", "nan", "threshold must be finite and >= 0, got nan"),
     ("fit", "--threshold", "inf", "threshold must be finite and >= 0, got inf"),
     ("fit", "--threshold", "-1", "threshold must be finite and >= 0, got -1.0"),
+    ("sweep", "--gaps", f"1,{2**63}", "every gap must be >= 1 and < 2**63"),
+    ("sweep", "--gaps", f"1,{10**20}", "every gap must be >= 1 and < 2**63"),
+    ("sweep", "--gaps", f"1:{10**20}", "every gap must be >= 1 and < 2**63"),
 ]
 
 
@@ -531,6 +534,11 @@ class TestCliRun:
         {"ingest": {"scaling_divisor": float("inf")}},
         {"ingest": {"saturation_level": float("inf")}},
         {"ingest": {"missing_sentinels": [float("nan")]}},
+        {"sweep_gaps": {"hi": 2**63}},
+        {"sweep_gaps": {"hi": 10**20}},
+        {"sweep_gaps": {"lo": 10**20, "hi": 10**20}},
+        {"sweep_gaps": {"lo": 0}},
+        {"sweep_gaps": {"lo": 5, "hi": 4}},
     ])
     def test_bad_config_value_fails_before_ingest(self, doc, synth_csv, tmp_path):
         with pytest.raises(fv.DomainError):
