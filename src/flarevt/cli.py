@@ -73,7 +73,7 @@ def _gap_list(text: str) -> range | list[int]:
     try:
         if ":" in text:
             lo, hi = text.split(":")
-            return range(int(lo), int(hi) + 1)  # checked_gaps refuses one too long to list
+            return range(int(lo), int(hi) + 1)  # checked_gaps bounds its length unlisted
         return [int(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(

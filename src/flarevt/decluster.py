@@ -33,10 +33,12 @@ __all__ = [
     "gap_sweep",
     "checked_rule",
     "checked_gaps",
+    "MAX_SWEEP_GAPS",
 ]
 
 DEFAULT_THRESHOLD = 1e-4   # X1
 DEFAULT_GAP_MINUTES = 15
+MAX_SWEEP_GAPS = 10_080  # the most gaps a sweep takes: one week of minutes
 
 MISSING_MINUTES_POLICY = "missing-or-absent-minutes-count-as-quiet"
 
@@ -252,12 +254,18 @@ def checked_rule(threshold: float,
 
 
 def checked_gaps(gaps: Sequence[int]) -> np.ndarray:
-    """The sweep's gaps as int64; DomainError unless non-empty, each in
-    [1, 2**63) and strictly increasing."""
+    """The sweep's gaps as int64; DomainError unless non-empty, at most
+    MAX_SWEEP_GAPS, each in [1, 2**63) and strictly increasing.  A range is
+    checked by its ends and its length before it is listed."""
     out_of_range = "every gap must be >= 1 and < 2**63"
+    if isinstance(gaps, range) and gaps and not all(1 <= end < 2**63
+                                                    for end in (gaps[0], gaps[-1])):
+        raise DomainError(out_of_range)
+    if len(gaps) > MAX_SWEEP_GAPS:
+        raise DomainError(f"at most {MAX_SWEEP_GAPS} gaps can be swept, got {len(gaps)}")
     try:
         gap_arr = np.asarray(list(gaps), dtype=np.int64)
-    except OverflowError:  # a gap past int64, or a range too long for a list
+    except OverflowError:  # a gap past int64
         raise DomainError(out_of_range) from None
     if gap_arr.size == 0:
         raise DomainError("gaps must be non-empty")
@@ -273,9 +281,9 @@ def gap_sweep(series: FluxSeries, threshold: float,
     """Decluster at each gap and correlate the resulting peak sequences.
 
     The exceedances are found once and re-split into clusters at each
-    gap by the rule :func:`decluster` uses.  ``gaps`` must be strictly
-    increasing values >= 1.  Gaps yielding too few events for the
-    statistic are kept in the curve with NaN.
+    gap by the rule :func:`decluster` uses.  ``gaps`` must be at most
+    MAX_SWEEP_GAPS strictly increasing values >= 1.  Gaps yielding too few
+    events for the statistic are kept in the curve with NaN.
     """
     gap_arr = checked_gaps(gaps)
     threshold = checked_rule(threshold)[0]

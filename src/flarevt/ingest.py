@@ -12,15 +12,16 @@ import collections
 import contextlib
 import functools
 import io
+import mmap
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
-from ._table import (STAMP_WIDTH, Table, check_nonnegative, read_floats, read_stamps,
-                     read_table, table_bytes)
+from ._table import (STAMP_WIDTH, check_nonnegative, read_floats, read_stamps, read_table,
+                     table_bytes)
 from .errors import DomainError, EmptyInputError, OrderingError
 from .gpd import GpdParams, gpd_quantile
 
@@ -183,6 +184,8 @@ def _check_divisor(divisor: float) -> None:
 # The canonical layout, as write_flux_csv produces it: the exact header,
 # then ``YYYY-MM-DDTHH:MM:00Z,<flux>`` rows, each ended by a newline.
 _CANONICAL_HEADER = (CSV_HEADER + "\n").encode("ascii")
+_READ_BLOCK_BYTES = 1 << 20  # bytes of a file read into the reader's one buffer at a time
+_LEAD = 3  # bytes before the buffer's first row, as read_stamps reads 3 before a stamp
 _SCAN_CHUNK_BYTES = 1 << 19  # bytes decoded at a time, with ~10x that in working arrays
 # rows a whole-series pass hands a chunk thread; shorter numpy calls lose to GIL handoffs
 _TASK_ROWS = 1 << 19
@@ -193,116 +196,158 @@ _WORKERS = min(8, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
                else os.cpu_count() or 1)
 
 
-def _in_order(fn, items):
-    """``fn(item)`` for each item, in order, on _WORKERS threads with two items a
-    thread in flight, or on this thread for one worker or one item.  An error, or
-    closing the generator, cancels the calls not started and waits for the rest."""
+def _in_order(fn, items, pool: ThreadPoolExecutor | None = None):
+    """``fn(item)`` for each item, in order, on _WORKERS threads (of ``pool``, when
+    given) with two items a thread in flight, or on this thread for one worker or
+    one item.  An error, or closing the generator, cancels the calls not started
+    and waits for the rest."""
     workers = min(_WORKERS, len(items))
     if workers < 2:
         yield from map(fn, items)
         return
-    pool = ThreadPoolExecutor(workers)
-    try:
-        ahead = collections.deque(pool.submit(fn, item) for item in items[:2 * workers])
-        for item in items[2 * workers:]:
-            yield ahead.popleft().result()
-            ahead.append(pool.submit(fn, item))
-        while ahead:
-            yield ahead.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _scan_canonical(data: str | bytes) -> Table | None:
-    """Decode canonical input in numpy; None leaves it to the per-line scan.
-
-    Anything else (CRLF, a BOM, blank lines, padded fields, date-only or
-    off-grid stamps, invalid dates, ``nan`` or ``inf`` text, non-ASCII
-    bytes, malformed rows) returns None, so the per-line scan decides it
-    and names the line.
-    """
-    if isinstance(data, str):
-        if not data.isascii():
-            return None
-        data = data.encode("ascii")
-    start = len(_CANONICAL_HEADER)
-    if not data.startswith(_CANONICAL_HEADER) or len(data) == start:
-        return None
-    bounds = [start]  # chunk i is the run of whole rows from bounds[i] to bounds[i + 1]
-    while bounds[-1] < len(data):
-        bounds.append(data.find(b"\n", bounds[-1] + _SCAN_CHUNK_BYTES) + 1 or len(data))
-
-    def newlines(i: int) -> np.ndarray:
-        return np.frombuffer(data, np.uint8, bounds[i + 1] - bounds[i], bounds[i]) == ord("\n")
-
-    # the rows go straight into arrays sized from the chunks' row counts; glibc
-    # then hands each chunk's freed working arrays back to the system (~1M page
-    # faults at 30 years, one thread ~1.3x slower than joining per-chunk arrays)
-    counts = _in_order(lambda i: np.count_nonzero(newlines(i)), range(len(bounds) - 1))
-    firsts = np.cumsum([0, *counts])  # each chunk's first row
-    minutes = np.empty(firsts[-1] + (not data.endswith(b"\n")), dtype=np.int64)
-    flux = np.empty(minutes.size)
-
-    def decode(i: int) -> bool:
-        start, stop = bounds[i], bounds[i + 1]
-        ends = start + np.flatnonzero(newlines(i))
-        if stop == len(data) and not data.endswith(b"\n"):
-            ends = np.append(ends, stop)
-        starts = np.concatenate(([start], ends[:-1] + 1))
-        widths = ends - starts - STAMP_WIDTH
-        if widths.min() < 0:  # a blank line, or a row too short for its stamp
-            return False
-        rows = slice(firsts[i], firsts[i] + ends.size)
-        stamps = read_stamps(data, starts)
-        if stamps is None:
-            return False
-        minutes[rows] = stamps
+    with contextlib.ExitStack() as stack:
+        pool = pool or stack.enter_context(ThreadPoolExecutor(workers))
+        ahead = collections.deque()
         try:
-            flux[rows] = read_floats(data, ends, widths)
-        except ValueError:
-            return False
-        return True
-
-    with contextlib.closing(_in_order(decode, range(len(bounds) - 1))) as decoded:
-        if not all(decoded):
-            return None
-    stamps = minutes.view("datetime64[m]")
-
-    def row_text(i: int) -> tuple[int, tuple[str, ...]]:
-        ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
-        stop = ends[i + 1] if i + 1 < ends.size else len(data)
-        ts, value = data[ends[i] + 1:stop].decode("ascii").split(",")
-        return i + 2, (ts[:-1], value)
-
-    return Table((stamps, flux), np.isnan(flux), row_text)
+            ahead.extend(pool.submit(fn, item) for item in items[:2 * workers])
+            for item in items[2 * workers:]:
+                yield ahead.popleft().result()
+                ahead.append(pool.submit(fn, item))
+            while ahead:
+                yield ahead.popleft().result()
+        finally:
+            for future in ahead:
+                future.cancel()
+            wait(ahead)
 
 
-def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None) -> FluxSeries:
-    """Parse the two-column flux CSV into a series.
+def _row_blocks(source: bytes | IO[bytes]):
+    """The rows after the canonical header, a block at a time.
 
-    Expects a ``timestamp,flux_wm2`` header, ISO-8601 UTC timestamps with
-    a ``Z`` suffix on the minute grid, and decimal or scientific-notation
-    flux values.  An empty flux field or a configured sentinel value
-    marks the sample missing.  Input in the layout ``write_flux_csv``
-    produces is decoded by numpy kernels, in chunks of rows on a thread
-    per CPU, each flux bit for bit as ``float()`` reads it; any other
-    input is scanned line by line, by the scan every CSV reader shares.
-    Both give the same series or the same error.
-
-    Raises
-    ------
-    EmptyInputError
-        No content or no data rows.
-    ParseError
-        Malformed row or bytes that are not UTF-8; the message names the
-        offending 1-based line.
-    OrderingError
-        Non-increasing timestamps; names the offending line.
+    Yields ``(buf, lo, hi)`` with whole rows in ``buf[lo:hi]``; only the
+    input's last row may lack its newline.  In-memory input is its own
+    buffer.  A file is read from its start into one buffer of
+    _READ_BLOCK_BYTES, reused for every block: the row that a block's end
+    cuts moves to the buffer's start before the next read.  Yields None,
+    and stops, for another header or a row longer than a block.
     """
-    config = config or IngestConfig()
-    data = source if isinstance(source, (str, bytes)) else source.read()
-    (ts_min, flux), empty, row_text = (_scan_canonical(data)
-                                       or read_table(data, CSV_HEADER, _CSV_KINDS))
+    if isinstance(source, bytes):
+        head = source[:len(_CANONICAL_HEADER)]
+    else:
+        source.seek(0)
+        head = source.read(len(_CANONICAL_HEADER))
+    if head != _CANONICAL_HEADER:
+        yield None
+        return
+    if isinstance(source, bytes):
+        lo = len(head)
+        while lo < len(source):
+            hi = (len(source) if len(source) - lo <= _READ_BLOCK_BYTES
+                  else source.rfind(b"\n", lo, lo + _READ_BLOCK_BYTES) + 1)
+            if not hi:  # no newline in a block
+                yield None
+                return
+            yield source, lo, hi
+            lo = hi
+        return
+    buf, stop = bytearray(_LEAD + _READ_BLOCK_BYTES), _LEAD
+    with memoryview(buf) as view:
+        while True:
+            got = source.readinto(view[stop:])
+            stop += got
+            cut = buf.rfind(b"\n", _LEAD, stop) + 1 if got else stop  # at the end, the rest
+            if cut > _LEAD:
+                yield buf, _LEAD, cut
+                buf[_LEAD:_LEAD + stop - cut] = buf[cut:stop]
+                stop = _LEAD + stop - cut
+            elif stop == len(buf):  # a row longer than the buffer
+                yield None
+                return
+            elif not got:
+                return
+
+
+def _newlines(buf, lo: int, hi: int) -> np.ndarray:
+    return np.frombuffer(buf, np.uint8, hi - lo, lo) == ord("\n")
+
+
+def _decode_rows(buf, sentinels: tuple[float, ...], rows: tuple[int, int]
+                 ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The minutes and flux of the rows in ``buf[lo:hi]``, sentinels as NaN; None
+    unless every row decodes, every flux is NaN or finite and >= 0, and every
+    stamp comes after the one before."""
+    lo, hi = rows
+    ends = lo + np.flatnonzero(_newlines(buf, lo, hi))
+    if buf[hi - 1] != ord("\n"):  # the input's last row, without its newline
+        ends = np.append(ends, hi)
+    starts = np.concatenate(([lo], ends[:-1] + 1))
+    widths = ends - starts - STAMP_WIDTH
+    if widths.min() < 0:  # a blank line, or a row too short for its stamp
+        return None
+    minutes = read_stamps(buf, starts)
+    if minutes is None or np.any(minutes[1:] <= minutes[:-1]):
+        return None
+    try:
+        flux = read_floats(buf, ends, widths)
+    except ValueError:
+        return None
+    for sentinel in sentinels:
+        flux[flux == sentinel] = np.nan
+    if np.fmin.reduce(flux) < 0.0 or np.fmax.reduce(flux) == np.inf:  # both skip NaN
+        return None
+    return minutes, flux
+
+
+def _scan_canonical(source: str | bytes | IO[bytes],
+                    sentinels: tuple[float, ...] = IngestConfig.missing_sentinels
+                    ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Decode canonical input in numpy, a block at a time; None leaves it to the per-line scan.
+
+    Returns the stamps and the flux, sentinels as NaN.  Anything else (CRLF,
+    a BOM, blank lines, padded fields, date-only or off-grid stamps, invalid
+    dates, ``nan`` or ``inf`` text, non-ASCII bytes, malformed rows, a flux
+    that is negative or infinite, stamps that do not increase) returns None,
+    so the per-line scan decides it and names the line.
+
+    Two passes over the blocks of :func:`_row_blocks`: the first counts the
+    rows, so that the arrays are allocated once at their size; the second
+    decodes each block's rows in chunks on the chunk threads.
+    """
+    if isinstance(source, str):
+        source = source.encode("ascii") if source.isascii() else b""
+    rows = 0
+    for block in _row_blocks(source):
+        if block is None:
+            return None
+        buf, lo, hi = block
+        rows += np.count_nonzero(_newlines(buf, lo, hi)) + (buf[hi - 1] != ord("\n"))
+    if not rows:
+        return None
+    minutes, flux = np.empty(rows, np.int64), np.empty(rows)
+    done, last = 0, _NAT_TICKS
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        for block in _row_blocks(source):
+            if block is None:  # a file changed since its rows were counted
+                return None
+            buf, lo, hi = block
+            bounds = [lo]  # chunk i is the run of whole rows from bounds[i] to bounds[i + 1]
+            while bounds[-1] < hi:
+                bounds.append(buf.find(b"\n", bounds[-1] + _SCAN_CHUNK_BYTES, hi) + 1 or hi)
+            decoded = _in_order(functools.partial(_decode_rows, buf, sentinels),
+                                list(zip(bounds, bounds[1:])), pool)
+            with contextlib.closing(decoded):
+                for chunk in decoded:
+                    if chunk is None or chunk[0][0] <= last or done + chunk[0].size > rows:
+                        return None
+                    n = done + chunk[0].size
+                    minutes[done:n], flux[done:n] = chunk
+                    done, last = n, chunk[0][-1]
+    return (minutes.view("datetime64[m]"), flux) if done == rows else None
+
+
+def _per_line(data: str | bytes, config: IngestConfig) -> FluxSeries:
+    """The series of any layout the per-line scan reads; an error names its line."""
+    (ts_min, flux), empty, row_text = read_table(data, CSV_HEADER, _CSV_KINDS)
     if not ts_min.size:
         raise EmptyInputError("no data rows")
 
@@ -320,42 +365,83 @@ def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None)
     return FluxSeries._adopt(ts_min, flux)
 
 
+def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None) -> FluxSeries:
+    """Parse the two-column flux CSV into a series.
+
+    Expects a ``timestamp,flux_wm2`` header, ISO-8601 UTC timestamps with
+    a ``Z`` suffix on the minute grid, and decimal or scientific-notation
+    flux values.  An empty flux field or a configured sentinel value
+    marks the sample missing.  Input in the layout ``write_flux_csv``
+    produces is decoded by numpy kernels, a block of a buffer at a time
+    and in chunks of rows on a thread per CPU, each flux bit for bit as
+    ``float()`` reads it; any other input, and canonical input with a bad
+    value or stamps out of order, is scanned line by line, by the scan
+    every CSV reader shares.  Both give the same series or the same error.
+
+    Raises
+    ------
+    EmptyInputError
+        No content or no data rows.
+    ParseError
+        Malformed row or bytes that are not UTF-8; the message names the
+        offending 1-based line.
+    OrderingError
+        Non-increasing timestamps; names the offending line.
+    """
+    config = config or IngestConfig()
+    data = source if isinstance(source, (str, bytes)) else source.read()
+    scanned = _scan_canonical(data, config.missing_sentinels)
+    return _per_line(data, config) if scanned is None else FluxSeries._adopt(*scanned)
+
+
 def read_flux_csv(path, config: IngestConfig | None = None) -> FluxSeries:
-    """Parse a flux CSV file from disk."""
+    """Parse a flux CSV file from disk, as :func:`parse_flux_csv` does.
+
+    Canonical input is read in blocks into one fixed buffer, so no copy of
+    the file is held; the per-line scan, for any other input, reads it whole.
+    """
+    config = config or IngestConfig()
     with open(path, "rb") as fh:
-        return parse_flux_csv(fh, config)
+        scanned = _scan_canonical(fh, config.missing_sentinels)
+        if scanned is None:
+            fh.seek(0)
+            return _per_line(fh.read(), config)
+    return FluxSeries._adopt(*scanned)
 
 
-def write_flux_csv(series: FluxSeries, path=None) -> bytes:
+def write_flux_csv(series: FluxSeries, path=None) -> bytes | memoryview:
     """Serialize a series to the interchange CSV (missing flux = empty field).
 
-    Each flux is its shortest round-trip ``repr``.  Returns the CSV as
-    ASCII bytes; also writes it to ``path`` when given, to ``path +
-    ".partial"``, which replaces ``path`` once every row is written: a
-    failed write leaves no partial file and ``path`` as it was.  Chunks of
-    rows are formatted on the chunk threads while earlier ones are written.
+    Each flux is its shortest round-trip ``repr``.  Chunks of rows are
+    formatted on the chunk threads while earlier ones are written.  With
+    no ``path``, returns the CSV as ASCII bytes.  With one, writes each
+    chunk to ``path + ".partial"`` and drops it; the partial file replaces
+    ``path`` once every row is written, and a failed write leaves no
+    partial file and ``path`` as it was.  Then returns a read-only
+    memoryview of the written file, mapped and not read, so no copy of the
+    text is held: it has the file's length, equals its bytes and hashes
+    as they do.
     """
     n = _WRITE_CHUNK_ROWS
     parts = _in_order(lambda lo: table_bytes(series.timestamps[lo:lo + n], series.flux[lo:lo + n]),
                       range(0, len(series), n))
-    text = io.BytesIO()  # one copy, which getvalue() hands out without copying
-    text.write(_CANONICAL_HEADER)
     with contextlib.closing(parts):
         if path is None:
+            text = io.BytesIO()  # one copy, which getvalue() hands out without copying
+            text.write(_CANONICAL_HEADER)
             text.writelines(parts)
             return text.getvalue()
         partial = os.fspath(path) + ".partial"
         try:
             with open(partial, "wb") as fh:
                 fh.write(_CANONICAL_HEADER)
-                for part in parts:
-                    fh.write(part)
-                    text.write(part)
+                fh.writelines(parts)
             os.replace(partial, path)
         finally:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(partial)
-    return text.getvalue()
+    with open(path, "rb") as fh:
+        return memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ class PipelineConfig:
             raise DomainError("m_grid must satisfy 0 < lo < hi < inf and count >= 1")
         if not self.sweep_gap_lo <= self.sweep_gap_hi:
             raise DomainError("sweep gap range must satisfy lo <= hi")
-        checked_gaps(sorted({self.sweep_gap_lo, self.sweep_gap_hi}))  # its ends, not the range
+        checked_gaps(range(self.sweep_gap_lo, self.sweep_gap_hi + 1))  # counted before it is listed
         if self.mrl_grid_points < 1:
             raise DomainError("mrl_grid_points must be >= 1")
         for name in ("return_table_years", "scenario_years", "scenario_levels"):
@@ -281,12 +281,13 @@ def ingest_one(spec: InputSpec) -> tuple[FluxSeries, dict]:
     with ThreadPoolExecutor(1) as pool:
         sha256 = pool.submit(_sha256_file, spec.path)
         raw = read_flux_csv(spec.path, spec.ingest)
-    scaled = apply_scaling(raw, spec.ingest.scaling_divisor)
+    rows, scaled = len(raw), apply_scaling(raw, spec.ingest.scaling_divisor)
+    del raw  # its flux, so that filter_saturation's copy does not sit beside it
     cleaned, removed = filter_saturation(scaled, spec.ingest)
     info = {
         "file": Path(spec.path).name,
         "sha256": sha256.result(),
-        "rows": len(raw),
+        "rows": rows,
         "n_observations": cleaned.n_observations,
         "scaling_divisor": spec.ingest.scaling_divisor,
         "saturation_runs_removed": removed,

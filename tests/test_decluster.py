@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import flarevt as fv
 from flarevt import (DomainError, InsufficientDataError, ZeroVarianceError)
-from flarevt.decluster import catalog_from_files
+from flarevt.decluster import MAX_SWEEP_GAPS, catalog_from_files, checked_gaps
 
 from helpers import assert_catalog_matches_oracle, make_series, random_gappy_series
 
@@ -203,6 +204,20 @@ class TestGapSweep:
         for gaps in ([2**63], [1, 10**20], [-10**20, 1], range(1, 10**20)):
             with pytest.raises(DomainError, match=r"^every gap must be >= 1 and < 2\*\*63$"):
                 fv.gap_sweep(series, 1.0, gaps)
+
+    def test_sweep_length_is_bounded_without_listing_a_range(self):
+        assert checked_gaps(range(1, MAX_SWEEP_GAPS + 1)).size == MAX_SWEEP_GAPS == 7 * 1440
+        message = rf"^at most {MAX_SWEEP_GAPS} gaps can be swept, got {MAX_SWEEP_GAPS + 1}$"
+        with pytest.raises(DomainError, match=message):
+            checked_gaps(list(range(2, MAX_SWEEP_GAPS + 3)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=message):
+                checked_gaps(range(5, MAX_SWEEP_GAPS + 6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000  # a list of its 10,081 ints would take ~80 KB
 
     @pytest.mark.parametrize("gaps", [[], [0, 1], [3, 2], [2, 2]])
     def test_curve_follows_the_sweep_gap_rule(self, gaps):

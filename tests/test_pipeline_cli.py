@@ -266,7 +266,7 @@ class TestCliStages:
         assert exc.value.code == 2
         assert not (tmp_path / "returns.csv").exists()
 
-    @pytest.mark.parametrize("gaps", ["5:1", "3,1", "2,2", "0:5", "0", "1:2:3"])
+    @pytest.mark.parametrize("gaps", ["5:1", "3,1", "2,2", "0:5", "0", "1:2:3", "1:10081"])
     def test_bad_sweep_gaps_are_usage_error(self, gaps, tmp_path):
         series = tmp_path / "series.csv"
         series.write_text("timestamp,flux_wm2\n2000-01-01T00:00:00Z,1e-6\n")
@@ -539,6 +539,7 @@ class TestCliRun:
         {"sweep_gaps": {"lo": 10**20, "hi": 10**20}},
         {"sweep_gaps": {"lo": 0}},
         {"sweep_gaps": {"lo": 5, "hi": 4}},
+        {"sweep_gaps": {"lo": 5, "hi": 10_085}},  # 10,081 gaps
     ])
     def test_bad_config_value_fails_before_ingest(self, doc, synth_csv, tmp_path):
         with pytest.raises(fv.DomainError):
