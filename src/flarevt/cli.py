@@ -24,12 +24,10 @@ from . import __version__
 from .decluster import catalog_from_files, checked_gaps, checked_rule, decluster, gap_sweep
 from .errors import DomainError, FlareVtError, PipelineStageError
 from .gpd import GpdParams, checked_threshold, fit_from_json_dict, fit_gpd, fit_to_json_dict
-from .ingest import (IngestConfig, read_flux_csv, synth_clustered_series,
-                     write_flux_csv)
+from .ingest import IngestConfig, read_flux_csv, synth_clustered_series
 from .pipeline import (STAGES, InputSpec, PipelineConfig, excesses_from_csv_text,
                        excesses_to_csv_text, ingest_one, read_json, return_period_grid,
-                       run_diagnostics, run_pipeline, write_json, write_text,
-                       x_class)
+                       run_diagnostics, run_pipeline, write_artifact, x_class)
 from .returns import (ObservationCalendar, normal_quantile, return_curve,
                       return_level_ci, return_period_band)
 
@@ -103,9 +101,9 @@ def _ingest_config_from_args(args) -> IngestConfig:
 def _cmd_ingest(args) -> int:
     spec = InputSpec(args.input, _ingest_config_from_args(args))
     series, info = ingest_one(spec)
-    write_flux_csv(series, args.out)
+    write_artifact(args.out, series)
     if args.summary:
-        write_json(args.summary, info)
+        write_artifact(args.summary, info)
     print(f"ingest: {info['rows']} rows, {info['n_observations']} observations, "
           f"{info['saturation_runs_removed']} saturated run(s) removed -> {args.out}")
     return 0
@@ -114,8 +112,8 @@ def _cmd_ingest(args) -> int:
 def _cmd_decluster(args) -> int:
     series = read_flux_csv(args.series)
     catalog = decluster(series, args.threshold, args.gap)
-    write_text(args.out_events, catalog.to_csv_text())
-    write_json(args.out_meta, catalog.to_json_dict())
+    write_artifact(args.out_events, catalog.to_csv_text())
+    write_artifact(args.out_meta, catalog.to_json_dict())
     print(f"decluster: {len(catalog)} events -> {args.out_events}")
     return 0
 
@@ -123,7 +121,7 @@ def _cmd_decluster(args) -> int:
 def _cmd_sweep(args) -> int:
     series = read_flux_csv(args.series)
     curve = gap_sweep(series, args.threshold, args.gaps)
-    write_text(args.out, curve.to_csv_text())
+    write_artifact(args.out, curve.to_csv_text())
     print(f"sweep: {curve.gaps.size} gap(s) -> {args.out}")
     return 0
 
@@ -148,10 +146,10 @@ def _cmd_fit(args) -> int:
         catalog = _load_catalog(args.events, args.meta)
         excesses = catalog.excesses_over(args.threshold)
         n_total = catalog.n_total_observations
-        if args.out_excesses:
-            write_text(args.out_excesses, excesses_to_csv_text(excesses))
     fit = fit_gpd(excesses, threshold=args.threshold, n_total=n_total)
-    write_json(args.out, fit_to_json_dict(fit))
+    if args.events and args.out_excesses:
+        write_artifact(args.out_excesses, excesses_to_csv_text(excesses))
+    write_artifact(args.out, fit_to_json_dict(fit))
     se = fit.std_errors
     se_txt = "unavailable" if se is None else f"({se[0]:.3g}, {se[1]:.3g})"
     print(f"fit: scale={fit.scale:.6g} shape={fit.shape:.4g} "
@@ -170,8 +168,8 @@ def _cmd_diagnose(args) -> int:
         mrl_grid_points=args.grid_points,
     )
     mrl, plot = run_diagnostics(catalog, fit, config)
-    write_text(args.out_mrl, mrl.to_csv_text())
-    write_text(args.out_probplot, plot.to_csv_text())
+    write_artifact(args.out_mrl, mrl.to_csv_text())
+    write_artifact(args.out_probplot, plot.to_csv_text())
     print(f"diagnose: {mrl.u0.size} mean-excess points, "
           f"probability plot max deviation "
           f"{plot.max_abs_deviation_from_diagonal:.4f}")
@@ -200,7 +198,7 @@ def _cmd_returns(args) -> int:
         grid = (np.geomspace(*args.m_grid) if args.m_grid
                 else return_period_grid(fit, PipelineConfig(obs_per_year=cal.obs_per_year)))
         curve = return_curve(fit, grid, cal, args.ci)
-        write_text(args.out, curve.to_csv_text())
+        write_artifact(args.out, curve.to_csv_text())
         print(f"returns: {curve.m.size} grid points -> {args.out}")
         did_something = True
     if not did_something:
@@ -215,7 +213,7 @@ def _cmd_synth(args) -> int:
         scale=args.scale, shape=args.shape, event_rate=args.event_rate,
         cluster_length_mean=args.cluster_mean, duration=args.duration,
         seed=args.seed, base_threshold=args.base_threshold)
-    write_flux_csv(series, args.out)
+    write_artifact(args.out, series)
     print(f"synth: {len(series)} samples over {args.duration:g} year(s) -> {args.out}")
     return 0
 

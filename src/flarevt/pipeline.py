@@ -1,9 +1,11 @@
 """End-to-end analysis pipeline and its report.
 
 Stages: ingest -> decluster -> gap sweep -> excess extraction -> fit ->
-diagnostics -> return curve.  Every stage writes its artifact before the
-next one runs, so each number in the final report is traceable to a file
-on disk, and a failed run leaves a manifest naming the completed stages.
+diagnostics -> return curve.  Each stage returns its artifacts by file
+name, and they are written through :func:`write_artifact` before the
+next stage runs, so each number in the final report is traceable to a
+file on disk.  A failed stage writes none of its artifacts, and the run
+leaves a manifest naming the completed stages and every artifact file.
 Reports are byte-deterministic for identical config and inputs when the
 fixed-clock flag suppresses the generation timestamp.
 """
@@ -43,8 +45,8 @@ __all__ = [
     "InputSpec",
     "run_pipeline",
     "read_json",
+    "write_artifact",
     "write_json",
-    "write_text",
     "json_text",
 ]
 
@@ -236,14 +238,22 @@ def json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def write_artifact(path, content) -> None:
+    """Write one artifact, picking the format by the content's type, since a
+    flag may name any file: a FluxSeries as the series CSV, a ``str`` as it
+    is, anything else as JSON.  The writers are looked up by name at each
+    call, so that a wrapper set on this module sees every write."""
+    if isinstance(content, FluxSeries):
+        write_flux_csv(content, path)
+    elif not isinstance(content, str):
+        write_json(path, content)
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(content)
+
+
 def write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json_text(obj))
-
-
-def write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    write_artifact(path, json_text(obj))
 
 
 def _sha256_file(path) -> str:
@@ -386,77 +396,60 @@ def _sweep_summary(curve: GapSweepCurve, configured_gap: int) -> dict:
     return doc
 
 
-# Each stage takes the run state, adds its results to it, and returns the
-# names of the artifacts it wrote in ``out``.
+# Each stage takes the run state, adds its results to it, and returns its
+# artifacts, file name to content, for run_pipeline to write.
 
-def _ingest_stage(run) -> tuple[str, ...]:
-    run.series, run.ingest_infos = ingest_many(run.specs)
-    write_flux_csv(run.series, run.out / "series.csv")
-    write_json(run.out / "ingest.json", {
-        "files": run.ingest_infos,
-        "n_observations": run.series.n_observations,
-    })
-    return "series.csv", "ingest.json"
+def _ingest_stage(run) -> dict:
+    run.series, infos = ingest_many(run.specs)
+    run.ingest_doc = {"files": infos, "n_observations": run.series.n_observations}
+    return {"series.csv": run.series, "ingest.json": run.ingest_doc}
 
 
-def _decluster_stage(run) -> tuple[str, ...]:
+def _decluster_stage(run) -> dict:
     run.catalog = decluster(run.series, run.config.decluster_threshold,
                             run.config.gap_minutes)
-    write_text(run.out / "catalog.csv", run.catalog.to_csv_text())
-    write_json(run.out / "catalog.json", run.catalog.to_json_dict())
-    return "catalog.csv", "catalog.json"
+    return {"catalog.csv": run.catalog.to_csv_text(),
+            "catalog.json": run.catalog.to_json_dict()}
 
 
-def _sweep_stage(run) -> tuple[str, ...]:
+def _sweep_stage(run) -> dict:
     gaps = range(run.config.sweep_gap_lo, run.config.sweep_gap_hi + 1)
     run.sweep = gap_sweep(run.series, run.config.decluster_threshold, gaps)
-    write_text(run.out / "sweep.csv", run.sweep.to_csv_text())
-    return ("sweep.csv",)
+    return {"sweep.csv": run.sweep.to_csv_text()}
 
 
-def _excesses_stage(run) -> tuple[str, ...]:
+def _excesses_stage(run) -> dict:
     run.excesses = run.catalog.excesses_over(run.config.gpd_threshold)
-    write_text(run.out / "excesses.csv", excesses_to_csv_text(run.excesses))
-    return ("excesses.csv",)
+    return {"excesses.csv": excesses_to_csv_text(run.excesses)}
 
 
-def _fit_stage(run) -> tuple[str, ...]:
+def _fit_stage(run) -> dict:
     run.fit = fit_gpd(run.excesses, threshold=run.config.gpd_threshold,
                       n_total=run.catalog.n_total_observations)
-    write_json(run.out / "fit.json", fit_to_json_dict(run.fit))
-    return ("fit.json",)
+    return {"fit.json": fit_to_json_dict(run.fit)}
 
 
-def _diagnose_stage(run) -> tuple[str, ...]:
+def _diagnose_stage(run) -> dict:
     run.mrl, run.plot = run_diagnostics(run.catalog, run.fit, run.config)
-    write_text(run.out / "mrl.csv", run.mrl.to_csv_text())
-    write_text(run.out / "probplot.csv", run.plot.to_csv_text())
-    write_json(run.out / "mrl.json", run.mrl.to_json_dict())
-    write_json(run.out / "probplot.json", run.plot.to_json_dict())
-    return "mrl.csv", "probplot.csv", "mrl.json", "probplot.json"
+    return {"mrl.csv": run.mrl.to_csv_text(), "probplot.csv": run.plot.to_csv_text(),
+            "mrl.json": run.mrl.to_json_dict(), "probplot.json": run.plot.to_json_dict()}
 
 
-def _returns_stage(run) -> tuple[str, ...]:
+def _returns_stage(run) -> dict:
     config, fit = run.config, run.fit
     cal = ObservationCalendar(config.obs_per_year)
     curve = return_curve(fit, return_period_grid(fit, config), cal, config.ci_level)
-    write_text(run.out / "returns.csv", curve.to_csv_text())
-    write_json(run.out / "returns.json", {**curve.to_json_dict(), "fit": fit_to_json_dict(fit)})
     run.table = build_return_table(fit, config)
     run.scenarios = build_scenarios(fit, config)
-    write_json(run.out / "return_table.json", run.table)
-    write_json(run.out / "scenarios.json", run.scenarios)
-    return "returns.csv", "returns.json", "return_table.json", "scenarios.json"
+    return {"returns.csv": curve.to_csv_text(),
+            "returns.json": {**curve.to_json_dict(), "fit": fit_to_json_dict(fit)},
+            "return_table.json": run.table, "scenarios.json": run.scenarios}
 
 
-def _report_stage(run) -> tuple[str, ...]:
-    config, infos = run.config, run.ingest_infos
+def _report_stage(run) -> dict:
+    config, infos = run.config, run.ingest_doc["files"]
     removed_total = sum(info["saturation_runs_removed"] for info in infos)
-    ingest_doc = {
-        "files": infos,
-        "n_observations": run.series.n_observations,
-        "saturation_runs_removed": removed_total,
-    }
+    ingest_doc = {**run.ingest_doc, "saturation_runs_removed": removed_total}
     if removed_total:
         ingest_doc["saturation_note"] = (
             f"{removed_total} saturated run(s) blanked to missing; "
@@ -487,8 +480,7 @@ def _report_stage(run) -> tuple[str, ...]:
         },
         artifacts=dict(run.artifacts),
     )
-    write_json(run.out / "report.json", run.report)
-    return ("report.json",)
+    return {"report.json": run.report}
 
 
 _STAGE_TABLE = {
@@ -510,9 +502,10 @@ def run_pipeline(config: PipelineConfig, inputs, out_dir,
     """Run every stage over the input files and write all artifacts.
 
     ``inputs`` is a list of paths or :class:`InputSpec`; per-file ingest
-    settings come from the spec, everything else from ``config``.  On a
-    stage failure a ``manifest.json`` listing completed stages is written
-    and :class:`PipelineStageError` raised.
+    settings come from the spec, everything else from ``config``.  A
+    failed stage writes none of its artifacts, ``manifest.json`` lists the
+    completed stages and the artifacts written, and
+    :class:`PipelineStageError` is raised.
 
     Returns the report document, as written to ``<out_dir>/report.json``.
     """
@@ -521,18 +514,20 @@ def run_pipeline(config: PipelineConfig, inputs, out_dir,
     specs = [entry if isinstance(entry, InputSpec)
              else coerce_input_spec(entry, config.ingest)
              for entry in inputs]
-    run = SimpleNamespace(config=config, specs=specs, out=out,
-                          fixed_clock=fixed_clock, artifacts={})
+    run = SimpleNamespace(config=config, specs=specs, fixed_clock=fixed_clock,
+                          artifacts={})
     completed: list[str] = []
     manifest = {"completed_stages": completed, "failed_stage": None,
                 "artifacts": run.artifacts}
     try:
         for stage, work in _STAGE_TABLE.items():
-            run.artifacts.update((name.replace(".", "_"), name) for name in work(run))
+            for name, content in work(run).items():
+                write_artifact(out / name, content)
+                run.artifacts[name.replace(".", "_")] = name
             completed.append(stage)
-        write_json(out / "manifest.json", manifest)
+        write_artifact(out / "manifest.json", manifest)
     except Exception as exc:
-        write_json(out / "manifest.json",
-                   {**manifest, "failed_stage": stage, "error": str(exc)})
+        write_artifact(out / "manifest.json",
+                       {**manifest, "failed_stage": stage, "error": str(exc)})
         raise PipelineStageError(stage, exc) from exc
     return run.report

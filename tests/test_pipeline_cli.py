@@ -218,6 +218,18 @@ class TestCliStages:
                      "returns.csv"):
             assert ((out_a / name).read_bytes() == (d / name).read_bytes()), name
 
+        # JSON under names without ".json", and fit's --excesses form
+        n_total = json.loads((out_a / "catalog.json").read_text())["n_total_observations"]
+        assert main(["decluster", "--series", str(d / "series.csv"),
+                     "--threshold", "1e-4", "--gap", "15",
+                     "--out-events", str(d / "events.out"),
+                     "--out-meta", str(d / "catalog.meta")]) == 0
+        assert main(["fit", "--excesses", str(d / "excesses.csv"),
+                     "--n-total", str(n_total), "--threshold", "1e-4",
+                     "--out", str(d / "fit_from_excesses.out")]) == 0
+        assert (d / "catalog.meta").read_bytes() == (out_a / "catalog.json").read_bytes()
+        assert (d / "fit_from_excesses.out").read_bytes() == (out_a / "fit.json").read_bytes()
+
     def test_fit_on_excess_list_matches_library_byte_for_byte(self, tmp_path):
         y = fv.gpd_sample(fv.GpdParams(1.0, 0.2), 300, seed=5)
         excesses_path = tmp_path / "excesses.csv"
@@ -346,6 +358,7 @@ class TestCliStages:
         ("diagnose", "catalog.csv", lambda text: text.replace(":00Z,0.0002", ":30Z,0.0002"),
          "line 2: timestamp '2000-01-01T00:00:30' not on the minute grid"),
         ("fit", "excesses.csv", lambda text: "", "input is empty"),
+        ("fit", "catalog.csv", lambda text: text, "need at least 20 excesses"),
     ])
     def test_malformed_artifact_is_stage_error(self, stage, name, corrupt, message,
                                                tmp_path, capsys):
@@ -357,7 +370,8 @@ class TestCliStages:
         args = {
             "fit": (["--excesses", d / "excesses.csv", "--n-total", "100000"]
                     if name == "excesses.csv" else
-                    ["--events", d / "catalog.csv", "--meta", d / "catalog.json"])
+                    ["--events", d / "catalog.csv", "--meta", d / "catalog.json",
+                     "--out-excesses", d / "out_excesses.csv"])
             + ["--threshold", "1e-4", "--out", d / "out_fit.json"],
             "diagnose": ["--events", d / "catalog.csv", "--meta", d / "catalog.json",
                          "--fit", d / "fit.json", "--out-mrl", d / "out_mrl.csv",
@@ -708,6 +722,8 @@ class TestConfig:
         assert manifest["failed_stage"] == "returns"
         assert manifest["error"] == "not a flarevt error"
         assert not (out / "scenarios.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["manifest.json", *manifest["artifacts"].values()])
 
     def test_scenarios_trace_to_fit(self, synth_csv, pipeline_config, tmp_path):
         report = run_pipeline(pipeline_config, [synth_csv],
