@@ -24,7 +24,7 @@ from . import __version__
 from .decluster import catalog_from_files, checked_gaps, checked_rule, decluster, gap_sweep
 from .errors import DomainError, FlareVtError, PipelineStageError
 from .gpd import GpdParams, checked_threshold, fit_from_json_dict, fit_gpd, fit_to_json_dict
-from .ingest import IngestConfig, read_flux_csv, synth_clustered_series
+from .ingest import IngestConfig, check_synth_parameters, read_flux_csv, synth_clustered_series
 from .pipeline import (STAGES, InputSpec, PipelineConfig, excesses_from_csv_text,
                        excesses_to_csv_text, ingest_one, read_json, return_period_grid,
                        run_diagnostics, run_pipeline, write_artifact, x_class)
@@ -335,14 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic clustered series")
     p.add_argument("--scale", type=_flag(float, lambda v: GpdParams(v, 0.0)), required=True)
     p.add_argument("--shape", type=float, required=True)
-    p.add_argument("--event-rate", type=float, required=True,
-                   help="events per year")
-    p.add_argument("--cluster-mean", type=float, default=10.0,
-                   help="mean cluster length in minutes")
-    p.add_argument("--duration", type=float, required=True, help="years")
+    p.add_argument("--event-rate", required=True, help="events per year",
+                   type=_flag(float, lambda v: check_synth_parameters(event_rate=v)))
+    p.add_argument("--cluster-mean", default=10.0, help="mean cluster length in minutes",
+                   type=_flag(float, lambda v: check_synth_parameters(cluster_length_mean=v)))
+    p.add_argument("--duration", required=True, help="years",
+                   type=_flag(float, lambda v: check_synth_parameters(duration=v)))
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--base-threshold", type=float,
-                   default=PipelineConfig.decluster_threshold)
+    p.add_argument("--base-threshold", default=PipelineConfig.decluster_threshold,
+                   type=_flag(float, lambda v: check_synth_parameters(base_threshold=v)))
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_synth, stage="synth")
 

@@ -14,7 +14,7 @@ import functools
 import io
 import mmap
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO
 
@@ -184,9 +184,8 @@ def _check_divisor(divisor: float) -> None:
 # The canonical layout, as write_flux_csv produces it: the exact header,
 # then ``YYYY-MM-DDTHH:MM:00Z,<flux>`` rows, each ended by a newline.
 _CANONICAL_HEADER = (CSV_HEADER + "\n").encode("ascii")
-_READ_BLOCK_BYTES = 1 << 20  # bytes of a file read into the reader's one buffer at a time
+_READ_BLOCK_BYTES = 1 << 19  # bytes read and decoded at a time, with ~10x that in working arrays
 _LEAD = 3  # bytes before the buffer's first row, as read_stamps reads 3 before a stamp
-_SCAN_CHUNK_BYTES = 1 << 19  # bytes decoded at a time, with ~10x that in working arrays
 # rows a whole-series pass hands a chunk thread; shorter numpy calls lose to GIL handoffs
 _TASK_ROWS = 1 << 19
 _WRITE_CHUNK_ROWS = 1 << 14  # rows formatted at a time, with ~250 B a row in working arrays
@@ -196,29 +195,24 @@ _WORKERS = min(8, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
                else os.cpu_count() or 1)
 
 
-def _in_order(fn, items, pool: ThreadPoolExecutor | None = None):
-    """``fn(item)`` for each item, in order, on _WORKERS threads (of ``pool``, when
-    given) with two items a thread in flight, or on this thread for one worker or
-    one item.  An error, or closing the generator, cancels the calls not started
-    and waits for the rest."""
+def _in_order(fn, items):
+    """``fn(item)`` for each item, in order, on _WORKERS threads with two items a
+    thread in flight, or on this thread for one worker or one item.  An error, or
+    closing the generator, cancels the calls not started and waits for the rest."""
     workers = min(_WORKERS, len(items))
     if workers < 2:
         yield from map(fn, items)
         return
-    with contextlib.ExitStack() as stack:
-        pool = pool or stack.enter_context(ThreadPoolExecutor(workers))
-        ahead = collections.deque()
+    with ThreadPoolExecutor(workers) as pool:
+        ahead = collections.deque(pool.submit(fn, item) for item in items[:2 * workers])
         try:
-            ahead.extend(pool.submit(fn, item) for item in items[:2 * workers])
             for item in items[2 * workers:]:
                 yield ahead.popleft().result()
                 ahead.append(pool.submit(fn, item))
             while ahead:
                 yield ahead.popleft().result()
         finally:
-            for future in ahead:
-                future.cancel()
-            wait(ahead)
+            pool.shutdown(cancel_futures=True)
 
 
 def _row_blocks(source: bytes | IO[bytes]):
@@ -232,15 +226,10 @@ def _row_blocks(source: bytes | IO[bytes]):
     and stops, for another header or a row longer than a block.
     """
     if isinstance(source, bytes):
-        head = source[:len(_CANONICAL_HEADER)]
-    else:
-        source.seek(0)
-        head = source.read(len(_CANONICAL_HEADER))
-    if head != _CANONICAL_HEADER:
-        yield None
-        return
-    if isinstance(source, bytes):
-        lo = len(head)
+        if not source.startswith(_CANONICAL_HEADER):
+            yield None
+            return
+        lo = len(_CANONICAL_HEADER)
         while lo < len(source):
             hi = (len(source) if len(source) - lo <= _READ_BLOCK_BYTES
                   else source.rfind(b"\n", lo, lo + _READ_BLOCK_BYTES) + 1)
@@ -249,6 +238,10 @@ def _row_blocks(source: bytes | IO[bytes]):
                 return
             yield source, lo, hi
             lo = hi
+        return
+    source.seek(0)
+    if source.read(len(_CANONICAL_HEADER)) != _CANONICAL_HEADER:
+        yield None
         return
     buf, stop = bytearray(_LEAD + _READ_BLOCK_BYTES), _LEAD
     with memoryview(buf) as view:
@@ -271,12 +264,11 @@ def _newlines(buf, lo: int, hi: int) -> np.ndarray:
     return np.frombuffer(buf, np.uint8, hi - lo, lo) == ord("\n")
 
 
-def _decode_rows(buf, sentinels: tuple[float, ...], rows: tuple[int, int]
+def _decode_rows(buf, lo: int, hi: int, sentinels: tuple[float, ...]
                  ) -> tuple[np.ndarray, np.ndarray] | None:
     """The minutes and flux of the rows in ``buf[lo:hi]``, sentinels as NaN; None
     unless every row decodes, every flux is NaN or finite and >= 0, and every
     stamp comes after the one before."""
-    lo, hi = rows
     ends = lo + np.flatnonzero(_newlines(buf, lo, hi))
     if buf[hi - 1] != ord("\n"):  # the input's last row, without its newline
         ends = np.append(ends, hi)
@@ -311,7 +303,7 @@ def _scan_canonical(source: str | bytes | IO[bytes],
 
     Two passes over the blocks of :func:`_row_blocks`: the first counts the
     rows, so that the arrays are allocated once at their size; the second
-    decodes each block's rows in chunks on the chunk threads.
+    decodes each block whole on the calling thread.
     """
     if isinstance(source, str):
         source = source.encode("ascii") if source.isascii() else b""
@@ -325,23 +317,15 @@ def _scan_canonical(source: str | bytes | IO[bytes],
         return None
     minutes, flux = np.empty(rows, np.int64), np.empty(rows)
     done, last = 0, _NAT_TICKS
-    with ThreadPoolExecutor(_WORKERS) as pool:
-        for block in _row_blocks(source):
-            if block is None:  # a file changed since its rows were counted
-                return None
-            buf, lo, hi = block
-            bounds = [lo]  # chunk i is the run of whole rows from bounds[i] to bounds[i + 1]
-            while bounds[-1] < hi:
-                bounds.append(buf.find(b"\n", bounds[-1] + _SCAN_CHUNK_BYTES, hi) + 1 or hi)
-            decoded = _in_order(functools.partial(_decode_rows, buf, sentinels),
-                                list(zip(bounds, bounds[1:])), pool)
-            with contextlib.closing(decoded):
-                for chunk in decoded:
-                    if chunk is None or chunk[0][0] <= last or done + chunk[0].size > rows:
-                        return None
-                    n = done + chunk[0].size
-                    minutes[done:n], flux[done:n] = chunk
-                    done, last = n, chunk[0][-1]
+    for block in _row_blocks(source):
+        if block is None:  # a file changed since its rows were counted
+            return None
+        decoded = _decode_rows(*block, sentinels)
+        if decoded is None or decoded[0][0] <= last or done + decoded[0].size > rows:
+            return None
+        n = done + decoded[0].size
+        minutes[done:n], flux[done:n] = decoded
+        done, last = n, decoded[0][-1]
     return (minutes.view("datetime64[m]"), flux) if done == rows else None
 
 
@@ -372,11 +356,11 @@ def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None)
     a ``Z`` suffix on the minute grid, and decimal or scientific-notation
     flux values.  An empty flux field or a configured sentinel value
     marks the sample missing.  Input in the layout ``write_flux_csv``
-    produces is decoded by numpy kernels, a block of a buffer at a time
-    and in chunks of rows on a thread per CPU, each flux bit for bit as
-    ``float()`` reads it; any other input, and canonical input with a bad
-    value or stamps out of order, is scanned line by line, by the scan
-    every CSV reader shares.  Both give the same series or the same error.
+    produces is decoded by numpy kernels, a block of rows at a time on the
+    calling thread, each flux bit for bit as ``float()`` reads it; any
+    other input, and canonical input with a bad value or stamps out of
+    order, is scanned line by line, by the scan every CSV reader shares.
+    Both give the same series or the same error.
 
     Raises
     ------
@@ -397,8 +381,8 @@ def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None)
 def read_flux_csv(path, config: IngestConfig | None = None) -> FluxSeries:
     """Parse a flux CSV file from disk, as :func:`parse_flux_csv` does.
 
-    Canonical input is read in blocks into one fixed buffer, so no copy of
-    the file is held; the per-line scan, for any other input, reads it whole.
+    Canonical input is decoded a block at a time in one fixed buffer, so no
+    copy of the file is held; the per-line scan, for any other input, reads it whole.
     """
     config = config or IngestConfig()
     with open(path, "rb") as fh:
@@ -495,6 +479,18 @@ def filter_saturation(series: FluxSeries, config: IngestConfig) -> tuple[FluxSer
 # synthetic data generator
 # ---------------------------------------------------------------------------
 
+def check_synth_parameters(event_rate: float = 0.0, cluster_length_mean: float = 1.0,
+                           duration: float = 1.0, base_threshold: float = 1.0) -> None:
+    """DomainError unless each given synth_clustered_series parameter is finite and in range."""
+    rules = ((0.0 <= event_rate < np.inf, "event_rate must be >= 0"),
+             (1.0 <= cluster_length_mean < np.inf, "cluster_length_mean must be >= 1 minute"),
+             (0.0 < duration < np.inf, "duration must be > 0 years"),
+             (0.0 < base_threshold < np.inf, "base_threshold must be > 0"))
+    for ok, rule in rules:
+        if not ok:
+            raise DomainError(f"{rule} and finite")
+
+
 def synth_clustered_series(scale: float, shape: float, event_rate: float,
                            cluster_length_mean: float, duration: float, seed: int,
                            *, base_threshold: float = 1e-4,
@@ -532,14 +528,7 @@ def synth_clustered_series(scale: float, shape: float, event_rate: float,
         threshold; 0 keeps every cluster minute elevated.
     """
     params = GpdParams(scale, shape)  # validates scale/shape
-    if not duration > 0.0:
-        raise DomainError("duration must be > 0 years")
-    if event_rate < 0.0:
-        raise DomainError("event_rate must be >= 0")
-    if cluster_length_mean < 1.0:
-        raise DomainError("cluster_length_mean must be >= 1 minute")
-    if not base_threshold > 0.0:
-        raise DomainError("base_threshold must be > 0")
+    check_synth_parameters(event_rate, cluster_length_mean, duration, base_threshold)
     if not 0.0 <= dip_fraction < 1.0:
         raise DomainError("dip_fraction must lie in [0, 1)")
 

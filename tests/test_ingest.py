@@ -173,10 +173,10 @@ class TestInputLayouts:
         with pytest.raises(ParseError, match="line 3"):
             fv.read_flux_csv(path)
 
-    @pytest.mark.parametrize("small_chunks", [False, True])
-    def test_columnar_and_per_line_scans_agree(self, small_chunks, monkeypatch):
-        if small_chunks:
-            monkeypatch.setattr(fv.ingest, "_SCAN_CHUNK_BYTES", 1000)
+    @pytest.mark.parametrize("small_blocks", [False, True])
+    def test_columnar_and_per_line_scans_agree(self, small_blocks, monkeypatch):
+        if small_blocks:
+            monkeypatch.setattr(fv.ingest, "_READ_BLOCK_BYTES", 1000)
             monkeypatch.setattr(fv.ingest, "_WRITE_CHUNK_ROWS", 97)
         rng = np.random.default_rng(17)
         n = 3000
@@ -251,18 +251,12 @@ class TestInputLayouts:
                 fv.parse_flux_csv(layout)
             assert str(exc.value).startswith(error)
 
-    def test_scan_keeps_no_whole_input_row_arrays(self, monkeypatch):
-        monkeypatch.setattr(fv.ingest, "_WORKERS", 1)
-        n = 200_000
-        # the stamp and flux arrays (16 B a row) and one chunk's working
-        # arrays (~10 B a byte of the chunk); a row index over the whole
-        # input (16 B a row) would add more
-        assert _scan_peak(n) < 16 * n + 12 * fv.ingest._SCAN_CHUNK_BYTES
-
-    def test_two_worker_scan_keeps_no_whole_input_row_arrays(self, monkeypatch):
-        monkeypatch.setattr(fv.ingest, "_WORKERS", 2)
-        n = 600_000  # a whole-input row index (9.6 MB) is then well over one chunk's arrays
-        assert _scan_peak(n) < 16 * n + 24 * fv.ingest._SCAN_CHUNK_BYTES
+    def test_scan_keeps_no_whole_input_row_arrays(self):
+        n = 600_000
+        # the stamp and flux arrays (16 B a row) and one block's working
+        # arrays (~10 B a byte of the block); a row index over the whole
+        # input (16 B a row, 9.6 MB) would be well over the block's arrays
+        assert _scan_peak(n) < 16 * n + 12 * fv.ingest._READ_BLOCK_BYTES
 
     @pytest.mark.parametrize("divisor,digest", [
         (None, "94eb87540a6c7a36704862c0f14202425f4dc2b81fdc37deb96b8407fefc510a"),
@@ -345,12 +339,11 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
 class TestChunkPool:
-    """The chunk loops give the same rows, bytes and errors on any number of threads."""
+    """The writer's chunk loop gives the same bytes and errors on any number of threads."""
 
     @pytest.fixture(params=[1, 2, 3])
     def workers(self, request, monkeypatch):
         monkeypatch.setattr(fv.ingest, "_WORKERS", request.param)
-        monkeypatch.setattr(fv.ingest, "_SCAN_CHUNK_BYTES", 100)  # two to four rows
         monkeypatch.setattr(fv.ingest, "_WRITE_CHUNK_ROWS", 5)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # threads take turns often, so a lost chunk would show
@@ -378,19 +371,6 @@ class TestChunkPool:
         back = fv.parse_flux_csv(data)
         np.testing.assert_array_equal(back.timestamps, series.timestamps)
         np.testing.assert_array_equal(back.flux.view(np.uint64), series.flux.view(np.uint64))
-
-    @pytest.mark.parametrize("column,bad,error", [
-        (0, "2000-01-01T04:61:00", "bad timestamp value '2000-01-01T04:61:00'"),
-        (1, "1e-5x", "bad flux value '1e-5x'"),
-    ])
-    def test_bad_field_in_a_late_chunk_names_its_line(self, workers, column, bad, error):
-        rows = [[t, "1e-5"] for t in np.datetime_as_string(
-            EPOCH + np.arange(300) * MINUTE, unit="s").tolist()]
-        rows[290][column] = bad
-        text = _flux_csv(rows)
-        assert fv.ingest._scan_canonical(text) is None
-        with pytest.raises(ParseError, match=f"^line 292: {error}"):
-            fv.parse_flux_csv(text)
 
     def test_failed_chunk_leaves_no_file_and_no_thread(self, workers, monkeypatch, tmp_path):
         def failing_table_bytes(stamps, flux):
@@ -435,14 +415,15 @@ class TestChunkPool:
         assert text == path.read_bytes()
         assert hashlib.sha256(text).hexdigest() == _sha256(path)
 
-    # read_flux_csv decodes a file in blocks of one reused buffer, and in-memory
-    # input in blocks of itself
 
-    @pytest.fixture
-    def blocks(self, workers, monkeypatch):
-        """Blocks of a few rows, each decoded in chunks of two to four rows."""
-        monkeypatch.setattr(fv.ingest, "_READ_BLOCK_BYTES", 256)
-        return workers
+class TestBlockReader:
+    """read_flux_csv decodes a file in blocks of one reused buffer, and in-memory
+    input in blocks of itself, each block whole on the calling thread."""
+
+    @pytest.fixture(params=[64, 100, 256])
+    def blocks(self, request, monkeypatch):
+        """Blocks of one to a few rows, so their ends cut rows at different places."""
+        monkeypatch.setattr(fv.ingest, "_READ_BLOCK_BYTES", request.param)
 
     @staticmethod
     def _rows(n: int) -> tuple[list, np.ndarray, np.ndarray]:
@@ -463,7 +444,7 @@ class TestChunkPool:
             return [fv.ingest._scan_canonical(data), fv.ingest._scan_canonical(fh)]
 
     @pytest.mark.parametrize("newline", [True, False])
-    def test_every_block_edge_reads_alike(self, blocks, newline, monkeypatch, tmp_path):
+    def test_every_block_edge_reads_alike(self, newline, monkeypatch, tmp_path):
         rows, minutes, flux = self._rows(7)
         data = _flux_csv(rows).encode("ascii")[:None if newline else -1]
         body = len(data) - len(fv.ingest._CANONICAL_HEADER)
@@ -505,6 +486,7 @@ class TestChunkPool:
     @pytest.mark.parametrize("row,error,message", [
         (1, ParseError, "line 3: bad flux value '1e-5x'"),
         (110, ParseError, "line 112: bad flux value '1e-5x'"),
+        (110, ParseError, "line 112: bad timestamp value '2000-01-01T01:61:00'"),
         (110, ParseError, "line 112: flux value '-1e-05' is not a finite value >= 0"),
         (110, ParseError, "line 112: flux value '1e999' is not a finite value >= 0"),
         (110, OrderingError, "line 112: timestamp '2000-01-01T01:49:00' does not increase"),
@@ -516,7 +498,7 @@ class TestChunkPool:
         if error is OrderingError:
             rows[row][0] = rows[row - 1][0]
         else:
-            rows[row][1] = re.search(r"value '(.*)'", message).group(1)
+            rows[row][1 if "flux" in message else 0] = re.search(r"value '(.*)'", message).group(1)
         data = _flux_csv(rows).encode("ascii")
         assert self._read_both(data, tmp_path / "flux.csv") == [None, None]
         for read in (lambda: fv.parse_flux_csv(data),
@@ -525,7 +507,7 @@ class TestChunkPool:
                 read()
 
     def test_stamp_order_is_checked_across_every_seam(self, blocks, tmp_path):
-        # a repeated stamp on every row in turn, so on each chunk's and block's first
+        # a repeated stamp on every row in turn, so on each block's first
         stamps = np.datetime_as_string(EPOCH + np.arange(40) * MINUTE, unit="s").tolist()
         for row in range(1, len(stamps)):
             data = _flux_csv(zip(stamps[:row] + stamps[row - 1:-1], ["1e-5"] * 40))
@@ -555,9 +537,8 @@ class TestChunkPool:
         with pytest.raises(EmptyInputError, match=f"^{message}$"):
             fv.read_flux_csv(tmp_path / "flux.csv")
 
-    def test_file_read_keeps_no_copy_of_its_text(self, workers, monkeypatch, tmp_path):
-        monkeypatch.setattr(fv.ingest, "_READ_BLOCK_BYTES", 1 << 15)
-        monkeypatch.setattr(fv.ingest, "_SCAN_CHUNK_BYTES", 1 << 13)
+    def test_file_read_keeps_no_copy_of_its_text(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(fv.ingest, "_READ_BLOCK_BYTES", 1 << 13)
         monkeypatch.setattr(fv.ingest, "_WRITE_CHUNK_ROWS", 1 << 14)
         rng = np.random.default_rng(31)
         n = 40_000
@@ -572,12 +553,29 @@ class TestChunkPool:
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(back.flux.view(np.uint64), flux.view(np.uint64))
-        # the stamp and flux arrays (16 B a row), the block buffer, and the
-        # working arrays of the chunks in flight (~10 B a byte of a chunk, two
-        # chunks a worker); no term in the file's ~1.6 MB
-        constant = (fv.ingest._READ_BLOCK_BYTES + 24 * workers * fv.ingest._SCAN_CHUNK_BYTES
-                    + 64 * 1024)
+        # the stamp and flux arrays (16 B a row), the block buffer, and one
+        # block's working arrays (~10 B a byte of the block); no term in the
+        # file's ~1.6 MB
+        constant = 13 * fv.ingest._READ_BLOCK_BYTES + 64 * 1024
         assert peak < 16 * n + constant < 16 * n + path.stat().st_size // 2
+
+    def test_decodes_on_the_calling_thread(self, monkeypatch, tmp_path):
+        # several blocks of the default size, with threads to spare
+        monkeypatch.setattr(fv.ingest, "_WORKERS", 2)
+        n = 3 * fv.ingest._READ_BLOCK_BYTES // 27  # 27 B a row
+        series = make_series(np.full(n, 1e-5))
+        data = bytes(fv.write_flux_csv(series))
+        threads = []
+
+        def recorded_floats(buf, ends, widths):
+            threads.append(threading.current_thread())
+            return read_floats(buf, ends, widths)
+
+        read_floats = fv.ingest.read_floats
+        monkeypatch.setattr(fv.ingest, "read_floats", recorded_floats)
+        for scanned in self._read_both(data, tmp_path / "flux.csv"):
+            np.testing.assert_array_equal(scanned[0], series.timestamps)
+        assert len(threads) >= 6 and set(threads) == {threading.main_thread()}
 
 
 class TestWholeSeriesPasses:
@@ -1038,6 +1036,12 @@ class TestSynth:
         {"scale": -1.0}, {"duration": 0.0}, {"event_rate": -2.0},
         {"cluster_length_mean": 0.5}, {"base_threshold": 0.0},
         {"dip_fraction": 1.0},
+        # each must be finite; huge finite durations are left out, as they allocate
+        {"duration": np.inf}, {"duration": np.nan},
+        {"event_rate": np.inf}, {"event_rate": np.nan},
+        {"cluster_length_mean": np.inf}, {"cluster_length_mean": np.inf, "event_rate": 6000.0},
+        {"cluster_length_mean": np.nan},
+        {"base_threshold": np.inf}, {"base_threshold": np.nan},
     ])
     def test_invalid_parameters(self, kwargs):
         base = dict(scale=3e-4, shape=0.25, event_rate=5.0,
