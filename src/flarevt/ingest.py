@@ -215,42 +215,25 @@ def _in_order(fn, items):
             pool.shutdown(cancel_futures=True)
 
 
-def _row_blocks(source: bytes | IO[bytes]):
-    """The rows after the canonical header, a block at a time.
+def _row_blocks(source: IO[bytes], buf: bytearray):
+    """The rows after the canonical header, from ``source``'s position, a block at a time.
 
-    Yields ``(buf, lo, hi)`` with whole rows in ``buf[lo:hi]``; only the
-    input's last row may lack its newline.  In-memory input is its own
-    buffer.  A file is read from its start into one buffer of
-    _READ_BLOCK_BYTES, reused for every block: the row that a block's end
-    cuts moves to the buffer's start before the next read.  Yields None,
-    and stops, for another header or a row longer than a block.
+    Yields ``hi`` with whole rows in ``buf[_LEAD:hi]``; only the input's last
+    row may lack its newline.  ``buf`` is the caller's, reused for every block:
+    the row that a block's end cuts moves to its start before the next read.
+    Yields None, and stops, for another header or a row longer than ``buf``.
     """
-    if isinstance(source, bytes):
-        if not source.startswith(_CANONICAL_HEADER):
-            yield None
-            return
-        lo = len(_CANONICAL_HEADER)
-        while lo < len(source):
-            hi = (len(source) if len(source) - lo <= _READ_BLOCK_BYTES
-                  else source.rfind(b"\n", lo, lo + _READ_BLOCK_BYTES) + 1)
-            if not hi:  # no newline in a block
-                yield None
-                return
-            yield source, lo, hi
-            lo = hi
-        return
-    source.seek(0)
     if source.read(len(_CANONICAL_HEADER)) != _CANONICAL_HEADER:
         yield None
         return
-    buf, stop = bytearray(_LEAD + _READ_BLOCK_BYTES), _LEAD
+    stop = _LEAD
     with memoryview(buf) as view:
         while True:
             got = source.readinto(view[stop:])
             stop += got
             cut = buf.rfind(b"\n", _LEAD, stop) + 1 if got else stop  # at the end, the rest
             if cut > _LEAD:
-                yield buf, _LEAD, cut
+                yield cut
                 buf[_LEAD:_LEAD + stop - cut] = buf[cut:stop]
                 stop = _LEAD + stop - cut
             elif stop == len(buf):  # a row longer than the buffer
@@ -260,19 +243,19 @@ def _row_blocks(source: bytes | IO[bytes]):
                 return
 
 
-def _newlines(buf, lo: int, hi: int) -> np.ndarray:
-    return np.frombuffer(buf, np.uint8, hi - lo, lo) == ord("\n")
+def _newlines(buf, hi: int) -> np.ndarray:
+    return np.frombuffer(buf, np.uint8, hi - _LEAD, _LEAD) == ord("\n")
 
 
-def _decode_rows(buf, lo: int, hi: int, sentinels: tuple[float, ...]
+def _decode_rows(buf, hi: int, sentinels: tuple[float, ...]
                  ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The minutes and flux of the rows in ``buf[lo:hi]``, sentinels as NaN; None
-    unless every row decodes, every flux is NaN or finite and >= 0, and every
-    stamp comes after the one before."""
-    ends = lo + np.flatnonzero(_newlines(buf, lo, hi))
+    """The minutes and flux of the rows in ``buf[_LEAD:hi]``, sentinels as NaN;
+    None unless every row decodes, every flux is NaN or finite and >= 0, and
+    every stamp comes after the one before."""
+    ends = _LEAD + np.flatnonzero(_newlines(buf, hi))
     if buf[hi - 1] != ord("\n"):  # the input's last row, without its newline
         ends = np.append(ends, hi)
-    starts = np.concatenate(([lo], ends[:-1] + 1))
+    starts = np.concatenate(([_LEAD], ends[:-1] + 1))
     widths = ends - starts - STAMP_WIDTH
     if widths.min() < 0:  # a blank line, or a row too short for its stamp
         return None
@@ -290,7 +273,7 @@ def _decode_rows(buf, lo: int, hi: int, sentinels: tuple[float, ...]
     return minutes, flux
 
 
-def _scan_canonical(source: str | bytes | IO[bytes],
+def _scan_canonical(source: IO[bytes],
                     sentinels: tuple[float, ...] = IngestConfig.missing_sentinels
                     ) -> tuple[np.ndarray, np.ndarray] | None:
     """Decode canonical input in numpy, a block at a time; None leaves it to the per-line scan.
@@ -301,26 +284,26 @@ def _scan_canonical(source: str | bytes | IO[bytes],
     that is negative or infinite, stamps that do not increase) returns None,
     so the per-line scan decides it and names the line.
 
-    Two passes over the blocks of :func:`_row_blocks`: the first counts the
-    rows, so that the arrays are allocated once at their size; the second
-    decodes each block whole on the calling thread.
+    Two passes over the blocks of :func:`_row_blocks` in one buffer, each from
+    the stream's position at the call: the first counts the rows, so that the
+    arrays are allocated once at their size; the second decodes each block
+    whole on the calling thread.
     """
-    if isinstance(source, str):
-        source = source.encode("ascii") if source.isascii() else b""
+    start, buf = source.tell(), bytearray(_LEAD + _READ_BLOCK_BYTES)
     rows = 0
-    for block in _row_blocks(source):
-        if block is None:
+    for hi in _row_blocks(source, buf):
+        if hi is None:
             return None
-        buf, lo, hi = block
-        rows += np.count_nonzero(_newlines(buf, lo, hi)) + (buf[hi - 1] != ord("\n"))
+        rows += np.count_nonzero(_newlines(buf, hi)) + (buf[hi - 1] != ord("\n"))
     if not rows:
         return None
+    source.seek(start)
     minutes, flux = np.empty(rows, np.int64), np.empty(rows)
     done, last = 0, _NAT_TICKS
-    for block in _row_blocks(source):
-        if block is None:  # a file changed since its rows were counted
+    for hi in _row_blocks(source, buf):
+        if hi is None:  # a file changed since its rows were counted
             return None
-        decoded = _decode_rows(*block, sentinels)
+        decoded = _decode_rows(buf, hi, sentinels)
         if decoded is None or decoded[0][0] <= last or done + decoded[0].size > rows:
             return None
         n = done + decoded[0].size
@@ -355,12 +338,13 @@ def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None)
     Expects a ``timestamp,flux_wm2`` header, ISO-8601 UTC timestamps with
     a ``Z`` suffix on the minute grid, and decimal or scientific-notation
     flux values.  An empty flux field or a configured sentinel value
-    marks the sample missing.  Input in the layout ``write_flux_csv``
-    produces is decoded by numpy kernels, a block of rows at a time on the
-    calling thread, each flux bit for bit as ``float()`` reads it; any
-    other input, and canonical input with a bad value or stamps out of
-    order, is scanned line by line, by the scan every CSV reader shares.
-    Both give the same series or the same error.
+    marks the sample missing.  ``source`` is text, bytes or an open file,
+    read from its position; a text stream or a pipe is read whole first.
+    Canonical input, the layout ``write_flux_csv`` produces, is decoded by
+    numpy kernels a block at a time in one buffer, each flux bit for bit as
+    ``float()`` reads it; other input, and canonical input with a bad value
+    or stamps out of order, is read whole and scanned line by line by the
+    scan every CSV reader shares.  Both give the same series or error.
 
     Raises
     ------
@@ -373,24 +357,27 @@ def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None)
         Non-increasing timestamps; names the offending line.
     """
     config = config or IngestConfig()
-    data = source if isinstance(source, (str, bytes)) else source.read()
-    scanned = _scan_canonical(data, config.missing_sentinels)
-    return _per_line(data, config) if scanned is None else FluxSeries._adopt(*scanned)
+    streamed = isinstance(source, io.BufferedIOBase) and source.seekable()
+    if not (streamed or isinstance(source, (str, bytes))):
+        source = source.read()  # a text stream or a pipe, whole
+    if isinstance(source, str):
+        if not source.isascii():  # the kernels read ASCII only
+            return _per_line(source, config)
+        source = source.encode("ascii")
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)  # shares the bytes, with no copy
+    start = source.tell()
+    scanned = _scan_canonical(source, config.missing_sentinels)
+    if scanned is None:
+        source.seek(start)
+        return _per_line(source.read(), config)
+    return FluxSeries._adopt(*scanned)
 
 
 def read_flux_csv(path, config: IngestConfig | None = None) -> FluxSeries:
-    """Parse a flux CSV file from disk, as :func:`parse_flux_csv` does.
-
-    Canonical input is decoded a block at a time in one fixed buffer, so no
-    copy of the file is held; the per-line scan, for any other input, reads it whole.
-    """
-    config = config or IngestConfig()
+    """Parse a flux CSV file from disk, as :func:`parse_flux_csv` parses an open file."""
     with open(path, "rb") as fh:
-        scanned = _scan_canonical(fh, config.missing_sentinels)
-        if scanned is None:
-            fh.seek(0)
-            return _per_line(fh.read(), config)
-    return FluxSeries._adopt(*scanned)
+        return parse_flux_csv(fh, config)
 
 
 def write_flux_csv(series: FluxSeries, path=None) -> bytes | memoryview:
@@ -482,13 +469,15 @@ def filter_saturation(series: FluxSeries, config: IngestConfig) -> tuple[FluxSer
 def check_synth_parameters(event_rate: float = 0.0, cluster_length_mean: float = 1.0,
                            duration: float = 1.0, base_threshold: float = 1.0) -> None:
     """DomainError unless each given synth_clustered_series parameter is finite and in range."""
-    rules = ((0.0 <= event_rate < np.inf, "event_rate must be >= 0"),
-             (1.0 <= cluster_length_mean < np.inf, "cluster_length_mean must be >= 1 minute"),
-             (0.0 < duration < np.inf, "duration must be > 0 years"),
-             (0.0 < base_threshold < np.inf, "base_threshold must be > 0"))
-    for ok, rule in rules:
+    rules = ((0.0 <= event_rate <= MINUTES_PER_YEAR, "event_rate must be >= 0 and finite, "
+              f"at most {MINUTES_PER_YEAR} a year (one event a minute)"),
+             (1.0 <= cluster_length_mean < np.inf,
+              "cluster_length_mean must be >= 1 minute and finite"),
+             (0.0 < duration < np.inf, "duration must be > 0 years and finite"),
+             (0.0 < base_threshold < np.inf, "base_threshold must be > 0 and finite"))
+    for ok, message in rules:
         if not ok:
-            raise DomainError(f"{rule} and finite")
+            raise DomainError(message)
 
 
 def synth_clustered_series(scale: float, shape: float, event_rate: float,
@@ -514,7 +503,7 @@ def synth_clustered_series(scale: float, shape: float, event_rate: float,
     scale, shape : float
         Excess distribution of event peaks.
     event_rate : float
-        Mean events per year; 0 yields a fully quiet series.
+        Mean events per year, at most one a minute; 0 yields a fully quiet series.
     cluster_length_mean : float
         Mean cluster length in minutes (>= 1).
     duration : float

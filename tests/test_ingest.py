@@ -118,6 +118,13 @@ def _flux_csv(rows, newline="\n"):
     return newline.join(["timestamp,flux_wm2", *(f"{t}Z,{v}" for t, v in rows)]) + newline
 
 
+def _scan(data):
+    """The columnar scan of in-memory CSV text or bytes; None where it refuses."""
+    if isinstance(data, str):
+        data = data.encode("ascii")
+    return fv.ingest._scan_canonical(io.BytesIO(data))
+
+
 class TestInputLayouts:
     """Canonical input takes the columnar scan, everything else the per-line one."""
 
@@ -189,8 +196,8 @@ class TestInputLayouts:
                  for k, v in zip(kind, values.tolist())]
         want = np.array([np.nan if k < 2 else float(t) for k, t in zip(kind, texts)])
         text = _flux_csv(zip(stamps, texts))
-        assert fv.ingest._scan_canonical(text) is not None
-        assert fv.ingest._scan_canonical(text.replace("\n", "\r\n")) is None
+        assert _scan(text) is not None
+        assert _scan(text.replace("\n", "\r\n")) is None
 
         parsed = [fv.parse_flux_csv(text), fv.parse_flux_csv(text.encode("ascii")),
                   fv.parse_flux_csv(io.BytesIO(text.encode("ascii"))),
@@ -214,7 +221,7 @@ class TestInputLayouts:
         stamps = np.datetime_as_string(np.datetime64("2000-01-01T00:00", "m")
                                        + np.arange(len(texts)), unit="s").tolist()
         text = _flux_csv(zip(stamps, texts))
-        assert fv.ingest._scan_canonical(text) is not None
+        assert _scan(text) is not None
         want = np.array([float(t) for t in texts]).view(np.uint64)
         for layout in (text, text.replace("\n", "\r\n")):  # columnar, then per-line
             assert fv.parse_flux_csv(layout).flux.view(np.uint64).tobytes() == want.tobytes()
@@ -226,7 +233,7 @@ class TestInputLayouts:
     ])
     def test_stamps_before_1970_and_after_2038_read(self, stamp):
         text = _flux_csv([("0001-01-01T00:00:00", "1e-5"), (stamp, "2e-5")])
-        assert fv.ingest._scan_canonical(text) is not None
+        assert _scan(text) is not None
         for layout in (text, text.replace("\n", "\r\n")):
             assert fv.parse_flux_csv(layout).timestamps[1] == np.datetime64(stamp, "m")
 
@@ -245,7 +252,7 @@ class TestInputLayouts:
     ])
     def test_bad_stamps_fail_as_per_line(self, stamp, error):
         text = _flux_csv([("2000-01-01T00:00:00", "1e-5"), (stamp, "2e-5")])
-        assert fv.ingest._scan_canonical(text) is None
+        assert _scan(text) is None
         for layout in (text, text.replace("\n", "\r\n")):
             with pytest.raises(ParseError) as exc:
                 fv.parse_flux_csv(layout)
@@ -367,7 +374,7 @@ class TestChunkPool:
         assert fv.write_flux_csv(series) == want
         assert fv.write_flux_csv(series, path) == want and path.read_bytes() == want
         data = want[:-1]  # the last line without its newline
-        assert fv.ingest._scan_canonical(data) is not None
+        assert _scan(data) is not None
         back = fv.parse_flux_csv(data)
         np.testing.assert_array_equal(back.timestamps, series.timestamps)
         np.testing.assert_array_equal(back.flux.view(np.uint64), series.flux.view(np.uint64))
@@ -417,8 +424,8 @@ class TestChunkPool:
 
 
 class TestBlockReader:
-    """read_flux_csv decodes a file in blocks of one reused buffer, and in-memory
-    input in blocks of itself, each block whole on the calling thread."""
+    """Every source, a file or in-memory input, is decoded in blocks of one reused
+    buffer, each block whole on the calling thread."""
 
     @pytest.fixture(params=[64, 100, 256])
     def blocks(self, request, monkeypatch):
@@ -441,7 +448,7 @@ class TestBlockReader:
         """The columnar scan of ``data`` in memory and on disk; None where it refused."""
         path.write_bytes(data)
         with open(path, "rb") as fh:
-            return [fv.ingest._scan_canonical(data), fv.ingest._scan_canonical(fh)]
+            return [_scan(data), fv.ingest._scan_canonical(fh)]
 
     @pytest.mark.parametrize("newline", [True, False])
     def test_every_block_edge_reads_alike(self, newline, monkeypatch, tmp_path):
@@ -537,7 +544,29 @@ class TestBlockReader:
         with pytest.raises(EmptyInputError, match=f"^{message}$"):
             fv.read_flux_csv(tmp_path / "flux.csv")
 
-    def test_file_read_keeps_no_copy_of_its_text(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])  # the columnar, then the per-line scan
+    def test_pipe_and_positioned_file_read_as_their_bytes(self, blocks, newline, tmp_path):
+        rows, minutes, flux = self._rows(30)
+        data = _flux_csv(rows, newline).encode("ascii")
+        read, write = os.pipe()
+        with open(read, "rb") as pipe:
+            with open(write, "wb") as fh:
+                fh.write(data)  # well under a pipe's 64 KB, so the write does not block
+            assert not pipe.seekable()
+            piped = fv.parse_flux_csv(pipe)
+        lead = b"lead bytes,\n\n"  # no header; read from the start, the parse would fail
+        (tmp_path / "flux.csv").write_bytes(lead + data)
+        with open(tmp_path / "flux.csv", "rb") as fh:
+            fh.seek(len(lead))
+            assert (fv.ingest._scan_canonical(fh) is None) == (newline == "\r\n")
+            fh.seek(len(lead))
+            positioned = fv.parse_flux_csv(fh)
+        for series in (fv.parse_flux_csv(data), piped, positioned):
+            np.testing.assert_array_equal(series.timestamps, minutes)
+            np.testing.assert_array_equal(series.flux.view(np.uint64), flux.view(np.uint64))
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_file_read_keeps_no_copy_of_its_text(self, stream, monkeypatch, tmp_path):
         monkeypatch.setattr(fv.ingest, "_READ_BLOCK_BYTES", 1 << 13)
         monkeypatch.setattr(fv.ingest, "_WRITE_CHUNK_ROWS", 1 << 14)
         rng = np.random.default_rng(31)
@@ -548,7 +577,11 @@ class TestBlockReader:
         fv.write_flux_csv(make_series(flux), path)
         tracemalloc.start()
         try:
-            back = fv.read_flux_csv(path)
+            if stream:  # parse_flux_csv of an open file reads it as read_flux_csv does
+                with open(path, "rb") as fh:
+                    back = fv.parse_flux_csv(fh)
+            else:
+                back = fv.read_flux_csv(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1028,6 +1061,11 @@ class TestSynth:
         np.testing.assert_array_equal(a.flux, b.flux)
         np.testing.assert_array_equal(a.timestamps, b.timestamps)
 
+    def test_event_rate_of_one_a_minute_is_accepted(self):
+        series = fv.synth_clustered_series(3e-4, 0.25, fv.ingest.MINUTES_PER_YEAR, 8.0, 0.001,
+                                           seed=1)
+        assert len(series) == 526 and np.all(series.flux > 0)
+
     def test_zero_event_rate_stays_quiet(self):
         series = fv.synth_clustered_series(3e-4, 0.25, 0.0, 8.0, 0.05, seed=1)
         assert np.all(series.flux < 1e-4)
@@ -1042,6 +1080,8 @@ class TestSynth:
         {"cluster_length_mean": np.inf}, {"cluster_length_mean": np.inf, "event_rate": 6000.0},
         {"cluster_length_mean": np.nan},
         {"base_threshold": np.inf}, {"base_threshold": np.nan},
+        # more than one event a minute; refused before anything is drawn
+        {"event_rate": fv.ingest.MINUTES_PER_YEAR + 1.0}, {"event_rate": 1e300},
     ])
     def test_invalid_parameters(self, kwargs):
         base = dict(scale=3e-4, shape=0.25, event_rate=5.0,

@@ -173,6 +173,7 @@ BAD_FLAG_VALUES = [
     ("returns", "--m-grid", "1:inf:5", "m_grid must satisfy 0 < lo < hi < inf and count >= 1"),
     ("synth", "--scale", "-3e-4", "scale must be finite and > 0, got -0.0003"),
     ("synth", "--event-rate", "nan", "event_rate must be >= 0 and finite"),
+    ("synth", "--event-rate", "1e300", "event_rate must be >= 0 and finite, at most 525600"),
     ("fit", "--threshold", "nan", "threshold must be finite and >= 0, got nan"),
     ("fit", "--threshold", "inf", "threshold must be finite and >= 0, got inf"),
     ("fit", "--threshold", "-1", "threshold must be finite and >= 0, got -1.0"),
