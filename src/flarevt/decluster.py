@@ -136,23 +136,6 @@ def catalog_from_files(csv_data: str | bytes, meta: dict) -> EventCatalog:
         raise ParseError(f"bad catalog metadata: {exc}") from None
 
 
-def _exceedances(flux: np.ndarray, threshold: float) -> np.ndarray:
-    """Index of each sample at or above ``threshold``, in order, scanned a task
-    of rows at a time on the chunk threads."""
-    n = ingest._TASK_ROWS
-    parts = ingest._in_order(lambda lo: lo + np.flatnonzero(flux[lo:lo + n] >= threshold),
-                             range(0, flux.size, n))
-    return np.concatenate([np.empty(0, np.intp), *parts])
-
-
-def _cluster_starts(minutes: np.ndarray, gap: int) -> np.ndarray:
-    """Index of each cluster's first exceedance, given the exceedance minutes."""
-    # an exceedance more than `gap` minutes after the previous one opens a cluster
-    is_new = np.ones(minutes.size, dtype=bool)
-    np.greater(np.diff(minutes), gap, out=is_new[1:])
-    return np.flatnonzero(is_new)
-
-
 def decluster(series: FluxSeries, threshold: float = DEFAULT_THRESHOLD,
               gap_minutes: int = DEFAULT_GAP_MINUTES) -> EventCatalog:
     """Reduce a flux series to independent cluster-peak events.
@@ -171,8 +154,8 @@ def decluster(series: FluxSeries, threshold: float = DEFAULT_THRESHOLD,
     """
     threshold, gap = checked_rule(threshold, gap_minutes)
     ts, flux = series.timestamps, series.flux
-    exc = _exceedances(flux, threshold)
-    starts = _cluster_starts(ts[exc].astype(np.int64), gap)
+    exc = ingest._exceedances(flux, threshold)
+    starts = ingest._run_starts(ts[exc].astype(np.int64), gap)
     counts = np.diff(np.append(starts, exc.size))
 
     # the peak is the first occurrence of the cluster maximum
@@ -288,12 +271,12 @@ def gap_sweep(series: FluxSeries, threshold: float,
     gap_arr = checked_gaps(gaps)
     threshold = checked_rule(threshold)[0]
 
-    exc = _exceedances(series.flux, threshold)
+    exc = ingest._exceedances(series.flux, threshold)
     minutes, flux_exc = series.timestamps[exc].astype(np.int64), series.flux[exc]
     lag1 = np.full(gap_arr.size, np.nan)
     counts = np.zeros(gap_arr.size, dtype=np.int64)
     for i, gap in enumerate(gap_arr):
-        starts = _cluster_starts(minutes, int(gap))
+        starts = ingest._run_starts(minutes, int(gap))
         counts[i] = starts.size
         if starts.size >= 3:
             try:

@@ -338,8 +338,9 @@ def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None)
     Expects a ``timestamp,flux_wm2`` header, ISO-8601 UTC timestamps with
     a ``Z`` suffix on the minute grid, and decimal or scientific-notation
     flux values.  An empty flux field or a configured sentinel value
-    marks the sample missing.  ``source`` is text, bytes or an open file,
-    read from its position; a text stream or a pipe is read whole first.
+    marks the sample missing.  ``source`` is text, bytes, another bytes-like
+    object (such as the memoryview ``write_flux_csv`` returns), or an open
+    file, read from its position; a text stream or a pipe is read whole first.
     Canonical input, the layout ``write_flux_csv`` produces, is decoded by
     numpy kernels a block at a time in one buffer, each flux bit for bit as
     ``float()`` reads it; other input, and canonical input with a bad value
@@ -357,15 +358,14 @@ def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None)
         Non-increasing timestamps; names the offending line.
     """
     config = config or IngestConfig()
-    streamed = isinstance(source, io.BufferedIOBase) and source.seekable()
-    if not (streamed or isinstance(source, (str, bytes))):
-        source = source.read()  # a text stream or a pipe, whole
     if isinstance(source, str):
         if not source.isascii():  # the kernels read ASCII only
             return _per_line(source, config)
         source = source.encode("ascii")
-    if isinstance(source, bytes):
-        source = io.BytesIO(source)  # shares the bytes, with no copy
+    if not hasattr(source, "read"):
+        source = io.BytesIO(source)  # shares bytes with no copy, and copies other buffers
+    elif not (isinstance(source, io.BufferedIOBase) and source.seekable()):
+        return parse_flux_csv(source.read(), config)  # a text stream or a pipe, whole
     start = source.tell()
     scanned = _scan_canonical(source, config.missing_sentinels)
     if scanned is None:
@@ -429,37 +429,44 @@ def apply_scaling(series: FluxSeries, divisor: float) -> FluxSeries:
     return FluxSeries._adopt(series.timestamps, flux)
 
 
+def _exceedances(flux: np.ndarray, threshold: float) -> np.ndarray:
+    """Index of each sample at or above ``threshold``, in order, scanned a task
+    of rows at a time on the chunk threads."""
+    n = _TASK_ROWS
+    parts = _in_order(lambda lo: lo + np.flatnonzero(flux[lo:lo + n] >= threshold),
+                      range(0, flux.size, n))
+    return np.concatenate([np.empty(0, np.intp), *parts])
+
+
+def _run_starts(values: np.ndarray, gap: int) -> np.ndarray:
+    """Index of each run's first value, given increasing values: a value more
+    than ``gap`` past the one before it opens a run."""
+    is_new = np.ones(values.size, dtype=bool)
+    np.greater(np.diff(values), gap, out=is_new[1:])
+    return np.flatnonzero(is_new)
+
+
 def filter_saturation(series: FluxSeries, config: IngestConfig) -> tuple[FluxSeries, int]:
     """Blank contiguous saturated runs not covered by the retained-date list.
 
     A run is a maximal stretch of consecutive samples with flux at or
-    above ``config.saturation_level``.  A run is kept when any calendar
-    date it touches appears in ``config.retained_saturation_events``;
-    otherwise all its samples become missing.  Returns the filtered
-    series and the number of runs removed.
+    above ``config.saturation_level``, found by the exceedance scan and run
+    split that declustering uses.  A run is kept when any calendar date it
+    touches appears in ``config.retained_saturation_events``; otherwise all
+    its samples become missing.  Returns the filtered series, whose flux is
+    a copy only when a run is removed, and the number of runs removed.
     """
-    flux = series.flux
-    with np.errstate(invalid="ignore"):
-        saturated = flux >= config.saturation_level
-    if not np.any(saturated):
+    saturated = _exceedances(series.flux, config.saturation_level)
+    starts = _run_starts(saturated, 1)
+    days = series.timestamps[saturated].astype("datetime64[D]")
+    retained = np.array(config.retained_saturation_events, "datetime64[D]")
+    kept = np.logical_or.reduceat(np.isin(days, retained), starts)
+    blanked = saturated[~np.repeat(kept, np.diff(starts, append=saturated.size))]
+    if not blanked.size:
         return series, 0
-
-    padded = np.concatenate(([False], saturated, [False]))
-    edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
-    starts, ends = edges[0::2], edges[1::2]  # half-open [start, end)
-
-    retained = {np.datetime64(d, "D") for d in config.retained_saturation_events}
-    new_flux = flux.copy()
-    removed = 0
-    for lo, hi in zip(starts, ends):
-        run_dates = set(np.unique(series.timestamps[lo:hi].astype("datetime64[D]")))
-        if run_dates & retained:
-            continue
-        new_flux[lo:hi] = np.nan
-        removed += 1
-    if removed == 0:
-        return series, 0
-    return FluxSeries._adopt(series.timestamps, new_flux), removed
+    flux = series.flux.copy()
+    flux[blanked] = np.nan
+    return FluxSeries._adopt(series.timestamps, flux), int(np.count_nonzero(~kept))
 
 
 # ---------------------------------------------------------------------------

@@ -332,7 +332,7 @@ def run_diagnostics(catalog: EventCatalog, fit: GpdFit, config: PipelineConfig
     grid = default_threshold_grid(config.decluster_threshold, peaks,
                                   config.mrl_grid_points)
     mrl = mean_excess_curve(peaks, grid, config.ci_level)
-    plot = probability_plot(fit, peaks[peaks > fit.threshold] - fit.threshold)
+    plot = probability_plot(fit, catalog.excesses_over(fit.threshold))
     return mrl, plot
 
 

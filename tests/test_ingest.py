@@ -215,6 +215,18 @@ class TestInputLayouts:
         np.testing.assert_array_equal(back.timestamps, minutes)
         np.testing.assert_array_equal(back.flux.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("crlf", [False, True], ids=["canonical", "CRLF"])
+    def test_bytes_like_input_reads_as_bytes(self, crlf, tmp_path):
+        series = make_series([1e-4, np.nan, 2.5e-4], offsets=[0, 1, 1440])
+        view = fv.write_flux_csv(series, tmp_path / "flux.csv")  # a memoryview of the file
+        data = bytes(view).replace(b"\n", b"\r\n") if crlf else bytes(view)
+        want = fv.parse_flux_csv(data)
+        np.testing.assert_array_equal(want.flux, series.flux)
+        for source in (memoryview(data) if crlf else view, bytearray(data)):
+            got = fv.parse_flux_csv(source)
+            np.testing.assert_array_equal(got.timestamps, want.timestamps)
+            np.testing.assert_array_equal(got.flux.view(np.uint64), want.flux.view(np.uint64))
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(FLOAT_TEXTS, min_size=1, max_size=30))
     def test_flux_texts_read_as_float_and_per_line(self, texts):
@@ -688,8 +700,7 @@ class TestWholeSeriesPasses:
         flux[50] = 2e-3
         flux[[7, 15, 23, 95]] = np.nan  # and gaps at the last row of a task
         series = fv.FluxSeries(ts[:n], flux[:n])
-        module = sys.modules["flarevt.decluster"]  # fv.decluster is the function
-        np.testing.assert_array_equal(module._exceedances(series.flux, 4e-4),
+        np.testing.assert_array_equal(fv.ingest._exceedances(series.flux, 4e-4),
                                       np.flatnonzero(series.flux >= 4e-4))
 
         def passes():
@@ -699,7 +710,7 @@ class TestWholeSeriesPasses:
         catalog, curve = passes()
         monkeypatch.setattr(fv.ingest, "_WORKERS", 1)
         one_thread = passes()
-        monkeypatch.setattr(module, "_exceedances",
+        monkeypatch.setattr(fv.ingest, "_exceedances",
                             lambda values, threshold: np.flatnonzero(values >= threshold))
         plain = passes()
         for want_catalog, want_curve in (one_thread, plain):
@@ -707,6 +718,42 @@ class TestWholeSeriesPasses:
             for name in ("gaps", "lag1", "event_counts"):
                 np.testing.assert_array_equal(getattr(curve, name), getattr(want_curve, name))
         assert len(catalog) == (4 if n else 0)
+
+    def test_saturation_runs_match_a_per_sample_loop(self, workers):
+        # rows 0-15 fall on 2003-10-28, 16-19 on 10-29 and the rest on 10-31
+        ts = np.datetime64("2003-10-28T23:44", "m") + np.arange(self.N)
+        ts[20:] += 2 * 1440
+        flux = np.full(self.N, 1e-4)
+        flux[[3, 40]] = np.nan
+        flux[6:11] = 17e-4  # across the seam at 8
+        flux[14:18] = 20e-4  # across the seam at 16 and midnight, kept by 10-29
+        flux[30:35], flux[32] = 18e-4, np.nan  # one stretch that a NaN splits in two
+        flux[94:97] = 30e-4  # across the seam at 96
+        flux[98:] = 17e-4  # a run that ends on the last row
+        series = fv.FluxSeries(ts, flux)
+        for retained, want_removed in ((("2003-10-29",), 5), ((), 6)):
+            want_flux, removed = _saturation_oracle(ts, flux, 17e-4, retained)
+            config = fv.IngestConfig(retained_saturation_events=retained)
+            filtered, got_removed = fv.filter_saturation(series, config)
+            assert got_removed == removed == want_removed
+            np.testing.assert_array_equal(filtered.flux.view(np.uint64),
+                                          want_flux.view(np.uint64))
+            np.testing.assert_array_equal(filtered.timestamps, ts)
+
+
+def _saturation_oracle(ts, flux, level, retained):
+    """The flux with each run at or above ``level`` that touches no retained
+    date blanked, and the number of runs blanked, one sample at a time."""
+    out, removed, run = flux.copy(), 0, []
+    for i in range(flux.size + 1):
+        if i < flux.size and flux[i] >= level:
+            run.append(i)
+            continue
+        if run and not {str(ts[j].astype("datetime64[D]")) for j in run} & set(retained):
+            out[run] = np.nan
+            removed += 1
+        run = []
+    return out, removed
 
 
 def _scan_peak(n: int) -> int:
@@ -888,6 +935,22 @@ class TestFluxSeries:
         for arr in (scaled.flux, filtered.flux, filtered.timestamps):
             assert not arr.flags.writeable
         assert series.flux[10] == 20e-4 and scaled.flux[10] == 20e-4 / 0.7
+
+    def test_no_flux_copy_unless_a_run_is_blanked(self):
+        n = 1_000_000
+        flux = np.full(n, 1e-4)
+        flux[10:20] = 20e-4  # one saturated run, on the retained date
+        series = make_series(flux, start="2003-10-28T00:00")
+        tracemalloc.start()
+        try:
+            filtered, removed = fv.filter_saturation(series, fv.IngestConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the exceedance scan's mask of a task of rows on each chunk thread;
+        # a copy of the flux would add 8 B a row, a whole-series mask 1 B
+        assert peak < 2 * n
+        assert removed == 0 and filtered is series
 
     def test_off_grid_timestamps_rejected(self):
         ts = np.array(["2000-01-01T00:00:30", "2000-01-01T00:01:30"],
