@@ -185,21 +185,13 @@ def _float_words(column: np.ndarray, end: int) -> np.ndarray:
 
 
 # Reading is the writer's inverse, and it too takes a whole column at once.
-# The input is seen as overlapping little-endian uint64 words, word k being
-# its bytes k to k + 7, so that gathering a field's bytes is a 1-d fancy
-# index per word, and a test or a sum over them is a few word operations
-# (SWAR) rather than one per byte.  A field's words are held word-major,
-# (words, rows), so that every operation runs along the rows.
-_ONES = 0x0101_0101_0101_0101
-_BYTE = [np.uint64(8 * j) for j in range(8)]  # the shift to a word's byte j
-_ONE, _LOW_BYTE, _ALL = np.uint64(1), np.uint64(0xFF), np.uint64(2 ** 64 - 1)
-
-
-def _every_byte(b: int) -> np.uint64:
-    return np.uint64(b * _ONES)
-
-
-_DIGIT_ZERO, _HIGH_BITS, _LOW_BITS = _every_byte(ord("0")), _every_byte(0x80), _every_byte(0x7F)
+# A field is read from the _FIELD_WIDTH bytes that end with it: each row's
+# bytes are gathered by one fancy index into an unaligned strided view of the
+# input (_windows, no copy of it), then turned word-major, three little-endian
+# uint64 words a row as (3, rows), so that every operation runs along the rows
+# and a test or a sum over a field's bytes is a few word operations (SWAR)
+# rather than one per byte.
+_ZEROS = np.uint64(ord("0") * 0x0101_0101_0101_0101)  # "0" in every byte
 
 
 def _words(data: bytes) -> np.ndarray:
@@ -207,49 +199,75 @@ def _words(data: bytes) -> np.ndarray:
     return np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
 
 
-def _non_digits(x: np.ndarray) -> np.ndarray:
-    """0x80 in each byte of x (text XOR "0"s) that was not a digit, 0 elsewhere."""
-    return (((x & _LOW_BITS) + _every_byte(0x76)) | x) & _HIGH_BITS
+def _windows(data: bytes, at: np.ndarray) -> np.ndarray:
+    """Bytes ``at`` to ``at + _FIELD_WIDTH`` of data for each ``at``, as (3, rows) words."""
+    rows = np.ndarray((len(data) - _FIELD_WIDTH + 1,), dtype=f"V{_FIELD_WIDTH}", buffer=data,
+                      strides=(1,))
+    return rows[at].view("<u8").reshape(-1, _FIELD_WIDTH // 8).T.copy()
 
 
-def _zero_bytes(x: np.ndarray) -> np.ndarray:
-    """0x80 in each zero byte of x, 0 elsewhere."""
-    return ~(((x & _LOW_BITS) + _LOW_BITS) | x) & _HIGH_BITS
-
-
-def _byte_count(flags: np.ndarray) -> np.ndarray:
-    """The number of bytes with their low bit set, over each column's words."""
-    ones = flags & _every_byte(1)
-    return ((sum(ones[1:], ones[0]) * np.uint64(_ONES)) >> _BYTE[7]).view(np.int64)
+def _pair_table(values: dict, default: int = 0, dtype=np.int8) -> np.ndarray:
+    """A table by a byte pair read as a little-endian uint16."""
+    table = np.full(1 << 16, default, dtype=dtype)
+    for pair, value in values.items():
+        table[int.from_bytes(pair, "little")] = value
+    return table
 
 
 # Decimal text to the nearest double.  A field "[-]digits[.digits][e±dd[d]]"
-# is read as M * 10**q: the exponent from its last 8 bytes, and the digits
-# of its mantissa, gathered right-aligned in _FIELD_WIDTH bytes, with the
-# point's gap closed (the digits before it move one byte right) and summed
-# eight digits to a word.  M * 10**q is then the double-double p + tail (M
-# below 10**19 as a double and its integer remainder, 10**q from the table
-# above), and p + tail rounds to the nearest double unless the exact value
-# lies within _MARGIN of a half-ulp tie.  Such values, powers of two (whose
-# ulps below and above differ, so that the tie below is not checked), |q|
-# over _Q_LIMIT (which keeps every term of the product normal, so that it is
-# exact) and every field of another layout (an "E", a leading "+", over 19
-# digits, a mantissa over _FIELD_WIDTH bytes) are read by float().
+# is read as M * 10**q.  Its last 8 bytes give the exponent: tables by byte
+# pair find "e+" or "e-" 4 or 5 bytes from the end, as the exponent's length
+# with its sign, and give the value of its digits.  The mantissa's bytes are
+# gathered right-aligned in _FIELD_WIDTH bytes, with those before its first
+# digit cleared.  One flag word marks the bytes that are not digits, bit
+# 8 * byte + word for a byte of each word; when one bit is set, its float
+# exponent names that byte, which must be the point, and tables by it give
+# the point's gap (the bytes up to its column take the byte to their left)
+# and the digits after it.  The digits are then summed eight to a word.
+# M * 10**q is the double-double p + tail (M below 10**19 as a double and its
+# integer remainder, 10**q from the table above), and p + tail rounds to the
+# nearest double unless the exact value lies within _MARGIN of a half-ulp
+# tie.  Such values, powers of two (whose ulps below and above differ, so
+# that the tie below is not checked), |q| over _Q_LIMIT (which keeps every
+# term of the product normal, so that it is exact) and every field of
+# another layout (an "E", a leading "+", over 19 digits, a mantissa over
+# _FIELD_WIDTH bytes) are read by float().
 _EXP_WIDTH = 5  # the longest exponent read, "e-100"
 _Q_LIMIT = 280
+_BAD_EXPONENT = 1 << 20  # an exponent digit that is not one: |q| is then over _Q_LIMIT
 _FLOAT_BYTES = b"0123456789.eE+-"
-_E_SIGNS = [np.uint64(ord("e") | ord(sign) << 8) for sign in "+-"]
-_POINTS = _every_byte(ord(".") ^ ord("0"))
+# By byte pair of the field's last 8 bytes: bytes 4-5 for "e±dd" and 3-4 for
+# "e±ddd", as the exponent's length with its sign; bytes 6-7 for its last two
+# digits; and bytes 4-5 of "e±ddd" for 100 times its first digit, with
+# _BAD_EXPONENT for a sign and no digit, and 0 for "e±" and any other pair.
+_EXP_FOUR = _pair_table({b"e+": 4, b"e-": -4})
+_EXP_FIVE = _pair_table({b"e+": 5, b"e-": -5})
+_EXP_TENS = _pair_table({b"%02d" % v: v for v in range(100)}, _BAD_EXPONENT, np.int32)
+_EXP_HUNDREDS = _pair_table({sign + bytes([c]): 100 * (c - ord("0")) if chr(c) in "0123456789"
+                             else _BAD_EXPONENT for sign in (b"+", b"-") for c in range(256)},
+                            dtype=np.int32)
 _SWAR_STEPS = [(np.uint64(m), np.uint64(s), np.uint64(k)) for m, s, k in (
     (10 << 8 | 1, 8, 0x00FF_00FF_00FF_00FF),  # digit pairs
-    (100 << 16 | 1, 16, 0x0000_FFFF_0000_FFFF),  # four digits
-    (10_000 << 32 | 1, 32, 0xFFFF_FFFF))]  # a word's eight digits
+    (100 << 16 | 1, 16, 0x0000_FFFF_0000_FFFF))]  # four digits
 
 
-def _exponent_head(word: np.ndarray) -> np.ndarray:
-    """Whether the word's low two bytes are "e+" or "e-"."""
-    head = word & np.uint64(0xFFFF)
-    return (head == _E_SIGNS[0]) | (head == _E_SIGNS[1])
+def _column_masks(columns) -> np.ndarray:
+    """0xFF in the bytes of each set of columns, as (3, sets) words."""
+    return np.array([[sum(0xFF << 8 * (c - 8 * w) for c in cols if 8 * w <= c < 8 * w + 8)
+                      for cols in columns] for w in range(_FIELD_WIDTH // 8)], dtype=np.uint64)
+
+
+_FROM_COLUMN = _column_masks([range(f, _FIELD_WIDTH) for f in range(_FIELD_WIDTH + 1)])
+# Tables by the flag word's float32 exponent: 127 plus the flagged bit, or 0
+# for no flag.  A bit that flags no byte, or no flag, has no point column.
+_FLAG_BIT = np.arange(127 + 64) - 127
+_COLUMN = np.where(_FLAG_BIT >= 0, 8 * (_FLAG_BIT % 8) + _FLAG_BIT // 8, _FIELD_WIDTH)
+_HAS_POINT = _COLUMN < _FIELD_WIDTH
+_FLAG_COLUMN = np.where(_HAS_POINT, _COLUMN, 0)  # without a point, a column no test reads
+_POINT_GAP = _column_masks([range(c + 1) if c < _FIELD_WIDTH else () for c in _COLUMN])
+_AFTER_POINT = np.where(_HAS_POINT, _FIELD_WIDTH - 1 - _COLUMN, 0).astype(np.int32)
+# first digit columns that leave a digit: below _FIELD_WIDTH, less one for a point
+_FIRST_LIMIT = (_FIELD_WIDTH - _HAS_POINT).astype(np.uint64)
 
 
 def _float_text(field: bytes) -> float:
@@ -262,60 +280,85 @@ def _decimal_values(data: bytes, ends: np.ndarray, widths: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Each field ``data[ends - widths:ends]`` as the nearest double, and
     whether the kernel decided it (float() reads the others)."""
-    words = _words(data)
+    text = np.frombuffer(data, np.uint8)
     end = np.maximum(ends, _FIELD_WIDTH + _EXP_WIDTH)  # shorter reaches are float()'s
-    last = words[end - 8]
-    x = last ^ _DIGIT_ZERO
-    not_digit = _non_digits(x)
-    exp5 = (widths >= 5) & _exponent_head(last >> _BYTE[3]) & (not_digit >> _BYTE[5] == 0)
-    exp4 = (widths >= 4) & _exponent_head(last >> _BYTE[4]) & (not_digit >> _BYTE[6] == 0)
-    exponent = ((x >> _BYTE[7]) + (x >> _BYTE[6] & _LOW_BYTE) * np.uint64(10)
-                + (x >> _BYTE[5] & _LOW_BYTE) * np.uint64(100) * exp5) * (exp5 | exp4)
-    minus = (np.where(exp5, last >> _BYTE[4], last >> _BYTE[5]) & _LOW_BYTE) == ord("-")
-    exponent = np.where(minus, -exponent.view(np.int64), exponent.view(np.int64))
-    width = widths - 5 * exp5 - 4 * exp4
-    negative = np.frombuffer(data, np.uint8)[ends - np.maximum(widths, 1)] == ord("-")
-    # the mantissa's digit values, right-aligned in _FIELD_WIDTH bytes
-    digits = words[end - (widths - width) - _FIELD_WIDTH + _WORD_OFFSETS] ^ _DIGIT_ZERO
-    first = _FIELD_WIDTH - width + negative
-    digits &= _ALL << (np.clip(first - _WORD_OFFSETS, 0, 8) * 8).astype(np.uint64)
-    points = _zero_bytes(digits ^ _POINTS)
-    strays = _non_digits(digits) ^ points
-    # close the point's gap: the bytes up to its column take the byte to
-    # their left.  A flag f (0x01 in the point's byte) gives f << 8 minus 1,
-    # 0xFF in the bytes up to it; a word before the point's is all 0xFF.
-    flags = points >> np.uint64(7)
-    n_points = _byte_count(flags)
-    upto = (flags << _BYTE[1]) - _ONE
-    point_here = (flags * np.uint64(_ONES)) >> _BYTE[7]  # 1 where the word has the point
-    point_here[:-1] |= point_here[1:]  # ... or a later word has it
-    point_here[:-2] |= point_here[2:]
-    upto &= -point_here
-    digits ^= (digits ^ _shift_words(digits, _BYTE[1])) & upto
+    last = _words(data)[end - 8]
+    pair = (last >> np.uint64(32)) & np.uint64(0xFFFF)
+    signed_length = _EXP_FOUR.take(pair)
+    signed_length += _EXP_FIVE.take((last >> np.uint64(24)) & np.uint64(0xFFFF))
+    signed_length *= np.abs(signed_length) <= widths  # not the field's when longer than it
+    exp_length = np.abs(signed_length)
+    exponent = _EXP_TENS.take(last >> np.uint64(48))
+    exponent += _EXP_HUNDREDS.take(pair)
+    exponent *= np.sign(signed_length)
+    negative = text[ends - np.maximum(widths, 1)] == ord("-")
+    first = exp_length - widths
+    first += negative
+    first += _FIELD_WIDTH  # the column of the mantissa's first digit
+    at = end - exp_length
+    at -= _FIELD_WIDTH
+    digits = _windows(data, at)
+    digits ^= _ZEROS
+    digits &= _FROM_COLUMN.take(first, axis=1, mode="clip")
+    flags = (digits.view(np.uint8) > 9).view(np.uint64)
+    flag = flags[1] << np.uint64(1)
+    flag |= flags[0]
+    flag |= flags[2] << np.uint64(2)
+    e = flag.astype(np.float32).view(np.int32) >> 23
+    at += _FLAG_COLUMN.take(e)
+    ok = (text[at] == ord(".")) | (flag == 0)
+    ok &= (flag & (flag - np.uint64(1))) == 0  # one flag at most
+    ok &= first.view(np.uint64) < _FIRST_LIMIT.take(e)
+    ok &= ends >= _FIELD_WIDTH + _EXP_WIDTH
+    moved = digits << np.uint64(8)
+    moved[1:] |= digits[:-1] >> np.uint64(56)
+    moved ^= digits
+    moved &= _POINT_GAP.take(e, axis=1)
+    digits ^= moved
     for mul, down, mask in _SWAR_STEPS:
-        digits = ((digits * mul) >> down) & mask
-    q = exponent - np.where(n_points > 0, _FIELD_WIDTH - _byte_count(upto), 0)
-    ok = ((ends >= _FIELD_WIDTH + _EXP_WIDTH) & (width <= _FIELD_WIDTH) & (n_points <= 1)
-          & (width - negative - n_points > 0) & (digits[0] < 1000)  # M < 10**19
-          & ~np.any(strays, axis=0) & (np.abs(q) <= _Q_LIMIT))
-    whole = np.where(ok, digits[0] * np.uint64(10 ** 16) + digits[1] * np.uint64(10 ** 8)
-                     + digits[2], np.uint64(0))
-    # whole * 10**q as the double-double p + tail
-    i = np.clip(q, -_Q_LIMIT, _Q_LIMIT) - _P10_MIN
-    hi = _P10_HI.take(i)
+        digits *= mul
+        digits >>= down
+        digits &= mask
+    digits *= np.uint64(10_000 << 32 | 1)  # a word's eight digits, high half over the top
+    digits >>= np.uint64(32)
+    q = exponent
+    q -= _AFTER_POINT.take(e)
+    ok &= digits[0] < 1000  # M < 10**19
+    ok &= np.abs(q) <= _Q_LIMIT
+    whole = digits[0]
+    whole *= np.uint64(10 ** 8)
+    whole += digits[1]
+    whole *= np.uint64(10 ** 8)
+    whole += digits[2]
+    whole *= ok
+    # whole * 10**q as the double-double p + tail, each array reused once done with
+    i = q - _P10_MIN
+    hi = _P10_HI.take(i, mode="clip")
     m_hi = whole.astype(np.float64)
     m_lo = (whole - m_hi.astype(np.uint64)).view(np.int64).astype(np.float64)
+    m_lo *= hi
     p = m_hi * hi
-    (ah, al), hh, hl = _split(m_hi), _P10_HH.take(i), _P10_HL.take(i)
-    err = al * hl - (((p - ah * hh) - al * hh) - ah * hl)  # m_hi * hi == p + err exactly
-    tail = err + (m_hi * _P10_LO.take(i) + m_lo * hi)
+    (ah, al), hh, hl = _split(m_hi), _P10_HH.take(i, mode="clip"), _P10_HL.take(i, mode="clip")
+    err = p - ah * hh
+    err -= al * hh
+    err -= ah * hl
+    np.subtract(np.multiply(al, hl, out=al), err, out=err)  # m_hi * hi == p + err exactly
+    m_hi *= _P10_LO.take(i, mode="clip")
+    tail = err
+    tail += m_hi + m_lo
     value = p + tail
-    rest = tail - (value - p)  # the exact value less its rounding
+    rest = tail
+    rest += np.subtract(p, value, out=p)  # the exact value less its rounding
     bits = value.view(np.uint64)
-    half_ulp = (bits & _EXPONENT_BITS).view(np.float64) * 2.0 ** -53
-    decided = ok & ((whole == 0) | ((np.abs(np.abs(rest) - half_ulp) > half_ulp * _MARGIN)
-                                    & (bits & _MANTISSA_BITS != 0)))
-    return np.where(negative, -value, value), decided
+    half_ulp = (bits & _EXPONENT_BITS).view(np.float64)
+    half_ulp *= 2.0 ** -53
+    far = np.abs(np.subtract(np.abs(rest, out=rest), half_ulp, out=rest), out=rest)
+    decided = far > np.multiply(half_ulp, _MARGIN, out=half_ulp)
+    decided &= bits & _MANTISSA_BITS != 0
+    decided |= whole == 0
+    decided &= ok
+    np.negative(value, out=value, where=negative)
+    return value, decided
 
 
 def read_floats(data: bytes, ends: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -334,16 +377,16 @@ def read_floats(data: bytes, ends: np.ndarray, widths: np.ndarray) -> np.ndarray
 
 
 # A stamp field as read: "YYYY-MM-DDTHH:MM:00Z,", in the three words that end
-# with it.  XOR the template, a stamp has a digit's value where the template
-# has "D", and 0 in every other byte but the leading ones, which are not its.
+# with it.  XOR the template, and with the leading bytes, which are not its,
+# cleared, a stamp has a digit's value where the template has "D" and 0 in
+# every other byte.
 _STAMP_TEXT = b"DDDD-DD-DDTDD:DD:00Z,"
 STAMP_WIDTH = len(_STAMP_TEXT)  # with its separator
 _STAMP_TEMPLATE = b"." * (_FIELD_WIDTH - STAMP_WIDTH) + _STAMP_TEXT
-_STAMP_XOR, _STAMP_FIXED_BYTES, _STAMP_DIGIT_BYTES = _le_words([
+_STAMP_XOR, _STAMP_FIXED_BYTES, _STAMP_BYTES = _le_words([
     _STAMP_TEMPLATE.replace(b"D", b"0").replace(b".", b"\0"),
     bytes(0 if c in b"D." else 0xFF for c in _STAMP_TEMPLATE),
-    bytes(0xFF if c == ord("D") else 0 for c in _STAMP_TEMPLATE)], 3).T[:, :, None]
-_STAMP_DIGIT_FLAGS = _STAMP_DIGIT_BYTES & _HIGH_BITS
+    bytes(0 if c == ord(".") else 0xFF for c in _STAMP_TEMPLATE)], 3).T[:, :, None]
 # Days from 1970-01-01 to the first of each year 0-9999 (numpy's calendar),
 # and each month's first day in its year and its length: month m of a
 # common year is entry m, of a leap year entry 100 + m; other entries have
@@ -357,6 +400,15 @@ _MONTH_LENGTH[:, 1:13] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
 _MONTH_LENGTH[1, 2] = 29
 _MONTH_DAY = (np.cumsum(_MONTH_LENGTH, axis=1) - _MONTH_LENGTH).ravel()
 _MONTH_LENGTH = _MONTH_LENGTH.ravel()
+# The days or minutes of a field by its two digits, and _BAD_STAMP where they
+# are out of range: the day of the year by a month's entry times 100 plus
+# the day of the month, and the minutes of the day by the hour and by the
+# minute.
+_BAD_STAMP = 1 << 50
+_DATE_DAY = np.where((np.arange(100) >= 1) & (np.arange(100) <= _MONTH_LENGTH[:, None]),
+                     _MONTH_DAY[:, None] + np.arange(100) - 1, _BAD_STAMP).ravel()
+_HOUR_MINUTES = np.where(np.arange(100) < 24, np.arange(100) * 60, _BAD_STAMP)
+_MINUTES = np.where(np.arange(100) < 60, np.arange(100), _BAD_STAMP)
 
 
 def read_stamps(data: bytes, starts: np.ndarray) -> np.ndarray | None:
@@ -365,21 +417,27 @@ def read_stamps(data: bytes, starts: np.ndarray) -> np.ndarray | None:
     None unless every one is ``YYYY-MM-DDTHH:MM:00Z,`` with a valid date
     and time; ``data`` has 3 bytes before each start.
     """
-    x = _words(data)[starts - (_FIELD_WIDTH - STAMP_WIDTH) + _WORD_OFFSETS] ^ _STAMP_XOR
-    if np.any((x & _STAMP_FIXED_BYTES) | (_non_digits(x) & _STAMP_DIGIT_FLAGS)):
+    x = _windows(data, starts - (_FIELD_WIDTH - STAMP_WIDTH))
+    x ^= _STAMP_XOR
+    x &= _STAMP_BYTES
+    fixed, digits = (x & _STAMP_FIXED_BYTES).view(np.uint8), x.view(np.uint8)
+    if fixed.max(initial=0) or digits.max(initial=0) > 9:
         return None
-    # 10 * digit j + digit j + 1 in byte j, for each digit pair
-    pairs = ((x & _STAMP_DIGIT_BYTES) * np.uint64(10 << 8 | 1)) >> _BYTE[1]
-
-    def pair(j: int) -> np.ndarray:
-        return ((pairs[j // 8] >> _BYTE[j % 8]) & _LOW_BYTE).view(np.int64)
-
-    year = pair(3) * 100 + pair(5)
-    month = pair(8) + _LEAP_MONTHS.take(year)
-    day, hour, minute = pair(11) - 1, pair(14), pair(17)
-    if not np.all((day >= 0) & (day < _MONTH_LENGTH.take(month)) & (hour < 24) & (minute < 60)):
-        return None
-    return (_YEAR_DAY.take(year) + _MONTH_DAY.take(month) + day) * 1440 + hour * 60 + minute
+    x *= np.uint64(10 << 8 | 1)  # 10 times digit j plus digit j + 1, in byte j + 1
+    pairs = x.view(np.uint8)
+    year = pairs[0, 4::8].astype(np.intp)
+    year *= 100
+    year += pairs[0, 6::8]
+    date = _LEAP_MONTHS.take(year)
+    date += pairs[1, 1::8]
+    date *= 100
+    date += pairs[1, 4::8]
+    minutes = _YEAR_DAY.take(year)
+    minutes += _DATE_DAY.take(date)
+    minutes *= 1440
+    minutes += _HOUR_MINUTES.take(pairs[1, 7::8])
+    minutes += _MINUTES.take(pairs[2, 2::8])
+    return None if minutes.max(initial=0) >= _BAD_STAMP // 2 else minutes
 
 
 # A stamp's text ends its three words, so that the next field runs on from

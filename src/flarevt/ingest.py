@@ -22,7 +22,7 @@ import numpy as np
 
 from ._table import (STAMP_WIDTH, check_nonnegative, read_floats, read_stamps, read_table,
                      table_bytes)
-from .errors import DomainError, EmptyInputError, OrderingError
+from .errors import DomainError, EmptyInputError, OrderingError, ParseError
 from .gpd import GpdParams, gpd_quantile
 
 __all__ = [
@@ -218,10 +218,13 @@ def _in_order(fn, items):
 def _row_blocks(source: IO[bytes], buf: bytearray):
     """The rows after the canonical header, from ``source``'s position, a block at a time.
 
-    Yields ``hi`` with whole rows in ``buf[_LEAD:hi]``; only the input's last
-    row may lack its newline.  ``buf`` is the caller's, reused for every block:
-    the row that a block's end cuts moves to its start before the next read.
-    Yields None, and stops, for another header or a row longer than ``buf``.
+    Yields ``hi`` with whole rows, each ended by its newline, in ``buf[_LEAD:hi]``.
+    ``source`` is an open file or a ``_BufferReader`` over bytes in memory,
+    either read into ``buf`` in place.  ``buf`` is the caller's, reused for
+    every block: the row that a block's end cuts moves to its start before
+    the next read.  Yields None, and stops, for another header, a row longer
+    than ``buf``, or a last row without its newline, which the per-line scan
+    then refuses by its line.
     """
     if source.read(len(_CANONICAL_HEADER)) != _CANONICAL_HEADER:
         yield None
@@ -231,12 +234,12 @@ def _row_blocks(source: IO[bytes], buf: bytearray):
         while True:
             got = source.readinto(view[stop:])
             stop += got
-            cut = buf.rfind(b"\n", _LEAD, stop) + 1 if got else stop  # at the end, the rest
+            cut = buf.rfind(b"\n", _LEAD, stop) + 1
             if cut > _LEAD:
                 yield cut
                 buf[_LEAD:_LEAD + stop - cut] = buf[cut:stop]
                 stop = _LEAD + stop - cut
-            elif stop == len(buf):  # a row longer than the buffer
+            elif stop == len(buf) or (stop > _LEAD and not got):  # a long row or a cut one
                 yield None
                 return
             elif not got:
@@ -253,8 +256,6 @@ def _decode_rows(buf, hi: int, sentinels: tuple[float, ...]
     None unless every row decodes, every flux is NaN or finite and >= 0, and
     every stamp comes after the one before."""
     ends = _LEAD + np.flatnonzero(_newlines(buf, hi))
-    if buf[hi - 1] != ord("\n"):  # the input's last row, without its newline
-        ends = np.append(ends, hi)
     starts = np.concatenate(([_LEAD], ends[:-1] + 1))
     widths = ends - starts - STAMP_WIDTH
     if widths.min() < 0:  # a blank line, or a row too short for its stamp
@@ -294,7 +295,7 @@ def _scan_canonical(source: IO[bytes],
     for hi in _row_blocks(source, buf):
         if hi is None:
             return None
-        rows += np.count_nonzero(_newlines(buf, hi)) + (buf[hi - 1] != ord("\n"))
+        rows += np.count_nonzero(_newlines(buf, hi))
     if not rows:
         return None
     source.seek(start)
@@ -329,7 +330,39 @@ def _per_line(data: str | bytes, config: IngestConfig) -> FluxSeries:
         line_no, (ts, _) = row_text(int(np.argmax(backwards)) + 1)
         raise OrderingError(f"timestamp '{ts}' does not increase", line_no)
 
+    # text after the last line break that is not blank is a row without its newline
+    newline, carriage = ("\n", "\r") if isinstance(data, str) else (b"\n", b"\r")
+    at = data.rfind(newline) + 1
+    at = data.rfind(carriage, at) + 1 or at  # CR line ends
+    if data[at:].strip():
+        raise ParseError("no newline at the end of the input: it may be truncated",
+                         row_text(ts_min.size - 1)[0])
+
     return FluxSeries._adopt(ts_min, flux)
+
+
+class _BufferReader:
+    """A seekable binary stream over a bytes-like object, read in place."""
+
+    def __init__(self, view: memoryview):
+        self._view, self._at = view, 0
+
+    def readinto(self, out) -> int:
+        n = min(len(out), len(self._view) - self._at)
+        out[:n] = self._view[self._at:self._at + n]
+        self._at += n
+        return n
+
+    def read(self, size: int = -1) -> bytes:
+        stop = len(self._view) if size < 0 else min(self._at + size, len(self._view))
+        data, self._at = self._view[self._at:stop].tobytes(), stop
+        return data
+
+    def tell(self) -> int:
+        return self._at
+
+    def seek(self, at: int) -> None:
+        self._at = at
 
 
 def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None) -> FluxSeries:
@@ -337,23 +370,26 @@ def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None)
 
     Expects a ``timestamp,flux_wm2`` header, ISO-8601 UTC timestamps with
     a ``Z`` suffix on the minute grid, and decimal or scientific-notation
-    flux values.  An empty flux field or a configured sentinel value
-    marks the sample missing.  ``source`` is text, bytes, another bytes-like
-    object (such as the memoryview ``write_flux_csv`` returns), or an open
-    file, read from its position; a text stream or a pipe is read whole first.
-    Canonical input, the layout ``write_flux_csv`` produces, is decoded by
-    numpy kernels a block at a time in one buffer, each flux bit for bit as
-    ``float()`` reads it; other input, and canonical input with a bad value
-    or stamps out of order, is read whole and scanned line by line by the
-    scan every CSV reader shares.  Both give the same series or error.
+    flux values.  Every row, the last one included, ends with a newline: a
+    last row without one is refused, as the input may be truncated.  An
+    empty flux field or a configured sentinel value marks the sample
+    missing.  ``source`` is text, bytes, another bytes-like object (such as
+    the memoryview ``write_flux_csv`` returns), read in place, or an open
+    file, read from its position; a text stream or a pipe is read whole
+    first.  Canonical input, the layout ``write_flux_csv`` produces, is
+    decoded by numpy kernels a block at a time in one buffer, each flux bit
+    for bit as ``float()`` reads it; other input, and canonical input with
+    a bad value, stamps out of order or no last newline, is read whole and
+    scanned line by line by the scan every CSV reader shares.  Both give
+    the same series or error.
 
     Raises
     ------
     EmptyInputError
         No content or no data rows.
     ParseError
-        Malformed row or bytes that are not UTF-8; the message names the
-        offending 1-based line.
+        Malformed row, a last row without its newline, or bytes that are not
+        UTF-8; the message names the offending 1-based line.
     OrderingError
         Non-increasing timestamps; names the offending line.
     """
@@ -363,9 +399,15 @@ def parse_flux_csv(source: str | bytes | IO, config: IngestConfig | None = None)
             return _per_line(source, config)
         source = source.encode("ascii")
     if not hasattr(source, "read"):
-        source = io.BytesIO(source)  # shares bytes with no copy, and copies other buffers
-    elif not (isinstance(source, io.BufferedIOBase) and source.seekable()):
+        with memoryview(source) as view, view.cast("B") as data:
+            return _parse_stream(_BufferReader(data), config)
+    if not (isinstance(source, io.BufferedIOBase) and source.seekable()):
         return parse_flux_csv(source.read(), config)  # a text stream or a pipe, whole
+    return _parse_stream(source, config)
+
+
+def _parse_stream(source, config: IngestConfig) -> FluxSeries:
+    """The series of a seekable binary stream, from its position."""
     start = source.tell()
     scanned = _scan_canonical(source, config.missing_sentinels)
     if scanned is None:

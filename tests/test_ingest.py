@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import flarevt as fv
 from flarevt import DomainError, EmptyInputError, OrderingError, ParseError
+from flarevt.cli import STAGE_EXIT_CODES, main
 
 from helpers import EPOCH, FLOAT_TEXTS, MINUTE, make_series
 
@@ -135,11 +136,18 @@ class TestInputLayouts:
             fv.parse_flux_csv(text)
 
     @pytest.mark.parametrize("last", ["2e-5", ""])
-    def test_missing_trailing_newline(self, last):
+    def test_missing_trailing_newline(self, last, tmp_path):
+        # the input may be truncated, so its last row is refused by its line
         text = _flux_csv([("2000-01-01T00:00:00", "1e-5"), ("2000-01-01T00:01:00", last)])
-        series = fv.parse_flux_csv(text.rstrip("\n"))
-        assert len(series) == 2
-        np.testing.assert_array_equal(series.flux, [1e-5, float(last or "nan")])
+        data = text.rstrip("\n")
+        assert _scan(data) is None
+        path = tmp_path / "flux.csv"
+        path.write_text(data)
+        message = "^line 3: no newline at the end of the input: it may be truncated$"
+        for read in (lambda: fv.parse_flux_csv(data), lambda: fv.read_flux_csv(path),
+                     lambda: fv.parse_flux_csv(data.replace("\n", "\r\n"))):  # per-line
+            with pytest.raises(ParseError, match=message):
+                read()
 
     @pytest.mark.parametrize("tail", ["2000-01-01T00:0", "2000-01-01T00:01:0Z,1e-5",
                                       "2000-01-01T00:01:00"])
@@ -288,6 +296,24 @@ class TestInputLayouts:
             series = fv.apply_scaling(series, divisor)
         assert hashlib.sha256(fv.write_flux_csv(series)).hexdigest() == digest
 
+    @pytest.mark.parametrize("divisor", [None, 0.7])
+    def test_kernels_decide_every_written_row(self, divisor, monkeypatch):
+        # a year of the benchmark's synthetic archive, as written and scaled:
+        # the kernels decide every flux, and none is left to float()
+        series = fv.synth_clustered_series(3e-4, 0.25, 60.0, 10.0, 1.0, seed=7)
+        if divisor is not None:
+            series = fv.apply_scaling(series, divisor)
+        data = fv.write_flux_csv(series)
+
+        def refused(field):
+            raise AssertionError(f"{field!r} was left to float()")
+
+        monkeypatch.setattr(fv._table, "_float_text", refused)
+        scanned = _scan(data)
+        assert scanned is not None
+        np.testing.assert_array_equal(scanned[0], series.timestamps)
+        np.testing.assert_array_equal(scanned[1].view(np.uint64), series.flux.view(np.uint64))
+
     def test_failed_write_leaves_no_file(self, monkeypatch, tmp_path):
         calls = []
 
@@ -357,6 +383,40 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
+class TestTruncatedInput:
+    """A file cut anywhere in its last row is refused by the row's line, in every reader."""
+
+    @staticmethod
+    def _cut(data: bytes, where: str) -> bytes:
+        comma = data.rindex(b",")
+        return {"exponent": data[:-2],  # "...e-0", which would read 10**5 times too large
+                "mantissa": data[:comma + 8],
+                "comma": data[:comma + 1]}[where]
+
+    @pytest.mark.parametrize("where", ["exponent", "mantissa", "comma"])
+    @pytest.mark.parametrize("block", [1 << 12, None])  # many blocks, then one
+    def test_cut_last_row_is_refused(self, where, block, monkeypatch, tmp_path):
+        if block:
+            monkeypatch.setattr(fv.ingest, "_READ_BLOCK_BYTES", block)
+        series = fv.synth_clustered_series(3e-4, 0.25, 60.0, 10.0, 0.002, seed=7)
+        data = self._cut(bytes(fv.write_flux_csv(series)), where)
+        tail = data[data.rindex(b",") + 1:]
+        assert {"exponent": tail.endswith(b"e-0"), "comma": tail == b"",
+                "mantissa": b"." in tail and b"e" not in tail}[where]
+        path = tmp_path / "cut.csv"
+        path.write_bytes(data)
+        message = (f"^line {len(series) + 1}: no newline at the end of the input: "
+                   "it may be truncated$")
+        assert _scan(data) is None
+        for read in (lambda: fv.parse_flux_csv(data), lambda: fv.read_flux_csv(path)):
+            with pytest.raises(ParseError, match=message):
+                read()
+        out = tmp_path / "series.csv"
+        assert main(["ingest", "--input", str(path), "--divisor", "1",
+                     "--out", str(out)]) == STAGE_EXIT_CODES["ingest"] == 3
+        assert not out.exists()
+
+
 class TestChunkPool:
     """The writer's chunk loop gives the same bytes and errors on any number of threads."""
 
@@ -385,11 +445,13 @@ class TestChunkPool:
         path = tmp_path / "series.csv"
         assert fv.write_flux_csv(series) == want
         assert fv.write_flux_csv(series, path) == want and path.read_bytes() == want
-        data = want[:-1]  # the last line without its newline
-        assert _scan(data) is not None
-        back = fv.parse_flux_csv(data)
+        back = fv.parse_flux_csv(want)
         np.testing.assert_array_equal(back.timestamps, series.timestamps)
         np.testing.assert_array_equal(back.flux.view(np.uint64), series.flux.view(np.uint64))
+        data = want[:-1]  # the last line without its newline
+        assert _scan(data) is None
+        with pytest.raises(ParseError, match=f"^line {len(series) + 1}: no newline at the end"):
+            fv.parse_flux_csv(data)
 
     def test_failed_chunk_leaves_no_file_and_no_thread(self, workers, monkeypatch, tmp_path):
         def failing_table_bytes(stamps, flux):
@@ -488,9 +550,15 @@ class TestBlockReader:
         for size in range(47, body + 2):
             monkeypatch.setattr(fv.ingest, "_READ_BLOCK_BYTES", size)
             for scanned in self._read_both(data, tmp_path / "flux.csv"):
+                if not newline:  # a last row without its newline is the per-line scan's to refuse
+                    assert scanned is None
+                    continue
                 np.testing.assert_array_equal(scanned[0], minutes)
                 np.testing.assert_array_equal(scanned[1].view(np.uint64), flux.view(np.uint64))
-        assert any(early_ends) and not all(early_ends)
+        assert not newline or (any(early_ends) and not all(early_ends))
+        if not newline:
+            with pytest.raises(ParseError, match="^line 8: no newline at the end"):
+                fv.read_flux_csv(tmp_path / "flux.csv")
 
     def test_row_longer_than_a_block_goes_to_the_per_line_scan(self, blocks, tmp_path):
         rows, minutes, flux = self._rows(30)
@@ -603,6 +671,27 @@ class TestBlockReader:
         # file's ~1.6 MB
         constant = 13 * fv.ingest._READ_BLOCK_BYTES + 64 * 1024
         assert peak < 16 * n + constant < 16 * n + path.stat().st_size // 2
+
+    @pytest.mark.parametrize("kind", [memoryview, bytearray])
+    def test_buffer_read_keeps_no_copy_of_its_text(self, kind, monkeypatch, tmp_path):
+        monkeypatch.setattr(fv.ingest, "_READ_BLOCK_BYTES", 1 << 13)
+        monkeypatch.setattr(fv.ingest, "_WRITE_CHUNK_ROWS", 1 << 14)
+        rng = np.random.default_rng(31)
+        n = 40_000
+        flux = 1e-4 * rng.pareto(2.0, n) / 0.7
+        flux[rng.random(n) < 0.1] = np.nan
+        view = fv.write_flux_csv(make_series(flux), tmp_path / "flux.csv")  # a map of the file
+        source = view if kind is memoryview else bytearray(view)
+        tracemalloc.start()
+        try:
+            back = fv.parse_flux_csv(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back.flux.view(np.uint64), flux.view(np.uint64))
+        # the bound of a file's read: the buffer is read in blocks, not copied whole
+        constant = 13 * fv.ingest._READ_BLOCK_BYTES + 64 * 1024
+        assert peak < 16 * n + constant < 16 * n + len(source) // 2
 
     def test_decodes_on_the_calling_thread(self, monkeypatch, tmp_path):
         # several blocks of the default size, with threads to spare
