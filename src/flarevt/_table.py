@@ -17,14 +17,16 @@ from .errors import EmptyInputError, ParseError
 
 # Shortest round-trip float text for a whole array at once.  A float x in
 # [1e-290, 1e290) with decimal exponent e (10**e <= x < 10**(e+1)) is scaled
-# to y = x * 10**(16 - e) in [1e16, 1e17), held as an exact integer part and
-# a fraction: a Dekker two-product against 10**(16 - e) as the double-double
-# hi + lo.  Rounding y to 15, 16 or 17 significant digits is then integer
-# work, and the shortest rounding within half an ulp of x is the one repr
-# prints.  A value within _MARGIN of a tie or of the half-ulp bound, and
-# every value the scaling cannot take (zero, subnormals, huge values, a
-# mantissa that is a power of two, whose rounding interval is lopsided),
-# is left to repr.
+# to y = x * 10**(16 - e) in [1e16, 1e17).  Its binary exponent leaves two
+# candidates for e, told apart by one compare; a Dekker two-product against
+# 10**(14 - e) as the double-double hi + lo then gives y / 100 as an exact
+# integer part and a fraction, and y's last two digits r to ~1e-14.  Rounding
+# y to 15, 16 or 17 significant digits takes the nearest multiple of 100, 10
+# or 1 to r, and the shortest rounding within half an ulp of x is the one repr
+# prints.  A value within _MARGIN of a tie or of the half-ulp bound, and every
+# value the scaling cannot take (zero, subnormals, huge values, a mantissa
+# that is a power of two, whose rounding interval is lopsided), is left to
+# repr.
 _P10_MIN, _P10_MAX = -291, 308
 _SPLIT = 2.0 ** 27 + 1.0  # Dekker's splitter: a double into two 26-bit halves
 _MARGIN = 2.0 ** -30  # far above the ~1e-14 error in y, far below any decision's spread
@@ -49,11 +51,35 @@ def _pow10_table() -> tuple[np.ndarray, ...]:
 
 
 _P10_HI, _P10_LO, _P10_HH, _P10_HL = _pow10_table()
+_E_MIN, _E_MAX = -290, 289  # the decimal exponents of [1e-290, 1e290)
+# the least and greatest |x| the kernel takes, as bits; it clamps the others into them
+_A_BITS = np.array([1e-290, np.nextafter(1e290, 0.0)]).view(np.uint64)
+_U = np.uint64
 
-def _below_pow10(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Whether a < 10**k exactly."""
-    hi, lo = _P10_HI.take(k - _P10_MIN), _P10_LO.take(k - _P10_MIN)
-    return (a < hi) | ((a == hi) & (lo > 0.0))
+
+def _binade_tables() -> tuple[np.ndarray, ...]:
+    """By biased exponent b, the least double >= the first power of ten above
+    2**(b - 1023); and by j = 2b + whether a double is at least that: its decimal
+    exponent e, then 10**(14 - e) as _pow10_table gives it, and half an ulp times
+    10**(16 - e).  Binades past the kernel's range repeat its ends."""
+    b = np.arange(2048).clip(*(_A_BITS >> _U(52)).astype(int))
+    tens = np.where(_P10_LO > 0.0, np.nextafter(_P10_HI, np.inf), _P10_HI)  # least double >= 10**s
+    up = np.searchsorted(tens, np.ldexp(1.0, b - 1023), side="right")  # its index
+    e = np.stack([up - 1, up], axis=1).ravel().clip(_E_MIN - _P10_MIN, _E_MAX - _P10_MIN) + _P10_MIN
+    scale = 14 - e - _P10_MIN
+    half_ulp = np.ldexp(_P10_HI.take(scale + 2), np.repeat(b, 2) - 1076)
+    return (tens.take(up), e, *(t.take(scale) for t in (_P10_HI, _P10_LO, _P10_HH, _P10_HL)),
+            half_ulp)
+
+
+_TENS, _E, _HI, _LO, _HH, _HL, _HALF_ULP = _binade_tables()
+
+
+def _nearest(r: np.ndarray, step: float, out: np.ndarray, dist: np.ndarray) -> None:
+    """The nearest multiple of ``step`` to each r into ``out``, its distance into ``dist``."""
+    np.rint(np.multiply(r, 1.0 / step, out=out), out=out)
+    out *= step
+    np.abs(np.subtract(r, out, out=dist), out=dist)
 
 
 def _shortest_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -63,40 +89,52 @@ def _shortest_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     with trailing zeros, the decimal exponent of the first digit, and
     whether the value was decided with margin (repr formats the others).
     """
-    e = np.floor(np.log10(a)).astype(np.intp)
-    e -= _below_pow10(a, e)
-    e += ~_below_pow10(a, e + 1)
-    i = 16 - e - _P10_MIN
-    hi = _P10_HI.take(i)
-    p = a * hi
-    (ah, al), hh, hl = _split(a), _P10_HH.take(i), _P10_HL.take(i)
-    err = al * hl - (((p - ah * hh) - al * hh) - ah * hl)  # a * hi == p + err exactly
+    bits = a.view(_U)
+    b = (bits >> _U(52)).view(np.intp)
+    j = b + b
+    j += a >= _TENS.take(b)
+    hi, lo, hh, hl, h = (table.take(j) for table in (_HI, _LO, _HH, _HL, _HALF_ULP))
+    p = a * hi  # y / 100 rounded, for y = a * 10**(16 - e) in [1e16, 1e17)
+    # Dekker: a's halves are it rounded to 26 bits and the rest, and with hi's
+    # halves each product is exact, so that t is a * hi - p, then plus a * lo
+    ah = bits + _U(1 << 26)
+    ah = (ah & _U(-1 << 27 & 0xFFFF_FFFF_FFFF_FFFF)).view(np.float64)
+    al = a - ah
+    t = np.subtract(p, ah * hh)
+    t -= np.multiply(hh, al, out=hh)
+    t -= np.multiply(ah, hl, out=ah)
+    np.subtract(np.multiply(hl, al, out=hl), t, out=t)
+    t += np.multiply(lo, a, out=lo)
+    # y = 100 * whole + r, r in (-18, 118): the 15-, 16- and 17-digit roundings
+    # are the nearest multiples of 100, 10 and 1 to r, and the shortest within
+    # half an ulp (h) is taken
     whole = np.floor(p)
-    frac = (p - whole) + (err + a * _P10_LO.take(i))
-    carry = np.floor(frac)
-    frac -= carry
-    whole = whole.astype(np.int64) + carry.astype(np.int64)
-    # half the gap from a to the next double, in units of y's last digit
-    half_ulp = (a.view(np.uint64) & _EXPONENT_BITS).view(np.float64) * (hi * 2.0 ** -53)
-    digits = whole
-    pending = np.ones(a.shape, dtype=bool)  # no shorter rounding is within half an ulp
-    decided = np.ones(a.shape, dtype=bool)
-    for scale in (100, 10, 1):  # 15, 16, then 17 significant digits
-        kept = whole // scale
-        rest = ((whole - kept * scale) + frac) / scale
-        dist = 0.5 - np.abs(rest - 0.5)
-        bound = half_ulp / scale
-        take = pending & (dist < bound)
-        decided &= ~pending | ((dist <= 0.5 - _MARGIN) & (np.abs(dist - bound) >= _MARGIN))
-        digits = np.where(take, (kept + (rest > 0.5)) * scale, digits)
-        pending &= ~take
+    r = np.multiply(np.add(np.subtract(p, whole, out=p), t, out=p), 100.0, out=p)
+    near, near10, near100, dist, dist10, dist100 = np.empty_like(r), hi, hh, t, lo, al
+    for step, out, d in ((1, near, dist), (10, near10, dist10), (100, near100, dist100)):
+        _nearest(r, step, out, d)
+    take10, take100 = dist10 < h, dist100 < h
+    near += np.multiply(np.subtract(near10, near, out=r), take10, out=r)
+    near += np.multiply(np.subtract(near100, near10, out=r), take100, out=r)
+    # decided: r is over _MARGIN from each bound a rounding turns on: the bound
+    # h of the 15- and 16-digit roundings, and a tie between two roundings of
+    # 16 digits (5 off) or, where they are taken, of 17 (0.5 off)
+    slack = np.abs(np.subtract(dist100, h, out=dist100), out=dist100)
+    np.minimum(slack, np.abs(np.subtract(dist10, h, out=h), out=h), out=slack)
+    np.minimum(slack, np.subtract(5.0, dist10, out=dist10), out=slack)
+    np.minimum(slack, np.add(np.subtract(0.5, dist, out=dist), take10, out=dist), out=slack)
+    digits = whole.astype(np.int64)
+    digits *= 100
+    digits += near.astype(np.int64)
     carried = digits == 10 * _E16  # rounded up to the next power of ten
-    return np.where(carried, _E16, digits), e + carried, decided
+    digits -= carried * (9 * _E16)
+    e = _E.take(j)
+    e += carried
+    return digits, e, slack >= _MARGIN
 
 
 _FIELD_WIDTH = 24  # the longest repr: "-2.2250738585072014e-308"
-_WORD_OFFSETS = np.arange(0, _FIELD_WIDTH, 8)[:, None]  # each word's first byte
-_U = np.uint64
+_WORD_BITS = np.arange(0, 8 * _FIELD_WIDTH, 64, dtype=_U)[:, None]  # each word's first bit
 
 
 def _le_words(texts, k: int) -> np.ndarray:
@@ -111,77 +149,103 @@ def _shift_words(x: np.ndarray, bits) -> np.ndarray:
     return moved
 
 
-# A float's text is built in words along the rows, from its 17 digits s in
-# bytes 0-16 of three words ("0" + the digit where kept, NUL past the last
-# kept): the first q digits, the point, the other digits, then the exponent
-# and the end byte.  q is 1 in scientific notation (no point if one digit
-# is all), e + 1 in positional notation with e >= 0 (which keeps a digit
-# past the point), and 0 for e in [-4, -1], whose point is "0.000" cut to
-# 1 - e bytes.  All but the digit count come from tables by e and by
-# whether one digit is all.
+# A float's text is built in words along the rows from its 17 digits, a
+# digit a byte (0-9) in bytes 0-16 of three words.  Its point goes after the
+# first q digits, as k bytes: "." in scientific notation (q = 1) and in
+# positional notation with e >= 0 (q = e + 1), and "0.000" cut to 1 - e bytes
+# for e in [-4, -1] (q = 0).  The digits are moved on by k bytes past the first
+# q, by tables by e; then one table by e and the digit count n ORs in "0" over
+# each kept digit (at least one past the point in positional notation), the
+# point text (none in scientific notation with one digit), the exponent and
+# a newline, and gives the newline's bit, where another end byte is swapped in.
 def _layout_tables() -> tuple[np.ndarray, ...]:
-    head, point, tail, min_digits = [], [], [], []
-    for e in range(_P10_MIN, _P10_MAX + 1):
+    head, shift, text, newline_bit = [], [], [], []
+    for e in range(_E_MIN, _E_MAX + 1):
         positional = -4 <= e <= 15
         q = 0 if positional and e < 0 else e + 1 if positional else 1
-        text = b"0." + b"0" * (-e - 1) if q == 0 else b"\0" * q + b"."
-        head += [b"\xff" * q] * 2
-        point += [text, text if positional else b"\0"]  # then with one digit
-        tail += [b"" if positional else f"e{e:+03d}".encode()] * 2
-        min_digits.append(min(q + 1, 17) if positional and q else 0)
-    return (_le_words(head, 3), _le_words(point, 3),
-            np.array([8 * (len(p) - len(h)) for h, p in zip(head, point)], dtype=_U),
-            _le_words(tail, 1)[0], np.array([8 * len(t) for t in tail], dtype=_U),
-            np.array(min_digits))
+        point = b"0." + b"0" * (-e - 1) if q == 0 else b"."
+        head.append(b"\xff" * q)
+        shift.append(8 * len(point))
+        tail = b"" if positional else f"e{e:+03d}".encode()
+        for n in range(1, 18):
+            kept = min(max(n, e + 2), 17) if positional and q else n
+            body = b"0" * q + point + b"0" * (kept - q) if n > 1 or positional else b"0"
+            text.append(body + tail + b"\n")
+            newline_bit.append(8 * len(body + tail))
+    return (_le_words(head, 2), np.array(shift, dtype=_U), _le_words(text, 3),
+            np.array(newline_bit, dtype=np.uint8))
 
 
-_HEAD, _POINT, _POINT_BITS, _EXP_TEXT, _EXP_BITS, _MIN_DIGITS = _layout_tables()
-_KEPT_ZEROS = _le_words([b"0" * n for n in range(18)], 3)  # "0" in the first n bytes
+_HEAD, _SHIFT, _LAYOUT_TEXT, _NEWLINE_BIT = _layout_tables()
+# A word's last nonzero digit is its top set bit over 8, a float32's exponent
+# (exact: bytes of at most 9 hold no run of set bits that rounds up); this is
+# the exponent's bias less the word's first digit, in the exponent's bits, so
+# that the digit count is (float32 bits - bias) >> 26 at most over the words
+_COUNT_BIAS = np.array([[119 << 23], [55 << 23], [-9 << 23]], dtype=np.int32)
 _MINUS = np.array([[ord("-")], [0], [0], [0]], dtype=_U)
 
 
+def _repr_text(value: float) -> bytes:
+    return b"" if value != value else repr(value).encode()
+
+
 def _float_words(column: np.ndarray, end: int) -> np.ndarray:
-    """Each float's repr, then ``end``, as (4, rows) NUL-padded words; NaN is empty."""
+    """Each float's repr, then ``end``, as NUL-padded words; NaN is empty.
+
+    Gives (3, rows) words, or (4, rows) where a text takes 25 bytes (a
+    negative value of 17 digits with a 3-digit exponent, or repr's longest).
+    """
     x = np.asarray(column, dtype=np.float64)
-    a = np.abs(x)
-    fast = (a >= 1e-290) & (a < 1e290) & (a.view(_U) & _MANTISSA_BITS != 0)
-    # 1.5 stands in for the values repr formats, so that the kernel sees no zero or inf
-    digits, e, decided = _shortest_digits(np.where(fast, a, 1.5))
+    bits = x.view(_U) & _U(0x7FFF_FFFF_FFFF_FFFF)
+    a = np.maximum(bits, _A_BITS[0])  # zero, subnormal, huge and non-finite values run
+    np.minimum(a, _A_BITS[1], out=a)  # clamped, for repr
+    fast = a == bits
+    fast &= (bits & _MANTISSA_BITS) != 0  # a power of two's rounding interval is lopsided
+    digits, e, decided = _shortest_digits(a.view(np.float64))
+    decided &= fast
+    # the digits, a byte each, eight to a word
     s = np.empty((3, x.size), dtype=_U)
     np.floor_divide(digits.view(_U), _U(10 ** 9), out=s[0])
-    s[2] = digits.view(_U) - s[0] * _U(10 ** 9)
+    np.subtract(digits.view(_U), np.multiply(s[0], _U(10 ** 9), out=s[2]), out=s[2])
     np.floor_divide(s[2], _U(10), out=s[1])
     s[2] -= s[1] * _U(10)
-    # SWAR: each 8-digit lane halved by multiply and shift, to a digit a byte
-    high = (s[:2] * _U(109_951_163)) >> _U(40)  # // 10**4, exact below 4.9e8
-    s[:2] = high | (s[:2] - high * _U(10_000)) << _U(32)
-    high = ((s[:2] * _U(10_486)) >> _U(20)) & _U(0x7F_0000_007F)  # each half // 100
-    s[:2] = high | (s[:2] - high * _U(100)) << _U(16)
-    high = ((s[:2] * _U(103)) >> _U(10)) & _U(0x000F_000F_000F_000F)  # each quarter // 10
-    s[:2] = high | (s[:2] - high * _U(10)) << _U(8)
-    # a word's last nonzero digit: its top set bit over 8, a float32's exponent
-    # (exact: bytes of at most 9 hold no run of set bits that rounds up)
-    last = ((s.astype(np.float32).view(np.int32) >> 23) - 127) >> 3
-    e -= _P10_MIN
-    n = np.maximum((last + _WORD_OFFSETS + 1).max(axis=0), _MIN_DIGITS.take(e))
-    s |= _KEPT_ZEROS.take(n, axis=1)
-    layout = 2 * e + (n == 1)
-    head = s & _HEAD.take(layout, axis=1)
-    point_bits = _POINT_BITS.take(layout)
-    text = np.zeros((4, x.size), dtype=_U)
-    text[:3] = _shift_words(s ^ head, point_bits) | head | _POINT.take(layout, axis=1)
-    # ``at``, the tail's bit less each word's first: a word takes tail << at, or
-    # tail >> -at where at < 0, as a shift by 64 or more (or under 0) gives 0
-    tail = (_EXP_TEXT | _U(end) << _EXP_BITS).take(layout)
-    at = (point_bits + n.astype(_U) * _U(8)).view(np.int64) - 8 * _WORD_OFFSETS
-    text[:3] |= tail << at.view(_U)
-    text[:3] |= tail >> np.negative(at, out=at).view(_U)
+    # SWAR: each lane's quotient q by 10**k (k = 4, 2, 1) by multiply and
+    # shift, then (lane << width) + q * (1 - 10**k << width), which is q below
+    # and the remainder above, modulo 2**64
+    lanes, high = s[:2], np.empty((2, x.size), dtype=_U)
+    for divide, down, keep, width in ((109_951_163, 40, 0, 32), (10_486, 20, 0x7F_0000_007F, 16),
+                                      (103, 10, 0x000F_000F_000F_000F, 8)):
+        np.multiply(lanes, _U(divide), out=high)
+        high >>= _U(down)
+        if keep:  # each half's, then each quarter's
+            high &= _U(keep)
+        high *= _U((1 - (10 ** (width // 8) << width)) % 2 ** 64)
+        lanes <<= _U(width)
+        lanes += high
+    count = s.view(np.int64).astype(np.float32).view(np.int32)
+    count = np.right_shift(np.subtract(count, _COUNT_BIAS, out=count), 26, out=count).max(axis=0)
+    e -= _E_MIN  # the tables' index
+    head = lanes & _HEAD.take(e, axis=1)
+    lanes ^= head
+    shift = _SHIFT.take(e)
+    text = np.empty((4, x.size), dtype=_U)
+    text[3] = 0
+    np.left_shift(s, shift, out=text[:3])
+    lanes >>= _U(64) - shift
+    text[1:3] |= lanes
+    text[:2] |= head
+    e *= 17  # the (e, n) table's
+    e += count
+    e -= 1
+    layout = _LAYOUT_TEXT
+    if end != ord("\n"):
+        layout = layout ^ _U(end ^ ord("\n")) << (_NEWLINE_BIT - _WORD_BITS)
+    text[:3] |= layout.take(e, axis=1)
     negative = np.flatnonzero(np.signbit(x))
     text[:, negative] = _shift_words(text[:, negative], _U(8)) | _MINUS
-    slow = np.flatnonzero(~(fast & decided))
-    text[:, slow] = _le_words([("" if v != v else repr(v)).encode() + bytes([end])
-                               for v in x[slow].tolist()], 4)
-    return text
+    slow = np.flatnonzero(~decided)
+    text[:, slow] = _le_words([_repr_text(v) + bytes([end]) for v in x[slow].tolist()], 4)
+    return text if text[3].any() else text[:3]
 
 
 # Reading is the writer's inverse, and it too takes a whole column at once.
@@ -442,27 +506,41 @@ def read_stamps(data: bytes, starts: np.ndarray) -> np.ndarray | None:
 
 # A stamp's text ends its three words, so that the next field runs on from
 # it and a row is one run of text (the NUL pack copies run by run):
-# "\0\0\0YYYY-", "MM-DDTHH", ":MM:00Z" and the end byte, from tables by
-# minute of the day, by day of a leap and then a common year, and by year.
+# "\0\0\0YYYY-", "MM-DDTHH" and ":MM:00Z" with the end byte, from tables by
+# year, by day of a leap and then a common year, by hour and by minute.
 _YEAR_TEXT = _le_words([f"\0\0\0{y:04d}-".encode() for y in range(10_000)], 1)[0]
 _DAY_TEXT = _le_words([day[5:].encode() for day in np.datetime_as_string(
     np.arange("2000", "2002", dtype="datetime64[D]")).tolist()], 1)[0]
-_CLOCK_TEXT = _le_words([b"\0" * 13 + f"T{h:02d}:{m:02d}:00Z".encode()
-                         for h in range(24) for m in range(60)], 3)
+_HOUR_TEXT = _le_words([f"\0\0\0\0\0T{h:02d}".encode() for h in range(24)], 1)[0]
+_MINUTE_TEXT = _le_words([f":{m:02d}:00Z".encode() for m in range(60)], 1)[0]
+LAST_STAMP = np.datetime64("9999-12-31T23:59", "m")  # the last stamp the tables write
+
+
+def _hour_words(hours: np.ndarray) -> np.ndarray:
+    """The first two words of each stamp, by hours since 1970: (2, rows)."""
+    days = hours // 24
+    year = (days + 719_530) * 400 // 146_097  # the year, or the one after it
+    year -= _YEAR_DAY.take(year) > days
+    words = np.empty((2, hours.size), dtype=_U)
+    words[0] = _YEAR_TEXT.take(year)
+    words[1] = _DAY_TEXT.take(days - _YEAR_DAY.take(year) + 366 * ~_LEAP_YEAR.take(year))
+    words[1] |= _HOUR_TEXT.take(hours - days * 24)
+    return words
 
 
 def _stamp_words(column: np.ndarray, end: int) -> np.ndarray:
     """Each stamp's text, then ``end``, as (3, rows) words; years 0000-9999 only."""
     minutes = column.astype("datetime64[m]", copy=False).view(np.int64)
-    days = minutes // 1440
-    if days.size and not (_YEAR_DAY[0] <= days.min() and days.max() < _YEAR_DAY[-1]):
+    hours = minutes // 60
+    first, last = (hours.min(), hours.max()) if hours.size else (0, -1)
+    if not (_YEAR_DAY[0] * 24 <= first and last < _YEAR_DAY[-1] * 24):
         raise ValueError("a stamp outside the years 0000-9999")
-    year = (days + 719_530) * 400 // 146_097  # the year, or the one after it
-    year -= _YEAR_DAY.take(year) > days
-    words = _CLOCK_TEXT.take(minutes - days * 1440, axis=1)
-    words[0] = _YEAR_TEXT.take(year)
-    words[1] |= _DAY_TEXT.take(days - _YEAR_DAY.take(year) + 366 * ~_LEAP_YEAR.take(year))
-    words[2] |= _U(end) << _U(56)
+    words = np.empty((3, hours.size), dtype=_U)
+    if last - first < hours.size:  # a series in time order: the words of each hour it spans
+        words[:2] = _hour_words(np.arange(first, last + 1)).take(hours - first, axis=1)
+    else:
+        words[:2] = _hour_words(hours)
+    words[2] = (_MINUTE_TEXT | _U(end) << _U(56)).take(minutes - hours * 60)
     return words
 
 
@@ -478,8 +556,10 @@ def table_bytes(*columns: np.ndarray) -> bytes:
     """The rows of a table with these columns, each ended by a newline, as ASCII."""
     fields = [_field_words(np.asarray(column), end)
               for column, end in zip(columns, b"," * (len(columns) - 1) + b"\n")]
-    rows = np.empty((fields[0].shape[1], sum(map(len, fields))), dtype=_U)
-    text = np.concatenate([words.T for words in fields], axis=1, out=rows).view(np.uint8)
+    words = np.concatenate(fields)
+    rows = np.empty(words.shape[::-1], dtype=_U)
+    np.copyto(rows, words.T)
+    text = rows.view(np.uint8)
     return text[text != 0].tobytes()
 
 

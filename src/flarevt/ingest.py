@@ -20,8 +20,8 @@ from typing import IO
 
 import numpy as np
 
-from ._table import (STAMP_WIDTH, check_nonnegative, read_floats, read_stamps, read_table,
-                     table_bytes)
+from ._table import (LAST_STAMP, STAMP_WIDTH, check_nonnegative, read_floats, read_stamps,
+                     read_table, table_bytes)
 from .errors import DomainError, EmptyInputError, OrderingError, ParseError
 from .gpd import GpdParams, gpd_quantile
 
@@ -515,9 +515,17 @@ def filter_saturation(series: FluxSeries, config: IngestConfig) -> tuple[FluxSer
 # synthetic data generator
 # ---------------------------------------------------------------------------
 
+_SYNTH_START = "2000-01-01T00:00"
+
+
 def check_synth_parameters(event_rate: float = 0.0, cluster_length_mean: float = 1.0,
-                           duration: float = 1.0, base_threshold: float = 1.0) -> None:
-    """DomainError unless each given synth_clustered_series parameter is finite and in range."""
+                           duration: float = 1.0, base_threshold: float = 1.0,
+                           start: str = _SYNTH_START) -> None:
+    """DomainError unless each given synth_clustered_series parameter is finite and in range.
+
+    The series from ``start`` must end by 9999-12-31T23:59 (LAST_STAMP),
+    the last stamp the CSV writer formats.
+    """
     rules = ((0.0 <= event_rate <= MINUTES_PER_YEAR, "event_rate must be >= 0 and finite, "
               f"at most {MINUTES_PER_YEAR} a year (one event a minute)"),
              (1.0 <= cluster_length_mean < np.inf,
@@ -527,13 +535,17 @@ def check_synth_parameters(event_rate: float = 0.0, cluster_length_mean: float =
     for ok, message in rules:
         if not ok:
             raise DomainError(message)
+    minutes = int((LAST_STAMP - np.datetime64(start, "m")) // _MINUTE) + 1
+    if round(duration * MINUTES_PER_YEAR) > minutes:
+        raise DomainError(f"duration must end by {LAST_STAMP}, at most "
+                          f"{minutes / MINUTES_PER_YEAR:.6g} years from {start}")
 
 
 def synth_clustered_series(scale: float, shape: float, event_rate: float,
                            cluster_length_mean: float, duration: float, seed: int,
                            *, base_threshold: float = 1e-4,
                            dip_fraction: float = 0.3,
-                           start: str = "2000-01-01T00:00") -> FluxSeries:
+                           start: str = _SYNTH_START) -> FluxSeries:
     """Generate a minute-cadence series with clustered threshold exceedances.
 
     Event count is Poisson(``event_rate * duration``); each event's peak
@@ -556,7 +568,7 @@ def synth_clustered_series(scale: float, shape: float, event_rate: float,
     cluster_length_mean : float
         Mean cluster length in minutes (>= 1).
     duration : float
-        Series length in years (> 0).
+        Series length in years (> 0), ending by 9999-12-31T23:59.
     seed : int
         Generator seed.
     base_threshold : float
@@ -566,7 +578,7 @@ def synth_clustered_series(scale: float, shape: float, event_rate: float,
         threshold; 0 keeps every cluster minute elevated.
     """
     params = GpdParams(scale, shape)  # validates scale/shape
-    check_synth_parameters(event_rate, cluster_length_mean, duration, base_threshold)
+    check_synth_parameters(event_rate, cluster_length_mean, duration, base_threshold, start)
     if not 0.0 <= dip_fraction < 1.0:
         raise DomainError("dip_fraction must lie in [0, 1)")
 

@@ -314,6 +314,22 @@ class TestInputLayouts:
         np.testing.assert_array_equal(scanned[0], series.timestamps)
         np.testing.assert_array_equal(scanned[1].view(np.uint64), series.flux.view(np.uint64))
 
+    @pytest.mark.parametrize("divisor", [None, 0.7])
+    def test_kernels_format_every_written_row(self, divisor, monkeypatch):
+        # the writer's twin of the test above: the kernels format every flux
+        # of the same year, and none is left to repr
+        series = fv.synth_clustered_series(3e-4, 0.25, 60.0, 10.0, 1.0, seed=7)
+        if divisor is not None:
+            series = fv.apply_scaling(series, divisor)
+
+        def refused(value):
+            raise AssertionError(f"{value!r} was left to repr")
+
+        monkeypatch.setattr(fv._table, "_repr_text", refused)
+        back = fv.parse_flux_csv(fv.write_flux_csv(series))
+        np.testing.assert_array_equal(back.timestamps, series.timestamps)
+        np.testing.assert_array_equal(back.flux.view(np.uint64), series.flux.view(np.uint64))
+
     def test_failed_write_leaves_no_file(self, monkeypatch, tmp_path):
         calls = []
 
@@ -452,6 +468,27 @@ class TestChunkPool:
         assert _scan(data) is None
         with pytest.raises(ParseError, match=f"^line {len(series) + 1}: no newline at the end"):
             fv.parse_flux_csv(data)
+
+    def test_edge_values_across_chunk_seams(self, workers, tmp_path):
+        # five-row chunks, each with a different mix: NaN, negative and repr's
+        # rows, 3-digit exponents (a negative one takes a fourth word), both
+        # sides of each notation switch, and a power of ten reached by rounding up
+        flux = np.array([
+            1e-05, 9.999999999999999e-05, 0.0001, 1.2345678901234567e-04, 1e16,
+            np.nan, -1.2345678901234567e-100, 2.5e-300, -0.0001, 9999999999999998.0,
+            0.0, 5e-324, 2.0 ** -20, 1e300, np.inf,
+            -1e-07, 1e23, 123456789.0, -0.0, 1.5e-308,
+            np.nan, np.nan, np.nan, np.nan, np.nan,
+            -3.0, -2.5e-05, -1.7976931348623157e308, -1e-100, -1.2345678901234567e+100,
+            3.3e-05, 1.2e-06, 0.00012, 7e-05, 4.4e-05,
+        ])
+        series = fv.FluxSeries._adopt(EPOCH + np.arange(flux.size) * MINUTE, flux)
+        stamps = np.datetime_as_string(series.timestamps, unit="s").tolist()
+        want = _flux_csv((t, "" if v != v else repr(v))
+                         for t, v in zip(stamps, flux.tolist())).encode("ascii")
+        path = tmp_path / "series.csv"
+        assert fv.write_flux_csv(series) == want
+        assert fv.write_flux_csv(series, path) == want and path.read_bytes() == want
 
     def test_failed_chunk_leaves_no_file_and_no_thread(self, workers, monkeypatch, tmp_path):
         def failing_table_bytes(stamps, flux):
@@ -1234,6 +1271,10 @@ class TestSynth:
         {"base_threshold": np.inf}, {"base_threshold": np.nan},
         # more than one event a minute; refused before anything is drawn
         {"event_rate": fv.ingest.MINUTES_PER_YEAR + 1.0}, {"event_rate": 1e300},
+        # past 9999-12-31T23:59, the last stamp the writer formats; refused
+        # before anything is allocated
+        {"duration": 1e13},
+        {"duration": 61 / fv.ingest.MINUTES_PER_YEAR, "start": "9999-12-31T23:00"},
     ])
     def test_invalid_parameters(self, kwargs):
         base = dict(scale=3e-4, shape=0.25, event_rate=5.0,
@@ -1241,6 +1282,14 @@ class TestSynth:
         base.update(kwargs)
         with pytest.raises(DomainError):
             fv.synth_clustered_series(**base)
+
+    def test_series_may_end_at_the_last_written_stamp(self):
+        series = fv.synth_clustered_series(3e-4, 0.25, 5.0, 8.0, 60 / fv.ingest.MINUTES_PER_YEAR,
+                                           seed=1, start="9999-12-31T23:00")
+        assert len(series) == 60
+        assert series.timestamps[-1] == np.datetime64("9999-12-31T23:59", "m")
+        assert fv.write_flux_csv(series).endswith(b"\n9999-12-31T23:59:00Z,"
+                                                  + repr(series.flux[-1].item()).encode() + b"\n")
 
     def test_peak_excesses_follow_requested_distribution(self):
         # KS distance of declustered peak excesses against the target law

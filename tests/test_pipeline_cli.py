@@ -174,6 +174,7 @@ BAD_FLAG_VALUES = [
     ("synth", "--scale", "-3e-4", "scale must be finite and > 0, got -0.0003"),
     ("synth", "--event-rate", "nan", "event_rate must be >= 0 and finite"),
     ("synth", "--event-rate", "1e300", "event_rate must be >= 0 and finite, at most 525600"),
+    ("synth", "--duration", "1e13", "duration must end by 9999-12-31T23:59, at most 8005.32 years"),
     ("fit", "--threshold", "nan", "threshold must be finite and >= 0, got nan"),
     ("fit", "--threshold", "inf", "threshold must be finite and >= 0, got inf"),
     ("fit", "--threshold", "-1", "threshold must be finite and >= 0, got -1.0"),
