@@ -154,7 +154,7 @@ def decluster(series: FluxSeries, threshold: float = DEFAULT_THRESHOLD,
     """
     threshold, gap = checked_rule(threshold, gap_minutes)
     ts, flux = series.timestamps, series.flux
-    exc = ingest._exceedances(flux, threshold)
+    exc = series._exceedance_index(threshold)
     starts = ingest._run_starts(ts[exc].astype(np.int64), gap)
     counts = np.diff(np.append(starts, exc.size))
 
@@ -263,15 +263,16 @@ def gap_sweep(series: FluxSeries, threshold: float,
               gaps: Sequence[int]) -> GapSweepCurve:
     """Decluster at each gap and correlate the resulting peak sequences.
 
-    The exceedances are found once and re-split into clusters at each
-    gap by the rule :func:`decluster` uses.  ``gaps`` must be at most
-    MAX_SWEEP_GAPS strictly increasing values >= 1.  Gaps yielding too few
-    events for the statistic are kept in the curve with NaN.
+    The exceedances are found once, by the scan that :func:`decluster` at
+    the same threshold shares, and re-split into clusters at each gap by
+    the rule it uses.  ``gaps`` must be at most MAX_SWEEP_GAPS strictly
+    increasing values >= 1.  Gaps yielding too few events for the
+    statistic are kept in the curve with NaN.
     """
     gap_arr = checked_gaps(gaps)
     threshold = checked_rule(threshold)[0]
 
-    exc = ingest._exceedances(series.flux, threshold)
+    exc = series._exceedance_index(threshold)
     minutes, flux_exc = series.timestamps[exc].astype(np.int64), series.flux[exc]
     lag1 = np.full(gap_arr.size, np.nan)
     counts = np.zeros(gap_arr.size, dtype=np.int64)

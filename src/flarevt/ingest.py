@@ -99,10 +99,14 @@ class FluxSeries:
         object.__setattr__(self, "n_observations", int(observed))
 
     @classmethod
-    def _adopt(cls, timestamps: np.ndarray, flux: np.ndarray) -> "FluxSeries":
-        """Freezes arrays that its caller built and checked and no one else writes."""
+    def _adopt(cls, timestamps: np.ndarray, flux: np.ndarray,
+               n_observations: int | None = None) -> "FluxSeries":
+        """Freezes arrays that its caller built and checked and no one else writes,
+        with their count of non-missing samples where the caller has it."""
         series = cls.__new__(cls)
         series._freeze(timestamps, flux)
+        if n_observations is not None:
+            object.__setattr__(series, "n_observations", int(n_observations))
         return series
 
     def _freeze(self, timestamps: np.ndarray, flux: np.ndarray) -> None:
@@ -117,6 +121,18 @@ class FluxSeries:
     def n_observations(self) -> int:
         """Number of non-missing samples, counted once per series."""
         return int(np.count_nonzero(~np.isnan(self.flux)))
+
+    def _exceedance_index(self, threshold: float) -> np.ndarray:
+        """The read-only index of each sample at or above ``threshold``.  The
+        series is frozen, so the last threshold's index is kept, outside the
+        fields, and scans at that threshold share it."""
+        memo = vars(self).get("_exceedance_memo")  # one tuple, so threads never see it torn
+        if memo is None or memo[0] != threshold:
+            index = _exceedances(self.flux, threshold)
+            index.setflags(write=False)
+            memo = (threshold, index)
+            object.__setattr__(self, "_exceedance_memo", memo)
+        return memo[1]
 
     @property
     def span_start(self) -> np.datetime64:
@@ -498,7 +514,7 @@ def filter_saturation(series: FluxSeries, config: IngestConfig) -> tuple[FluxSer
     its samples become missing.  Returns the filtered series, whose flux is
     a copy only when a run is removed, and the number of runs removed.
     """
-    saturated = _exceedances(series.flux, config.saturation_level)
+    saturated = series._exceedance_index(config.saturation_level)
     starts = _run_starts(saturated, 1)
     days = series.timestamps[saturated].astype("datetime64[D]")
     retained = np.array(config.retained_saturation_events, "datetime64[D]")

@@ -322,6 +322,7 @@ def ingest_many(specs: list[InputSpec]) -> tuple[FluxSeries, list[dict]]:
     combined = FluxSeries._adopt(
         np.concatenate([s.timestamps for s in series_list]),
         np.concatenate([s.flux for s in series_list]),
+        sum(info["n_observations"] for info in infos),
     )
     return combined, infos
 

@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 import flarevt as fv
 from flarevt import (DomainError, InsufficientDataError, ZeroVarianceError)
-from flarevt.decluster import MAX_SWEEP_GAPS, catalog_from_files, checked_gaps
+from flarevt.decluster import DEFAULT_THRESHOLD, MAX_SWEEP_GAPS, catalog_from_files, checked_gaps
 
 from helpers import assert_catalog_matches_oracle, make_series, random_gappy_series
 
@@ -251,3 +254,80 @@ class TestGapSweep:
         series = make_series([0.1, 5.0, 0.1])
         text = fv.gap_sweep(series, 1.0, [1]).to_csv_text()
         assert text.splitlines()[1] == "1,,1"
+
+
+class TestExceedanceMemo:
+    """decluster, gap_sweep and filter_saturation share a series' last exceedance scan."""
+
+    @staticmethod
+    def _series():
+        return fv.synth_clustered_series(3e-4, 0.25, 200.0, 8.0, 0.2, seed=11)
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """The thresholds the exceedance scan runs at, in order."""
+        calls, scan = [], fv.ingest._exceedances
+
+        def counted(flux, threshold):
+            calls.append(threshold)
+            return scan(flux, threshold)
+
+        monkeypatch.setattr(fv.ingest, "_exceedances", counted)
+        return calls
+
+    def test_decluster_and_sweep_scan_once(self, scans):
+        series = self._series()
+        fv.decluster(series, 1e-4, 15)
+        fv.gap_sweep(series, 1e-4, range(1, 31))
+        fv.decluster(series, 1e-4, 30)
+        assert scans == [1e-4]
+        config = fv.IngestConfig(saturation_level=5e-4, retained_saturation_events=())
+        fv.filter_saturation(series, config)
+        fv.filter_saturation(series, config)
+        assert scans == [1e-4, 5e-4]
+
+    def test_another_threshold_replaces_the_entry(self, scans):
+        series = self._series()
+        for threshold in (1e-4, 2e-4, 1e-4):
+            (catalog, curve), (want_catalog, want_curve) = (
+                (fv.decluster(s, threshold, 15), fv.gap_sweep(s, threshold, [1, 15, 30]))
+                for s in (series, self._series()))
+            assert catalog == want_catalog
+            for name in ("gaps", "lag1", "event_counts"):
+                np.testing.assert_array_equal(getattr(curve, name), getattr(want_curve, name))
+            assert vars(series)["_exceedance_memo"][0] == threshold
+        assert scans == [1e-4, 1e-4, 2e-4, 2e-4, 1e-4, 1e-4]  # each on its series
+
+    def test_memo_is_read_only_and_no_field(self):
+        series = self._series()
+        fv.decluster(series)
+        threshold, index = vars(series)["_exceedance_memo"]
+        assert threshold == DEFAULT_THRESHOLD and not index.flags.writeable
+        np.testing.assert_array_equal(index, np.flatnonzero(series.flux >= threshold))
+        with pytest.raises(ValueError):
+            index[0] = 0
+        assert [f.name for f in dataclasses.fields(series)] == ["timestamps", "flux"]
+        assert "_exceedance_memo" not in repr(series)
+
+    def test_threads_sharing_a_series_get_equal_catalogs(self):
+        series = self._series()
+        thresholds = [1e-4, 2e-4] * 4
+        want = [fv.decluster(self._series(), threshold, 15) for threshold in thresholds]
+        got = [[None] * len(thresholds) for _ in range(3)]  # more threads than two CPUs
+
+        def run(out):
+            for i, threshold in enumerate(thresholds):
+                out[i] = fv.decluster(series, threshold, 15)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads take turns often, so a torn entry would show
+        try:
+            threads = [threading.Thread(target=run, args=(out,)) for out in got]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got[0] == got[1] == got[2] == want

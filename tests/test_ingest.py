@@ -830,6 +830,7 @@ class TestWholeSeriesPasses:
                                       np.flatnonzero(series.flux >= 4e-4))
 
         def passes():
+            series = fv.FluxSeries(ts[:n], flux[:n])  # a series of its own, so that each pass scans
             return (fv.decluster(series, 4e-4, 2),
                     fv.gap_sweep(series, 4e-4, [1, 2, 3, 5, 40]))
 

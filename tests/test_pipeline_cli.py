@@ -143,6 +143,20 @@ class TestRunPipeline:
         assert isinstance(err.value.cause, fv.OrderingError)
         assert str(later) in str(err.value) and "early.csv" in str(err.value)
 
+    def test_ingest_many_sums_the_files_observation_counts(self, tmp_path):
+        flux = np.linspace(1e-6, 1e-3, 300)
+        flux[::7] = np.nan
+        whole = make_series(flux)
+        specs = []
+        for lo, hi in ((0, 100), (100, 250), (250, 300)):
+            path = tmp_path / f"part_{lo}.csv"
+            fv.write_flux_csv(fv.FluxSeries(whole.timestamps[lo:hi], flux[lo:hi]), path)
+            specs.append(pipeline.InputSpec(str(path), fv.IngestConfig(scaling_divisor=1.0)))
+        series, infos = pipeline.ingest_many(specs)
+        counted = vars(series)["n_observations"]  # set by ingest_many, not counted again
+        assert counted == sum(info["n_observations"] for info in infos)
+        assert counted == np.count_nonzero(~np.isnan(series.flux)) == 300 - 43
+
     def test_empty_input_fails_in_ingest(self, pipeline_config, tmp_path):
         bad = tmp_path / "empty.csv"
         bad.write_text("")
