@@ -178,9 +178,10 @@ def gpd_loglik(excesses, params: GpdParams) -> float:
     y = _as_excess_array(excesses)
     if y.size == 0:
         raise InsufficientDataError("need at least one excess")
-    if np.any(~np.isfinite(y)) or np.any(y < 0.0):
+    y_max = float(y.max())
+    if not (0.0 <= float(y.min()) and y_max < math.inf):  # NaN fails both
         raise DomainError("excesses must be finite and >= 0")
-    return float(_loglik_terms(y, params.scale, params.shape)[0])
+    return float(_loglik_derivatives(y, params.scale, params.shape, y_max)[0])
 
 
 def gpd_sample(params: GpdParams, count: int, seed: int) -> np.ndarray:
@@ -236,21 +237,8 @@ _ARMIJO = 1e-4        # sufficient-increase fraction of the predicted gain
 _QUADRATIC = 1e-4     # below this decrement a full Newton step is taken
 
 
-def _loglik_terms(y: np.ndarray, scale: float, shape: float):
-    """Log-likelihood at (scale, shape), and a = shape * y / scale and log1p(a)
-    for the derivatives; ``(-inf, None, None)`` outside the support.  Inside the
-    SHAPE_SWITCH_TOL band it is the exponential limit -n log(scale) - sum y / scale."""
-    a = shape * y / scale      # one rounding for the support test and log1p
-    exponential = abs(shape) < SHAPE_SWITCH_TOL
-    # y >= 0, so only a negative shape can leave the support
-    if not exponential and shape < 0.0 and a.min(initial=np.inf) <= -1.0:
-        return -math.inf, None, None
-    log1p_a = np.log1p(a)
-    tail = float(y.sum()) / scale if exponential else (1.0 + 1.0 / shape) * float(log1p_a.sum())
-    return -(y.size * np.log(scale) + tail), a, log1p_a
-
-
-def _loglik_derivatives(y: np.ndarray, scale: float, shape: float):
+def _loglik_derivatives(y: np.ndarray, scale: float, shape: float,
+                        y_max: float | None = None):
     """Log-likelihood, score and observed information at (scale, shape).
 
     The score and information are over (log scale, shape), from the
@@ -261,34 +249,46 @@ def _loglik_derivatives(y: np.ndarray, scale: float, shape: float):
         d/dlog(scale)   = (1 + shape) sum z/(1+a) - n
         d/dshape        = sum (log1p(a) - a/(1+a)) / shape**2 - sum z/(1+a)
 
-    and the information is minus the matrix of second derivatives.  The
-    log-likelihood comes from :func:`_loglik_terms`; outside the support
-    the result is ``(-inf, None, None)``.
+    and the information is minus the matrix of second derivatives.
+    Inside the SHAPE_SWITCH_TOL band the log-likelihood is the
+    exponential limit -n log(scale) - sum y / scale.  ``y_max`` is
+    ``y.max()`` where the caller holds it.  Outside the support the
+    result is ``(-inf, None, None)``.
     """
-    ll, a, log1p_a = _loglik_terms(y, scale, shape)
-    if a is None:
-        return ll, None, None
-    # the five summed terms go into the rows of one buffer, reduced in one
+    a = shape * y / scale      # one rounding for the support test and log1p
+    exponential = abs(shape) < SHAPE_SWITCH_TOL
+    # y >= 0, so only a negative shape can leave the support
+    if not exponential and shape < 0.0 and np.minimum.reduce(a, initial=np.inf) <= -1.0:
+        return -math.inf, None, None
+    # the six summed terms go into the rows of one buffer, reduced in one
     # call: a row-wise add.reduce is the same pairwise sum as each row's .sum()
-    t = np.empty((5, y.size))
-    zu, zuu, zuzu, h_terms, q_terms = t
+    t = np.empty((6, y.size))
+    zu, zuu, zuzu, h_terms, q_terms, ll_terms = t
+    if exponential:
+        np.copyto(ll_terms, y)                      # the exponential limit sums y
+    else:
+        np.log1p(a, out=ll_terms)
     z = y / scale
     u = np.add(a, 1.0)
     np.divide(1.0, u, out=u)                        # 1/(1+a)
     np.multiply(z, u, out=zu)                       # z/(1+a)
     np.multiply(zu, u, out=zuu)                     # z/(1+a)**2
     np.multiply(zu, zu, out=zuzu)                   # z**2/(1+a)**2
-    series = abs(shape) * float(z.max()) < _SERIES_TOL
+    # max(y / scale) is max(y) / scale: rounding is monotone
+    y_max = float(y.max()) if y_max is None else y_max
+    series = abs(shape) * (y_max / scale) < _SERIES_TOL
     if series:
         zz = z * z
         np.multiply(zz, polyval(a, _P_COEF), out=h_terms)
         np.multiply(np.multiply(zz, z, out=zz), polyval(a, _Q_COEF), out=q_terms)
     else:
         au = np.multiply(a, u, out=u)
-        r = np.subtract(log1p_a, au, out=h_terms)
+        r = np.subtract(np.log1p(a) if exponential else ll_terms, au, out=h_terms)
         np.multiply(2.0, r, out=q_terms)
         q_terms -= np.multiply(au, au, out=au)
-    s1, s2, s3, h, q = np.add.reduce(t, axis=1).tolist()
+    s1, s2, s3, h, q, s_ll = np.add.reduce(t, axis=1).tolist()
+    tail = s_ll / scale if exponential else (1.0 + 1.0 / shape) * s_ll
+    ll = -(y.size * np.log(scale) + tail)
     if not series:
         h, q = h / shape**2, q / shape**3
     w = 1.0 + shape
@@ -317,7 +317,7 @@ def _ascent_step(score: np.ndarray, info: np.ndarray, fixed_shape: bool):
     return tuple((vec @ ((vec.T @ score) / lam)).tolist()), False
 
 
-def _maximize(y: np.ndarray, scale: float, shape: float, fixed_shape: bool):
+def _maximize(y: np.ndarray, y_max: float, scale: float, shape: float, fixed_shape: bool):
     """Safeguarded Newton ascent of the log-likelihood over (log scale, shape).
 
     A step is halved until the trial point lies in the support with
@@ -326,16 +326,17 @@ def _maximize(y: np.ndarray, scale: float, shape: float, fixed_shape: bool):
     is below _DECREMENT_TOL.  Where the supremum lies on the support edge
     (shape -> -1, scale -> max(y)) the decrement stays away from 0, so
     such samples fail as soon as an iterate's shape comes within
-    _SHAPE_FLOOR of -1, as does a shape pinned there.  Returns the last
-    iterate (log scale, shape) as floats, its log-likelihood, score and
-    information, and the diagnostics.
+    _SHAPE_FLOOR of -1, as does a shape pinned there.  ``y_max`` is
+    ``y.max()``.  Returns the last iterate (log scale, shape) as floats,
+    its log-likelihood, score and information, and the diagnostics.
 
     The iterate and the step are Python floats: their elementwise
     arithmetic rounds as numpy's does, at a fraction of the cost on two
-    elements.  The decrement stays a numpy dot, whose rounding differs.
+    elements.  The decrement stays a numpy dot, whose rounding differs:
+    ``ndarray.dot``, the BLAS ddot of ``@`` without the matmul dispatch.
     """
     log_scale = math.log(scale)
-    ll, score, info = _loglik_derivatives(y, scale, shape)
+    ll, score, info = _loglik_derivatives(y, scale, shape, y_max)
     evals, halvings = 1, 0
     for it in range(1, _MAX_ITER + 1):
         if shape < -1.0 + _SHAPE_FLOOR:
@@ -343,7 +344,7 @@ def _maximize(y: np.ndarray, scale: float, shape: float, fixed_shape: bool):
                 False, it - 1, evals, halvings,
                 _failure_message(y, log_scale, shape, "shape reached the -1 corner"))
         (step_t, step_x), regular = _ascent_step(score, info, fixed_shape)
-        decrement = float(score @ np.array((step_t, step_x)))
+        decrement = float(score.dot(np.array((step_t, step_x))))
         if regular and decrement < _DECREMENT_TOL:
             return (log_scale, shape), ll, score, info, FitConvergence(
                 True, it, evals, halvings, "Newton decrement below tolerance")
@@ -355,7 +356,7 @@ def _maximize(y: np.ndarray, scale: float, shape: float, fixed_shape: bool):
         for _ in range(_MAX_HALVINGS):
             trial_t, trial_x = log_scale + alpha * step_t, shape + alpha * step_x
             if trial_x > -1.0:
-                ll_t, score_t, info_t = _loglik_derivatives(y, math.exp(trial_t), trial_x)
+                ll_t, score_t, info_t = _loglik_derivatives(y, math.exp(trial_t), trial_x, y_max)
                 evals += 1
                 if score_t is not None and ll_t >= ll + alpha * gain:
                     break
@@ -435,7 +436,8 @@ def fit_gpd(excesses, *, threshold: float = 0.0, n_total: int | None = None,
     Raises
     ------
     DomainError
-        A threshold or an excess that is not finite and >= 0.
+        A threshold or an excess that is not finite and >= 0, or a
+        ``fixed_shape`` that is not finite.
     InsufficientDataError
         Fewer than ``MIN_EXCESSES`` values.
     ConvergenceError
@@ -443,6 +445,8 @@ def fit_gpd(excesses, *, threshold: float = 0.0, n_total: int | None = None,
         lies on the support edge at shape -1; diagnostics attached.
     """
     threshold = checked_threshold(threshold)
+    if fixed_shape is not None and not math.isfinite(fixed_shape):
+        raise DomainError(f"fixed_shape must be finite, got {fixed_shape}")
     y = _as_excess_array(excesses)
     if y.size < MIN_EXCESSES:
         raise InsufficientDataError(
@@ -457,11 +461,11 @@ def fit_gpd(excesses, *, threshold: float = 0.0, n_total: int | None = None,
         n_total = y.size
 
     if fixed_shape is None:
-        state = _maximize(y, mean, 0.1, False)
+        state = _maximize(y, y_max, mean, 0.1, False)
     else:
         # start inside the support, which ends at -scale/shape
         scale0 = max(mean, -2.0 * fixed_shape * y_max)
-        state = _maximize(y, scale0, float(fixed_shape), True)
+        state = _maximize(y, y_max, scale0, float(fixed_shape), True)
     (log_scale, shape), ll, score, info, convergence = state
     if not convergence.converged:
         raise ConvergenceError("likelihood maximization did not converge",

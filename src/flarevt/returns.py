@@ -102,10 +102,13 @@ def return_period(fit: GpdFit, level: float,
     Raises
     ------
     DomainError
-        ``level`` at or below the fit threshold.
+        ``level`` not finite, at or below the fit threshold, or with a
+        period beyond the largest double.
     InfiniteReturnError
         ``level`` at or beyond a finite upper endpoint (shape < 0).
     """
+    if not math.isfinite(level):
+        raise DomainError(f"level must be finite, got {level}")
     if not level > fit.threshold:
         raise DomainError("level must exceed the fit threshold")
     scale, shape = fit.scale, fit.shape
@@ -117,7 +120,13 @@ def return_period(fit: GpdFit, level: float,
         log_r = excess / scale
     else:
         log_r = math.log1p(shape * excess / scale) / shape
-    return math.exp(log_r) / _rate_factor(fit, cal)
+    try:
+        period = math.exp(log_r) / _rate_factor(fit, cal)
+    except OverflowError:
+        period = math.inf
+    if not period < math.inf:
+        raise DomainError(f"level {level} has a return period beyond the largest double")
+    return period
 
 
 @functools.lru_cache(maxsize=8)
@@ -170,7 +179,9 @@ def _delta(m: float, fixed: tuple, cov: np.ndarray) -> tuple[float, float]:
         rx = r ** shape
         g = np.array([scale * rx / zeta, (rx - 1.0) / shape,
                       scale * (-(rx - 1.0) / shape**2 + rx * log_r / shape)])
-    return level, math.sqrt(max(float(g @ cov @ g), 0.0))
+    # ndarray.dot reaches the same BLAS gemv and ddot as g @ cov @ g, without
+    # the matmul dispatch; a closed form over the blocks would round differently
+    return level, math.sqrt(max(float(g.dot(cov).dot(g)), 0.0))
 
 
 @dataclass(frozen=True)

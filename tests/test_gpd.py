@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.optimize import minimize
 
 import flarevt as fv
 from flarevt import (ConvergenceError, DomainError, FitConvergence, GpdParams,
-                     InsufficientDataError)
+                     InsufficientDataError, gpd)
 from flarevt.gpd import (_P_COEF, _Q_COEF, _SERIES_TOL, MIN_EXCESSES, SHAPE_SWITCH_TOL,
                          _covariance, _loglik_derivatives, fit_from_json_dict,
                          fit_to_json_dict)
@@ -290,6 +291,17 @@ class TestFit:
         assert fit.scale > 0.9 * y.max()
         assert fit.std_errors[1] == 0.0
 
+    @pytest.mark.parametrize("shape", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pinned_shape_rejected_before_any_likelihood(self, shape, monkeypatch):
+        def no_likelihood(*args):
+            raise AssertionError("likelihood evaluated")
+        monkeypatch.setattr(gpd, "_loglik_derivatives", no_likelihood)
+        y = fv.gpd_sample(GpdParams(1.0, 0.2), 200, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="fixed_shape must be finite"):
+                fv.fit_gpd(y, fixed_shape=shape)
+
 
 def _exponential_limit_information(y, scale):
     """Observed information over (scale, shape) of the shape -> 0 limit.
@@ -389,6 +401,84 @@ def test_derivatives_equal_per_term_sums(shape):
         scale = max(1.1 * float(y.mean()), -2.0 * shape * float(y.max()))  # in the support
         _, score, info = _loglik_derivatives(y, scale, shape)
         assert (score.tolist(), info.tolist()) == _derivatives_by_row_sums(y, scale, shape), n
+
+
+def _loglik_by_sum(y, scale, shape):
+    """The log-likelihood as its formula reads, one .sum() of log1p terms, or
+    of y in the exponential limit inside SHAPE_SWITCH_TOL."""
+    if abs(shape) < SHAPE_SWITCH_TOL:
+        return -(y.size * np.log(scale) + float(y.sum()) / scale)
+    return -(y.size * np.log(scale)
+             + (1.0 + 1.0 / shape) * float(np.log1p(shape * y / scale).sum()))
+
+
+@pytest.mark.parametrize("shape", [-0.3, -5e-7, 0.0, 1e-7, 4e-3, 0.26, 0.8])
+def test_loglik_equals_its_formula(shape):
+    # the sample sizes of test_derivatives_equal_per_term_sums, bit for bit;
+    # a spike of 1e6 scales puts the exponential band on the closed-form branch
+    rng = np.random.default_rng(37)
+    for n in [*range(MIN_EXCESSES, 401), 8191, 8192, 8193, 20_000]:
+        y = rng.exponential(1.0, n)
+        scale = max(1.1 * float(y.mean()), -2.0 * shape * float(y.max()))  # in the support
+        samples = [y]
+        if abs(shape) < SHAPE_SWITCH_TOL:
+            samples.append(np.append(y, 1e6 * scale))
+        for sample in samples:
+            ll, score, info = _loglik_derivatives(sample, scale, shape)
+            assert ll == _loglik_by_sum(sample, scale, shape), n
+            assert (score.tolist(), info.tolist()) == _derivatives_by_row_sums(
+                sample, scale, shape), n
+
+
+def _at_series_switch(shape, scale, ulps):
+    """A sample whose largest |shape| * y / scale lies ``ulps`` ulps of y_max
+    from _SERIES_TOL."""
+    y_max = _SERIES_TOL * scale / abs(shape)
+    for _ in range(abs(ulps)):
+        y_max = math.nextafter(y_max, math.inf if ulps > 0 else 0.0)
+    y = np.random.default_rng(3).uniform(0.0, y_max, 200)
+    y[17] = y_max
+    return y
+
+
+@pytest.mark.parametrize("shape", [-0.011, 0.013, 0.3])
+@pytest.mark.parametrize("scale", [1.0, 1.3, 2.9e-4])
+def test_series_test_from_the_sample_maximum(shape, scale):
+    # max(y) / scale is max(y / scale) bit for bit, so the branch and every
+    # output are those of the per-element maximum, down to the ulp at the switch
+    sides = set()
+    for ulps in range(-3, 4):
+        y = _at_series_switch(shape, scale, ulps)
+        y_max = float(y.max())
+        assert y_max / scale == float((y / scale).max())
+        sides.add(abs(shape) * (y_max / scale) < _SERIES_TOL)
+        ll, score, info = _loglik_derivatives(y, scale, shape, y_max)
+        ll_0, score_0, info_0 = _loglik_derivatives(y, scale, shape)
+        assert (ll, score.tolist(), info.tolist()) == (ll_0, score_0.tolist(), info_0.tolist())
+        assert (score.tolist(), info.tolist()) == _derivatives_by_row_sums(y, scale, shape)
+    assert sides == {True, False}
+    at_switch = _at_series_switch(shape, scale, 0)
+    for y in (0.2 * at_switch, 5.0 * at_switch):  # well inside the series band, well past it
+        got = _loglik_derivatives(y, scale, shape, float(y.max()))
+        assert (got[0], got[1].tolist(), got[2].tolist()) == (
+            _loglik_by_sum(y, scale, shape), *_derivatives_by_row_sums(y, scale, shape))
+
+
+def test_decrement_dot_rounds_as_matmul():
+    # _maximize's Newton decrement is score.dot(step), which must reach the
+    # same BLAS ddot as score @ step
+    rng = np.random.default_rng(47)
+    for _ in range(10_000):
+        score, step = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-8.0, 8.0, (2, 2))
+        assert score.dot(step) == score @ step
+
+
+def test_maximum_of_quotients_is_quotient_of_maximum():
+    rng = np.random.default_rng(41)
+    for _ in range(2000):
+        y = rng.exponential(10.0 ** rng.uniform(-6, 2), int(rng.integers(1, 300)))
+        scale = 10.0 ** rng.uniform(-6, 2)
+        assert float(y.max()) / scale == float((y / scale).max())
 
 
 def _reference_nll(theta, y, shape=None):

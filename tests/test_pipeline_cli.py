@@ -420,6 +420,15 @@ class TestCliStages:
         assert main(["returns", "--fit", str(tmp_path / "fit.json")]) == 2
         assert "nothing to do" in capsys.readouterr().err
 
+    def test_returns_level_past_the_largest_period_fails_the_stage(self, tmp_path, capsys):
+        _write_stage_inputs(tmp_path)
+        out = tmp_path / "r.csv"
+        assert main(["returns", "--fit", str(tmp_path / "fit.json"), "--level", "1e300",
+                     "--out", str(out)]) == STAGE_EXIT_CODES["returns"]
+        err = capsys.readouterr().err
+        assert err == "error: level 1e+300 has a return period beyond the largest double\n"
+        assert not out.exists()
+
     def test_python_dash_m_runs_the_cli(self):
         env = {**os.environ, "PYTHONPATH": str(Path(fv.__file__).parents[1])}  # src/
         done = subprocess.run([sys.executable, "-m", "flarevt", "--version"], env=env,
@@ -723,6 +732,10 @@ class TestConfig:
         assert bounded.threshold - bounded.scale / bounded.shape < 45e-4
         assert build_scenarios(bounded, config)["x45_return_period"]["note"] == (
             "level lies beyond the fitted upper endpoint; it is never exceeded")
+        huge = build_scenarios(fit, replace(config, scenario_levels=(45e-4, 1e300)))
+        assert huge["x1e+304_return_period"]["note"] == (
+            "level 1e+300 has a return period beyond the largest double")
+        assert huge["x45_return_period"] == rows["x45_return_period"]
 
     def test_untyped_error_fails_the_returns_stage(self, synth_csv, tmp_path, monkeypatch):
         # only the library's typed errors become a scenario note

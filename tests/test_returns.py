@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -193,6 +194,27 @@ class TestReturnPeriod:
         periods = [fv.return_period(fit, lv) for lv in levels]
         assert np.all(np.diff(periods) > 0.0)
 
+    @pytest.mark.parametrize("level", [math.inf, -math.inf, math.nan])
+    def test_non_finite_level_rejected(self, level):
+        for shape in (0.26, -0.2):  # past the bounded fit's endpoint too
+            with pytest.raises(DomainError, match=f"level must be finite, got {level}"):
+                fv.return_period(reference_fit(shape=shape), level)
+        with pytest.raises(DomainError, match=f"level must be finite, got {level}"):
+            fv.return_period_band(reference_fit(PAPER_COV), level)
+
+    @pytest.mark.parametrize("shape, level, cal", [
+        (0.26, 1e300, ObservationCalendar()),     # exp of the log period overflows
+        (1e-7, 1.0, ObservationCalendar()),       # the exponential limit's does
+        # a finite exp(695), divided by 1e-14 exceedances a year
+        (1e-7, 3.5e-4 + 695.0 * 2.98e-4, ObservationCalendar(1e-9)),
+    ])
+    def test_period_beyond_the_largest_double_rejected(self, shape, level, cal):
+        message = re.escape(f"level {level} has a return period beyond the largest double")
+        with pytest.raises(DomainError, match=message):
+            fv.return_period(reference_fit(shape=shape), level, cal)
+        with pytest.raises(DomainError, match=message):
+            fv.return_period_band(reference_fit(PAPER_COV, shape), level, cal)
+
 
 class TestReturnLevelCi:
     def test_zero_fit_covariance_leaves_the_rate_term(self):
@@ -373,6 +395,20 @@ def _monte_carlo_path_text(replicates=200, seed=9):
 def test_monte_carlo_path_bits_pinned():
     text = _monte_carlo_path_text()
     assert hashlib.sha256(text.encode()).hexdigest() == MONTE_CARLO_SHA256
+
+
+def test_quadratic_form_dot_rounds_as_matmul():
+    # _delta computes g' cov g as g.dot(cov).dot(g), which must reach the same
+    # BLAS gemv and ddot as g @ cov @ g: a BLAS that routes them apart fails
+    # here by name rather than through the bit pins
+    rng = np.random.default_rng(43)
+    for _ in range(10_000):
+        g = rng.normal(size=3) * 10.0 ** rng.uniform(-8.0, 8.0, 3)
+        cov = np.zeros((3, 3))
+        cov[0, 0] = 10.0 ** rng.uniform(-16.0, -4.0)   # the rate variance
+        a = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-6.0, 2.0)
+        cov[1:, 1:] = a @ a.T                          # the fit covariance
+        assert g.dot(cov).dot(g) == g @ cov @ g
 
 
 class TestNonFinitePeriod:
