@@ -274,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", required=True)
     p.add_argument("--threshold", type=_flag(float, checked_rule),
                    default=PipelineConfig.decluster_threshold)
-    p.add_argument("--gap", type=_flag(int, lambda v: PipelineConfig(gap_minutes=v)),
+    p.add_argument("--gap", type=_flag(int, lambda v: checked_rule(
+                       PipelineConfig.decluster_threshold, v)),
                    default=PipelineConfig.gap_minutes)
     p.add_argument("--out-events", required=True)
     p.add_argument("--out-meta", required=True)

@@ -23,8 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import norm
 
 from ._table import table_points, table_text
 from .errors import CiUnavailableError, DomainError, InfiniteReturnError
@@ -133,12 +131,15 @@ def return_period(fit: GpdFit, level: float,
 def normal_quantile(ci_level: float) -> float:
     """Two-sided standard normal quantile z for ``ci_level`` in (0, 1).
 
-    Cached: ``norm.ppf`` costs ~0.1 ms, more than a whole interval, and a
-    Monte Carlo study asks for the same level thousands of times.
+    ``ndtri`` is the function ``scipy.stats.norm.ppf`` evaluates, bit for
+    bit, without loading ``scipy.stats``; it is imported here, so a process
+    that never asks for an interval loads no scipy.  Cached: a Monte Carlo
+    study asks for the same level thousands of times.
     """
     if not 0.0 < ci_level < 1.0:
         raise DomainError("ci_level must lie in (0, 1)")
-    return float(norm.ppf(0.5 + ci_level / 2.0))
+    from scipy.special import ndtri
+    return float(ndtri(0.5 + ci_level / 2.0))
 
 
 def _delta_inputs(fit: GpdFit, cal: ObservationCalendar, ci_level: float):
@@ -307,6 +308,7 @@ def return_period_band(fit: GpdFit, level: float,
     even though the level band itself is symmetric.  An upper endpoint
     beyond ``_M_MAX`` (1e7) years is reported as inf.
     """
+    from scipy.optimize import brentq  # loaded at the first band, not at import
     m_hat = return_period(fit, level, cal)
     fixed, cov, z = _delta_inputs(fit, cal, ci_level)
     m_min = 1.0001 / _rate_factor(fit, cal)

@@ -50,6 +50,32 @@ EXPECTED_ARTIFACTS = [
 ]
 
 
+_STAGES_WITHOUT_SCIPY = """
+import sys
+import flarevt
+from flarevt import cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+print("after import:", scipy_modules())
+d = sys.argv[1]
+for argv in (
+        ["synth", "--scale", "3e-4", "--shape", "0.25", "--event-rate", "2000",
+         "--duration", "0.02", "--seed", "7", "--out", f"{d}/flux.csv"],
+        ["ingest", "--input", f"{d}/flux.csv", "--divisor", "1", "--out", f"{d}/series.csv"],
+        ["decluster", "--series", f"{d}/series.csv", "--gap", "15",
+         "--out-events", f"{d}/catalog.csv", "--out-meta", f"{d}/catalog.json"],
+        ["sweep", "--series", f"{d}/series.csv", "--out", f"{d}/sweep.csv"],
+        ["fit", "--events", f"{d}/catalog.csv", "--meta", f"{d}/catalog.json",
+         "--threshold", "1e-4", "--out", f"{d}/fit.json", "--out-excesses", f"{d}/excesses.csv"],
+        ["fit", "--excesses", f"{d}/excesses.csv", "--threshold", "1e-4",
+         "--out", f"{d}/fit_from_excesses.json"]):
+    assert cli.main(argv) == 0, argv
+print("after the stages:", scipy_modules())
+"""
+
+
 def _write_stage_inputs(d):
     """Readable stage inputs in ``d``: a one-event catalog, an excess list, a fit
     and the fit's 300 excesses."""
@@ -434,6 +460,16 @@ class TestCliStages:
         done = subprocess.run([sys.executable, "-m", "flarevt", "--version"], env=env,
                               capture_output=True, text=True, check=False)
         assert (done.returncode, done.stdout) == (0, f"{fv.__version__}\n")
+
+    def test_stage_commands_load_no_scipy(self, tmp_path):
+        # scipy is loaded at first use by the interval code only: importing the
+        # package and the CLI, and the stages before the fit's intervals, need numpy
+        env = {**os.environ, "PYTHONPATH": str(Path(fv.__file__).parents[1])}  # src/
+        done = subprocess.run([sys.executable, "-c", _STAGES_WITHOUT_SCIPY, str(tmp_path)],
+                              env=env, capture_output=True, text=True, check=False)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("after import: []", "after the stages: []")
 
     def test_stage_exit_codes(self):
         assert STAGE_EXIT_CODES == {

@@ -6,12 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 import flarevt as fv
 from flarevt import (CiUnavailableError, DomainError, GpdParams,
                      InfiniteReturnError, ObservationCalendar,
                      SubThresholdReturnWarning)
 from flarevt.pipeline import PipelineConfig, return_period_grid
+from flarevt.returns import normal_quantile
 
 # Frozen against 40-digit evaluation of the closed forms with the
 # reference analysis numbers: threshold 3.5e-4, scale 2.98e-4,
@@ -262,6 +264,18 @@ class TestReturnLevelCi:
             fv.return_level_ci(every_minute, 0.0)
         with pytest.raises(DomainError, match="m must be > 0"):
             fv.return_level_ci(reference_fit(PAPER_COV), 0.0)
+
+
+def test_normal_quantile_is_the_scipy_stats_quantile():
+    # ndtri is what norm.ppf evaluates: equal by float.hex over a seeded sweep,
+    # both tails, the level whose 0.5 + c / 2 rounds to 1 and subnormal levels
+    rng = np.random.default_rng(53)
+    levels = [0.95, 0.5, 0.68, 0.9, 0.99, 1.0 - 2.0**-53, 2.0**-60, 1e-300, 5e-324,
+              *rng.random(2000).tolist(),
+              *(1.0 - 10.0 ** -rng.uniform(0.01, 16.0, 500)).tolist(),
+              *(10.0 ** -rng.uniform(0.0, 320.0, 500)).tolist()]
+    for c in levels:
+        assert normal_quantile(c).hex() == float(norm.ppf(0.5 + c / 2.0)).hex(), c
 
 
 class TestReturnCurve:
