@@ -178,17 +178,10 @@ def gpd_loglik(excesses, params: GpdParams) -> float:
     y = _as_excess_array(excesses)
     if y.size == 0:
         raise InsufficientDataError("need at least one excess")
-    if not (0.0 <= float(y.min()) and float(y.max()) < math.inf):  # NaN fails both
+    y_max = float(y.max())
+    if not (0.0 <= float(y.min()) and y_max < math.inf):  # NaN fails both
         raise DomainError("excesses must be finite and >= 0")
-    scale, shape = params.scale, params.shape
-    if abs(shape) < SHAPE_SWITCH_TOL:
-        s_ll = np.add.reduce(y)
-    else:
-        a = _scaled_in_support(y, scale, shape)
-        if a is None:
-            return -math.inf
-        s_ll = np.add.reduce(np.log1p(a, out=a))
-    return float(_loglik_from_sum(y.size, scale, shape, float(s_ll)))
+    return float(_loglik_derivatives(y, params.scale, params.shape, y_max)[0])
 
 
 def gpd_sample(params: GpdParams, count: int, seed: int) -> np.ndarray:
@@ -244,23 +237,6 @@ _ARMIJO = 1e-4        # sufficient-increase fraction of the predicted gain
 _QUADRATIC = 1e-4     # below this decrement a full Newton step is taken
 
 
-def _scaled_in_support(y: np.ndarray, scale: float, shape: float):
-    """``a = shape * y / scale``, or None where an excess lies outside the
-    support: the support test of both likelihood routines."""
-    a = shape * y / scale      # one rounding for the support test and log1p
-    # y >= 0, so only a negative shape outside the exponential band can leave it
-    if shape <= -SHAPE_SWITCH_TOL and np.minimum.reduce(a, initial=np.inf) <= -1.0:
-        return None
-    return a
-
-
-def _loglik_from_sum(n: int, scale: float, shape: float, s_ll: float):
-    """The log-likelihood of ``n`` excesses from ``s_ll``, the sum of
-    log1p(a), or of y inside the SHAPE_SWITCH_TOL band."""
-    tail = s_ll / scale if abs(shape) < SHAPE_SWITCH_TOL else (1.0 + 1.0 / shape) * s_ll
-    return -(n * np.log(scale) + tail)
-
-
 def _loglik_derivatives(y: np.ndarray, scale: float, shape: float,
                         y_max: float | None = None):
     """Log-likelihood, score and observed information at (scale, shape).
@@ -279,10 +255,11 @@ def _loglik_derivatives(y: np.ndarray, scale: float, shape: float,
     ``y.max()`` where the caller holds it.  Outside the support the
     result is ``(-inf, None, None)``.
     """
-    a = _scaled_in_support(y, scale, shape)
-    if a is None:
-        return -math.inf, None, None
+    a = shape * y / scale      # one rounding for the support test and log1p
     exponential = abs(shape) < SHAPE_SWITCH_TOL
+    # y >= 0, so only a negative shape can leave the support
+    if not exponential and shape < 0.0 and np.minimum.reduce(a, initial=np.inf) <= -1.0:
+        return -math.inf, None, None
     # the six summed terms go into the rows of one buffer, reduced in one
     # call: a row-wise add.reduce is the same pairwise sum as each row's .sum()
     t = np.empty((6, y.size))
@@ -310,7 +287,8 @@ def _loglik_derivatives(y: np.ndarray, scale: float, shape: float,
         np.multiply(2.0, r, out=q_terms)
         q_terms -= np.multiply(au, au, out=au)
     s1, s2, s3, h, q, s_ll = np.add.reduce(t, axis=1).tolist()
-    ll = _loglik_from_sum(y.size, scale, shape, s_ll)
+    tail = s_ll / scale if exponential else (1.0 + 1.0 / shape) * s_ll
+    ll = -(y.size * np.log(scale) + tail)
     if not series:
         h, q = h / shape**2, q / shape**3
     w = 1.0 + shape
