@@ -568,12 +568,6 @@ def table_text(header: str, *columns: np.ndarray) -> str:
     return header + "\n" + table_bytes(*columns).decode("ascii")
 
 
-def table_points(names: tuple[str, ...], *columns: np.ndarray) -> list[dict]:
-    """The rows of a table as JSON objects keyed by ``names``."""
-    return [dict(zip(names, row))
-            for row in zip(*(np.asarray(column).tolist() for column in columns))]
-
-
 class Table(NamedTuple):
     """A table's columns as read, before the checks its reader makes.
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._table import table_points, table_text
+from ._table import table_text
 from .errors import DomainError, InsufficientDataError
 from .gpd import GpdFit, gpd_cdf
 from .returns import normal_quantile
@@ -26,7 +26,6 @@ __all__ = [
     "probability_plot",
 ]
 
-# the curve's fields, named alike in its CSV header and JSON points
 _MRL_COLUMNS = ("u0", "mean_excess", "ci_halfwidth", "n_exceed")
 
 
@@ -52,10 +51,6 @@ class MrlCurve:
     def to_csv_text(self) -> str:
         return table_text(",".join(_MRL_COLUMNS), *(getattr(self, n) for n in _MRL_COLUMNS))
 
-    def to_json_dict(self) -> dict:
-        return {"ci_level": float(self.ci_level),
-                "points": table_points(_MRL_COLUMNS, *(getattr(self, n) for n in _MRL_COLUMNS))}
-
 
 @dataclass(frozen=True)
 class ProbabilityPlot:
@@ -67,12 +62,6 @@ class ProbabilityPlot:
 
     def to_csv_text(self) -> str:
         return table_text("empirical,model", self.empirical, self.model)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "max_abs_deviation_from_diagonal": float(self.max_abs_deviation_from_diagonal),
-            "points": table_points(("empirical", "model"), self.empirical, self.model),
-        }
 
 
 def default_threshold_grid(lo: float, peaks, count: int = 200) -> np.ndarray:

@@ -50,7 +50,7 @@ __all__ = [
     "json_text",
 ]
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 X_CLASS_UNIT = 1e-4  # W/m^2 per X-class unit
 
@@ -432,8 +432,7 @@ def _fit_stage(run) -> dict:
 
 def _diagnose_stage(run) -> dict:
     run.mrl, run.plot = run_diagnostics(run.catalog, run.fit, run.config)
-    return {"mrl.csv": run.mrl.to_csv_text(), "probplot.csv": run.plot.to_csv_text(),
-            "mrl.json": run.mrl.to_json_dict(), "probplot.json": run.plot.to_json_dict()}
+    return {"mrl.csv": run.mrl.to_csv_text(), "probplot.csv": run.plot.to_csv_text()}
 
 
 def _returns_stage(run) -> dict:
@@ -442,9 +441,7 @@ def _returns_stage(run) -> dict:
     curve = return_curve(fit, return_period_grid(fit, config), cal, config.ci_level)
     run.table = build_return_table(fit, config)
     run.scenarios = build_scenarios(fit, config)
-    return {"returns.csv": curve.to_csv_text(),
-            "returns.json": {**curve.to_json_dict(), "fit": fit_to_json_dict(fit)},
-            "return_table.json": run.table, "scenarios.json": run.scenarios}
+    return {"returns.csv": curve.to_csv_text()}
 
 
 def _report_stage(run) -> dict:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._table import table_points, table_text
+from ._table import table_text
 from .errors import CiUnavailableError, DomainError, InfiniteReturnError
 from .gpd import SHAPE_SWITCH_TOL, GpdFit
 
@@ -258,18 +258,9 @@ class ReturnLevelCurve:
     ci_level: float
 
     def to_csv_text(self) -> str:
-        return table_text("m_years,level,ci_low,ci_high",
-                          self.m, self.level, self.ci_low, self.ci_high)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ci_level": float(self.ci_level),
-            "ci_method": "delta",
-            "asymmetric_ci_method": "delta-log-excess",
-            "points": table_points(
-                ("m_years", "level", "ci_low", "ci_high", "asym_ci_low", "asym_ci_high"),
-                self.m, self.level, self.ci_low, self.ci_high, self.asym_low, self.asym_high),
-        }
+        return table_text("m_years,level,ci_low,ci_high,asym_ci_low,asym_ci_high",
+                          self.m, self.level, self.ci_low, self.ci_high,
+                          self.asym_low, self.asym_high)
 
 
 def return_curve(fit: GpdFit, m_grid,

@@ -44,9 +44,8 @@ def pipeline_config():
 
 EXPECTED_ARTIFACTS = [
     "series.csv", "ingest.json", "catalog.csv", "catalog.json", "sweep.csv",
-    "excesses.csv", "fit.json", "mrl.csv", "probplot.csv", "mrl.json",
-    "probplot.json", "returns.csv", "returns.json", "return_table.json",
-    "scenarios.json", "report.json", "manifest.json",
+    "excesses.csv", "fit.json", "mrl.csv", "probplot.csv", "returns.csv",
+    "report.json", "manifest.json",
 ]
 
 
@@ -96,8 +95,10 @@ class TestRunPipeline:
                                                      pipeline_config, tmp_path):
         report = run_pipeline(pipeline_config, [synth_csv],
                               out_dir=tmp_path / "out", fixed_clock=True)
-        for name in EXPECTED_ARTIFACTS:
-            assert (tmp_path / "out" / name).exists(), name
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert written == sorted(EXPECTED_ARTIFACTS)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert written == sorted(["manifest.json", *manifest["artifacts"].values()])
 
         fit = fit_from_json_dict(report["fit"])
         se = fit.std_errors
@@ -108,7 +109,6 @@ class TestRunPipeline:
         level = fv.return_level(fit, 100.0)
         assert fv.return_period(fit, level) == pytest.approx(100.0, rel=1e-8)
 
-        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["failed_stage"] is None
         assert manifest["completed_stages"][-1] == "report"
         assert report["generated_at"] is None
@@ -787,7 +787,7 @@ class TestConfig:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["failed_stage"] == "returns"
         assert manifest["error"] == "not a flarevt error"
-        assert not (out / "scenarios.json").exists()
+        assert not (out / "returns.csv").exists()
         assert sorted(p.name for p in out.iterdir()) == sorted(
             ["manifest.json", *manifest["artifacts"].values()])
 

@@ -12,6 +12,7 @@ import flarevt as fv
 from flarevt import (CiUnavailableError, DomainError, GpdParams,
                      InfiniteReturnError, ObservationCalendar,
                      SubThresholdReturnWarning)
+from flarevt._table import read_table
 from flarevt.pipeline import PipelineConfig, return_period_grid
 from flarevt.returns import normal_quantile
 
@@ -312,10 +313,18 @@ class TestReturnCurve:
             fv.return_curve(fit, [0.01, 1.0])  # starts below the exceedance time
 
     def test_csv_columns(self):
-        curve = fv.return_curve(reference_fit(PAPER_COV), [10.0, 100.0])
-        lines = curve.to_csv_text().splitlines()
-        assert lines[0] == "m_years,level,ci_low,ci_high"
-        assert len(lines) == 3
+        # the CSV is the curve's one artifact: every column, the asymmetric
+        # interval included, reads back bit for bit under the six-name header
+        fit = reference_fit(PAPER_COV)
+        curve = fv.return_curve(fit, return_period_grid(fit, PipelineConfig()))
+        header = "m_years,level,ci_low,ci_high,asym_ci_low,asym_ci_high"
+        table = read_table(curve.to_csv_text(), header,
+                           dict.fromkeys(header.split(","), np.float64))
+        assert not table.empty.any()
+        for got, want in zip(table.columns, (curve.m, curve.level, curve.ci_low,
+                                             curve.ci_high, curve.asym_low, curve.asym_high),
+                             strict=True):
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
 
 class TestReturnPeriodBand:
