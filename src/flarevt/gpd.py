@@ -330,13 +330,12 @@ def _maximize(y: np.ndarray, y_max: float, scale: float, shape: float, fixed_sha
     ``y.max()``.  Returns the last iterate (log scale, shape) as floats,
     its log-likelihood, score and information, and the diagnostics.
 
-    The iterate and the step are Python floats: their elementwise
-    arithmetic rounds as numpy's does, at a fraction of the cost on two
-    elements.  The decrement stays a numpy dot, whose rounding differs:
-    ``ndarray.dot``, the BLAS ddot of ``@`` without the matmul dispatch.
+    The iterate, the step and the decrement are Python floats, at a
+    fraction of numpy's cost on two elements.  Every state, the start
+    included, is evaluated at ``exp(log scale)``, the scale the fit reports.
     """
     log_scale = math.log(scale)
-    ll, score, info = _loglik_derivatives(y, scale, shape, y_max)
+    ll, score, info = _loglik_derivatives(y, math.exp(log_scale), shape, y_max)
     evals, halvings = 1, 0
     for it in range(1, _MAX_ITER + 1):
         if shape < -1.0 + _SHAPE_FLOOR:
@@ -344,7 +343,8 @@ def _maximize(y: np.ndarray, y_max: float, scale: float, shape: float, fixed_sha
                 False, it - 1, evals, halvings,
                 _failure_message(y, log_scale, shape, "shape reached the -1 corner"))
         (step_t, step_x), regular = _ascent_step(score, info, fixed_shape)
-        decrement = float(score.dot(np.array((step_t, step_x))))
+        g_t, g_x = score.tolist()
+        decrement = g_t * step_t + g_x * step_x
         if regular and decrement < _DECREMENT_TOL:
             return (log_scale, shape), ll, score, info, FitConvergence(
                 True, it, evals, halvings, "Newton decrement below tolerance")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import table_text
-from .errors import CiUnavailableError, DomainError, InfiniteReturnError
+from .errors import CiUnavailableError, ConvergenceError, DomainError, InfiniteReturnError
 from .gpd import SHAPE_SWITCH_TOL, GpdFit
 
 __all__ = [
@@ -60,6 +60,7 @@ class ObservationCalendar:
 _DEFAULT_CAL = ObservationCalendar()
 _M_MAX = 1e7  # years; a period band's upper end beyond it is reported as inf
 _BAD_PERIOD = "m must be > 0 years and finite"
+_LN10 = math.log(10.0)
 
 
 def _rate_factor(fit: GpdFit, cal: ObservationCalendar) -> float:
@@ -145,9 +146,10 @@ def normal_quantile(ci_level: float) -> float:
 def _delta_inputs(fit: GpdFit, cal: ObservationCalendar, ci_level: float):
     """What every delta-method interval of one fit shares.
 
-    The per-fit constants (threshold, zeta, scale, shape, d, d * zeta) that
-    :func:`_delta` takes, the (zeta, scale, shape) covariance, and the
-    normal quantile for ``ci_level``.
+    The per-fit constants (threshold, zeta, scale, shape, d * zeta) that
+    :func:`_delta` takes, the covariance of (zeta, scale, shape) as the four
+    floats (var zeta, var scale, cov(scale, shape), var shape) of its
+    block-diagonal form, and the normal quantile for ``ci_level``.
     """
     if fit.covariance is None:
         raise CiUnavailableError("fit covariance is unavailable")
@@ -155,34 +157,68 @@ def _delta_inputs(fit: GpdFit, cal: ObservationCalendar, ci_level: float):
     zeta = fit.exceedance_rate
     if not 0.0 < zeta < 1.0:
         raise DomainError("exceedance rate must lie strictly in (0, 1)")
-    cov = np.zeros((3, 3))
-    cov[0, 0] = zeta * (1.0 - zeta) / fit.n_total
-    cov[1:, 1:] = fit.covariance
-    d = cal.obs_per_year
-    fixed = (fit.threshold, zeta, fit.scale, fit.shape, d, d * zeta)
+    (var_scale, cov_scale_shape), (_, var_shape) = fit.covariance.tolist()
+    cov = (zeta * (1.0 - zeta) / fit.n_total, var_scale, cov_scale_shape, var_shape)
+    fixed = (fit.threshold, zeta, fit.scale, fit.shape, cal.obs_per_year * zeta)
     return fixed, cov, z
 
 
-def _delta(m: float, fixed: tuple, cov: np.ndarray) -> tuple[float, float]:
-    """The ``m``-year level and its delta-method standard error sqrt(g' cov g),
-    from the per-fit constants and covariance of :func:`_delta_inputs`."""
+# Where |s| = |shape * log r| is below _DELTA_SERIES_TOL, dx_m/dscale and
+# dx_m/dshape come from power series in s: their closed forms lose ~eps/|s|
+# and ~eps/s**2 of relative accuracy to cancellation there.  Fifteen terms
+# leave a truncation error below 1e-17 at the switch, where the closed forms
+# lose up to ~2e-15.
+_DELTA_SERIES_TOL = 0.5
+# Horner coefficients, highest power first: sum_k s**k / (k+1)! is
+# (exp(s) - 1) / s, and sum_k (k+1) s**k / (k+2)! is ((s - 1) exp(s) + 1) / s**2
+_PSI_PHI_COEF = tuple((1.0 / math.factorial(k + 1), (k + 1.0) / math.factorial(k + 2))
+                      for k in reversed(range(15)))
+
+
+def _delta(m: float, fixed: tuple, cov: tuple, slope: bool = False):
+    """The ``m``-year level and its delta-method standard error sqrt(g' V g),
+    from the per-fit constants and covariance of :func:`_delta_inputs`.
+
+    g is the gradient of the level in (zeta, scale, shape), and g' V g is
+    summed in closed form over the block-diagonal V.  With ``slope`` the
+    result also carries r * d/dr of the level and of the standard error,
+    for r = m * d * zeta.
+    """
     if not 0.0 < m < math.inf:
         raise DomainError(_BAD_PERIOD)
-    threshold, zeta, scale, shape, d, rate = fixed
-    level = _level(threshold, scale, shape, m * rate)
-    # (m * d) * zeta here, m * (d * zeta) in the level: one shared r would
-    # move the last bit of most curve intervals, so each keeps its rounding
-    r = m * d * zeta
+    threshold, zeta, scale, shape, rate = fixed
+    r = m * rate
+    level = _level(threshold, scale, shape, r)
     log_r = math.log(r)
-    if abs(shape) < SHAPE_SWITCH_TOL:
-        g = np.array([scale / zeta, log_r, scale * log_r * log_r / 2.0])
+    exponential = abs(shape) < SHAPE_SWITCH_TOL
+    if exponential:
+        rx, g_scale, g_shape = 1.0, log_r, scale * log_r * log_r / 2.0
     else:
         rx = r ** shape
-        g = np.array([scale * rx / zeta, (rx - 1.0) / shape,
-                      scale * (-(rx - 1.0) / shape**2 + rx * log_r / shape)])
-    # ndarray.dot reaches the same BLAS gemv and ddot as g @ cov @ g, without
-    # the matmul dispatch; a closed form over the blocks would round differently
-    return level, math.sqrt(max(float(g.dot(cov).dot(g)), 0.0))
+        s = shape * log_r
+        if abs(s) < _DELTA_SERIES_TOL:
+            psi = phi = 0.0
+            for a, b in _PSI_PHI_COEF:
+                psi, phi = psi * s + a, phi * s + b
+            g_scale, g_shape = log_r * psi, scale * log_r * log_r * phi
+        else:
+            g_scale = (rx - 1.0) / shape
+            g_shape = scale * (-(rx - 1.0) / shape**2 + rx * log_r / shape)
+    g_zeta = scale * rx / zeta
+    var_zeta, var_scale, cov_scale_shape, var_shape = cov
+    var = (var_zeta * g_zeta * g_zeta + var_scale * g_scale * g_scale
+           + 2.0 * cov_scale_shape * g_scale * g_shape + var_shape * g_shape * g_shape)
+    se = math.sqrt(max(var, 0.0))
+    if not slope:
+        return level, se
+    # r * d/dr of g: (shape * g_zeta, r**shape, scale * r**shape * log r), with
+    # shape 0 in the exponential limit; none of the three cancels near shape 0
+    dg_zeta = 0.0 if exponential else shape * g_zeta
+    dg_scale, dg_shape = rx, scale * rx * log_r
+    dvar = (var_zeta * g_zeta * dg_zeta + var_scale * g_scale * dg_scale
+            + cov_scale_shape * (g_scale * dg_shape + g_shape * dg_scale)
+            + var_shape * g_shape * dg_shape)
+    return level, se, scale * rx, dvar / se if se > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -205,7 +241,7 @@ class ReturnLevelInterval:
     ci_level: float
 
 
-def _interval(m: float, fixed: tuple, cov: np.ndarray, z: float,
+def _interval(m: float, fixed: tuple, cov: tuple, z: float,
               ci_level: float) -> ReturnLevelInterval:
     level, se = _delta(m, fixed, cov)
     low, high = level - z * se, level + z * se
@@ -286,6 +322,53 @@ def return_curve(fit: GpdFit, m_grid,
     return ReturnLevelCurve(grid, *columns, ci_level)
 
 
+# even bisection alone narrows the band's widest bracket, 8 decades of m,
+# below 1e-12 in 43 evaluations
+_NEWTON_MAX_EVALS = 100
+
+
+def _bracketed_newton(fn, a: float, b: float, f_a: float, xtol: float) -> float:
+    """A root of ``fn`` between ``a`` and ``b``, by Newton steps kept in a bracket.
+
+    ``fn(x)`` returns its value and slope at x.  ``f_a`` is the value at
+    ``a``; the iteration starts at ``b``, where the value must have the
+    other sign (either end may be the larger).  Each value narrows the
+    bracket to the side of the sign change, a NaN value narrows nothing,
+    and a step that would leave the bracket is a bisection instead.
+    Converged when a step from a value that is not NaN moves x by at most
+    ``xtol``.
+
+    Raises
+    ------
+    ConvergenceError
+        The value at ``b`` does not have the other sign, or no step met
+        ``xtol`` in _NEWTON_MAX_EVALS evaluations (as when the values
+        between the ends are NaN).
+    """
+    if f_a == 0.0:
+        return a
+    x = b
+    for evals in range(_NEWTON_MAX_EVALS):
+        f, slope = fn(x)
+        if f == 0.0:
+            return x
+        if f < 0.0 < f_a or f_a < 0.0 < f:
+            b = x
+        elif evals == 0:
+            raise ConvergenceError(
+                f"no sign change between {a!r} and {b!r}: values {f_a!r} and {f!r}")
+        elif not math.isnan(f):
+            a = x
+        new = x - f / slope if slope != 0.0 else math.nan
+        if not (a < new < b or b < new < a):
+            new = 0.5 * (a + b)
+        if abs(new - x) <= xtol and not math.isnan(f):
+            return new
+        x = new
+    raise ConvergenceError(
+        f"no root to {xtol!r} in {_NEWTON_MAX_EVALS} evaluations; last x={x!r}")
+
+
 def return_period_band(fit: GpdFit, level: float,
                        cal: ObservationCalendar = _DEFAULT_CAL,
                        ci_level: float = 0.95) -> tuple[float, float, float]:
@@ -297,21 +380,28 @@ def return_period_band(fit: GpdFit, level: float,
     the upper endpoint where the lower band does.  Reading the band
     horizontally this way yields strongly asymmetric period intervals
     even though the level band itself is symmetric.  An upper endpoint
-    beyond ``_M_MAX`` (1e7) years is reported as inf.
+    beyond ``_M_MAX`` (1e7) years is reported as inf.  Each endpoint is
+    found on log10 m by :func:`_bracketed_newton`, from the band's slope
+    that :func:`_delta` returns.
+
+    Raises
+    ------
+    ConvergenceError
+        An endpoint's root was not found, as when the band is NaN.
     """
-    from scipy.optimize import brentq  # loaded at the first band, not at import
     m_hat = return_period(fit, level, cal)
     fixed, cov, z = _delta_inputs(fit, cal, ci_level)
     m_min = 1.0001 / _rate_factor(fit, cal)
 
     def gap(log_m, side):
-        """Upper (side +1) or lower (side -1) band at 10**log_m, less the level."""
-        at, se = _delta(10.0 ** log_m, fixed, cov)
-        return at + side * z * se - level
+        """Upper (side +1) or lower (side -1) band at 10**log_m, less the level,
+        and its slope in log_m."""
+        at, se, at_slope, se_slope = _delta(10.0 ** log_m, fixed, cov, slope=True)
+        return at + side * z * se - level, _LN10 * (at_slope + side * z * se_slope)
 
+    upper, lower = functools.partial(gap, side=1.0), functools.partial(gap, side=-1.0)
     lo, mid, hi = (math.log10(m) for m in (m_min, max(m_hat, m_min * 1.01), _M_MAX))
-    m_lo = (m_min if gap(lo, 1.0) >= 0.0
-            else 10.0 ** brentq(gap, lo, mid, args=(1.0,), xtol=1e-12))
-    m_hi = (math.inf if gap(hi, -1.0) < 0.0
-            else 10.0 ** brentq(gap, mid, hi, args=(-1.0,), xtol=1e-12))
+    f_lo, f_hi = upper(lo)[0], lower(hi)[0]
+    m_lo = m_min if f_lo >= 0.0 else 10.0 ** _bracketed_newton(upper, lo, mid, f_lo, 1e-12)
+    m_hi = math.inf if f_hi < 0.0 else 10.0 ** _bracketed_newton(lower, hi, mid, f_hi, 1e-12)
     return m_hat, m_lo, m_hi

@@ -190,6 +190,15 @@ class TestFit:
         assert fit.scale == pytest.approx(float(y.mean()), rel=1e-8)
         assert fit.std_errors[1] == 0.0
 
+    def test_pinned_exponential_reports_one_state(self):
+        # such a fit stops at its start point, the sample mean; its
+        # log-likelihood is the reported scale's, bit for bit
+        for i in range(400):
+            rng = np.random.default_rng(i)
+            y = rng.exponential(1.0, int(rng.integers(20, 500))) * 10.0 ** rng.uniform(-4.0, 1.0)
+            fit = fv.fit_gpd(y, fixed_shape=0.0)
+            assert fit.log_likelihood == fv.gpd_loglik(y, fit.params), i
+
     def test_scale_equivariance(self):
         y = fv.gpd_sample(GpdParams(1.0, 0.2), 2000, seed=8)
         base = fv.fit_gpd(y)

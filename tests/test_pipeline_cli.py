@@ -74,6 +74,23 @@ for argv in (
 print("after the stages:", scipy_modules())
 """
 
+# the period bands of `returns --level` and of a run's scenarios, in a fresh
+# interpreter; the interval's normal quantile may load scipy.special
+_BANDS_WITHOUT_SCIPY_OPTIMIZE = """
+import sys
+from flarevt import cli
+
+d = sys.argv[1]
+for argv in (
+        ["returns", "--fit", f"{d}/fit.json", "--level", "45e-4"],
+        ["synth", "--scale", "3e-4", "--shape", "0.25", "--event-rate", "2000",
+         "--duration", "0.02", "--seed", "7", "--out", f"{d}/flux.csv"],
+        ["run", f"{d}/flux.csv", "--config", f"{d}/config.json", "--out", f"{d}/run",
+         "--fixed-clock"]):
+    assert cli.main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.startswith("scipy.optimize")))
+"""
+
 
 def _write_stage_inputs(d):
     """Readable stage inputs in ``d``: a one-event catalog, an excess list, a fit
@@ -470,6 +487,24 @@ class TestCliStages:
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
         assert (lines[0], lines[-1]) == ("after import: []", "after the stages: []")
+
+    def test_period_bands_load_no_scipy_optimize(self, tmp_path):
+        fit = fv.GpdFit(threshold=3.5e-4, params=fv.GpdParams(2.98e-4, 0.26),
+                        covariance=np.diag([(0.02e-4) ** 2, 0.09 ** 2]),
+                        std_errors=(0.02e-4, 0.09), n_excesses=171, n_total=15_768_000,
+                        log_likelihood=0.0, convergence=fv.FitConvergence(True, 0, 0, 0, ""))
+        (tmp_path / "fit.json").write_text(json_text(fit_to_json_dict(fit)))
+        (tmp_path / "config.json").write_text(
+            '{"ingest": {"scaling_divisor": 1.0}, "gpd_threshold": 1e-4}')
+        env = {**os.environ, "PYTHONPATH": str(Path(fv.__file__).parents[1])}  # src/
+        done = subprocess.run(
+            [sys.executable, "-c", _BANDS_WITHOUT_SCIPY_OPTIMIZE, str(tmp_path)],
+            env=env, capture_output=True, text=True, check=False)
+        assert done.returncode == 0, done.stderr
+        assert "return period 63.2 years [95% CI 19.6 - inf years]" in done.stdout
+        assert done.stdout.splitlines()[-1] == "[]"
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["scenarios"]["x45_return_period"]["ci_low_years"] is not None
 
     def test_stage_exit_codes(self):
         assert STAGE_EXIT_CODES == {

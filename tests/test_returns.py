@@ -3,16 +3,20 @@ import hashlib
 import math
 import re
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.stats import norm
 
 import flarevt as fv
-from flarevt import (CiUnavailableError, DomainError, GpdParams,
+from flarevt import returns
+from flarevt import (CiUnavailableError, ConvergenceError, DomainError, GpdParams,
                      InfiniteReturnError, ObservationCalendar,
                      SubThresholdReturnWarning)
 from flarevt._table import read_table
+from flarevt.gpd import SHAPE_SWITCH_TOL
 from flarevt.pipeline import PipelineConfig, return_period_grid
 from flarevt.returns import normal_quantile
 
@@ -60,42 +64,42 @@ BIT_PINS = {
                    '0x1.bb900dec1d78cp-9', '0x1.ca435ffe487a7p-10', '0x1.d86c921f60ecbp-9'),
             150.0: ('0x1.7e5e17228b352p-8', '0x1.17cc0f66163a7p-9', '0x1.b0af866e922e8p-10',
                     '0x1.48482654b8ef5p-7', '0x1.7d19b3ed05612p-9', '0x1.8cd9e629f2899p-7'),
-            1e4: ('0x1.36b0f9aa9990ep-6', '0x1.ab3821bf86d40p-7', '-0x1.afe74c3f7e4a0p-8',
-                  '0x1.6cade332895a2p-5', '0x1.4c03d427d6757p-8', '0x1.2e5332da7b692p-4'),
+            1e4: ('0x1.36b0f9aa9990ep-6', '0x1.ab3821bf86d3ep-7', '-0x1.afe74c3f7e49cp-8',
+                  '0x1.6cade332895a2p-5', '0x1.4c03d427d6759p-8', '0x1.2e5332da7b690p-4'),
         },
         {
-            45e-4: ('0x1.f99dece58678cp+5', '0x1.3a4ab87758166p+4', 'inf'),
-            200e-4: ('0x1.7c6ffcd7768bcp+13', '0x1.f0aa4e9e46c1ep+9', 'inf'),
+            45e-4: ('0x1.f99dece58678cp+5', '0x1.3a4ab87758c1dp+4', 'inf'),
+            200e-4: ('0x1.7c6ffcd7768bcp+13', '0x1.f0aa4e9e46c27p+9', 'inf'),
         },
-        "76e7878c8c5a4200f686a76f9dcf94d08cc1d7e30546c29adbed59239853e355"),
+        "9dbbae08e7dc77ed247635c69c5ea02d46f688bde5ee5ba4c94d74bf7d22a910"),
     "tight": (
         {
             10.0: ('0x1.4575d4774df9cp-9', '0x1.4d7de9f08d5dbp-14', '0x1.3108c61871197p-9',
                    '0x1.59e2e2d62ada1p-9', '0x1.31c337ff67b6ep-9', '0x1.5aa6a30a2f5cap-9'),
             150.0: ('0x1.7e5e17228b352p-8', '0x1.06b86086fcf0cp-12', '0x1.5e2f55e81a5f6p-8',
                     '0x1.9e8cd85cfc0aep-8', '0x1.5f9568f680047p-8', '0x1.a008f1fdb3ee4p-8'),
-            1e4: ('0x1.36b0f9aa9990ep-6', '0x1.64ce6946a43b9p-10', '0x1.0afbbc493270ap-6',
+            1e4: ('0x1.36b0f9aa9990ep-6', '0x1.64ce6946a43b8p-10', '0x1.0afbbc493270ap-6',
                   '0x1.6266370c00b12p-6', '0x1.0df89c4ee390bp-6', '0x1.65afc91b54ad0p-6'),
         },
         {
-            45e-4: ('0x1.f99dece58678cp+5', '0x1.91f2a0d0ac5c1p+5', '0x1.49fbc8223c10ep+6'),
-            200e-4: ('0x1.7c6ffcd7768bcp+13', '0x1.da798c3c1a315p+12', '0x1.60537c74e0399p+14'),
+            45e-4: ('0x1.f99dece58678cp+5', '0x1.91f2a0d0ac611p+5', '0x1.49fbc8223c0ffp+6'),
+            200e-4: ('0x1.7c6ffcd7768bcp+13', '0x1.da798c3c1a315p+12', '0x1.60537c74dfaafp+14'),
         },
-        "29d8559111ca30e8a84278ac32e089afe254501eca46df294a0eb5e424dff0d8"),
+        "95d9482139ae655f2e1ab6deecfaa001874895e1e89e60c4ae7d5e18d11a42dd"),
     "exponential": (
         {
             10.0: ('0x1.9796d398a7c02p-10', '0x1.ce7dc88656178p-13', '0x1.2647e7149ff18p-10',
                    '0x1.0472e00e57c76p-9', '0x1.3860e1f98e9d6p-10', '0x1.0ff199a866b84p-9'),
             150.0: ('0x1.3591ce146aa5fp-9', '0x1.40bde089e18bep-11', '0x1.30d168b76b11ep-10',
                     '0x1.d2bae7cd1fc2fp-9', '0x1.7e595405de790p-10', '0x1.0637f6922cee8p-8'),
-            1e4: ('0x1.d99b9545f76c1p-9', '0x1.a5a4946914358p-10', '0x1.e33e11e0f5918p-12',
-                  '0x1.bb67b427e8130p-8', '0x1.a1552dda5c9b5p-10', '0x1.246f4f25dbcd1p-7'),
+            1e4: ('0x1.d99b9545f76c1p-9', '0x1.a5a4946914355p-10', '0x1.e33e11e0f5930p-12',
+                  '0x1.bb67b427e812ep-8', '0x1.a1552dda5c9b7p-10', '0x1.246f4f25dbccfp-7'),
         },
         {
-            45e-4: ('0x1.7ec029b1f64b3p+17', '0x1.255e9996a7d44p+9', 'inf'),
+            45e-4: ('0x1.7ec029b1f64b3p+17', '0x1.255e9996a7f1fp+9', 'inf'),
             200e-4: ('0x1.8960770ed142fp+92', '0x1.8302467eea808p+29', 'inf'),
         },
-        "d508039e8c590b0cb63fa480e28a3740db646debe53c4ba4ea517a82d4eba9d7"),
+        "f67ec807902855885ab30d93a87b5947225f9f4b34d6d52a1ebdf8c037ee0ccf"),
     "bounded": (
         {
             10.0: ('0x1.34581b8c1d23ep-10', '0x1.124bf10d59d75p-13', '0x1.e2491379adcfap-11',
@@ -109,7 +113,7 @@ BIT_PINS = {
             45e-4: None,
             200e-4: None,
         },
-        "4ae7b695452141c957ee04efea142ba6c610a5150a22ff77d947448ef4cb0ff8"),
+        "cdce743d368e2c64c5d1ed7a13cb83b54165313874f159d5baa5ff7cde1c5832"),
 }
 
 
@@ -392,7 +396,7 @@ class TestBitExact:
 # 150-year return_level_ci and the X45 return_period_band (every replicate
 # at this seed has a covariance and a band).  The sha256 is over the
 # float.hex of every output and the fit's convergence counts.
-MONTE_CARLO_SHA256 = "cc2be0c2be09d6a067ccc105868e39e2cdf004cdb4f3a2f6ba64005be4abb572"
+MONTE_CARLO_SHA256 = "dec9ca6adf5d79f4e4600f51fd67175678fe32ce25359e967d7e33c709667cda"
 
 
 def _monte_carlo_path_text(replicates=200, seed=9):
@@ -420,18 +424,115 @@ def test_monte_carlo_path_bits_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == MONTE_CARLO_SHA256
 
 
-def test_quadratic_form_dot_rounds_as_matmul():
-    # _delta computes g' cov g as g.dot(cov).dot(g), which must reach the same
-    # BLAS gemv and ddot as g @ cov @ g: a BLAS that routes them apart fails
-    # here by name rather than through the bit pins
-    rng = np.random.default_rng(43)
-    for _ in range(10_000):
-        g = rng.normal(size=3) * 10.0 ** rng.uniform(-8.0, 8.0, 3)
-        cov = np.zeros((3, 3))
-        cov[0, 0] = 10.0 ** rng.uniform(-16.0, -4.0)   # the rate variance
-        a = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-6.0, 2.0)
-        cov[1:, 1:] = a @ a.T                          # the fit covariance
-        assert g.dot(cov).dot(g) == g @ cov @ g
+# The delta layer's branches: a negative shape, the exponential limit inside
+# SHAPE_SWITCH_TOL, shapes in (1e-6, 1e-3) where dx_m/dshape comes from its
+# power series, one whose |shape * log r| crosses the series' switch at 0.5
+# between 10 and 1e4 years, and a positive shape; a correlated covariance
+# adds the cross term of g' V g
+DELTA_SHAPES = [-0.2, 1e-7, 1e-5, 3.3e-4, 0.06, 0.26]
+DELTA_PERIODS = [0.5, 10.0, 150.0, 1e4, 1e7]
+CORRELATED_COV = np.array([[(0.3e-4) ** 2, -0.5 * 0.3e-4 * 0.09],
+                           [-0.5 * 0.3e-4 * 0.09, 0.09 ** 2]])
+
+
+def _decimal_std_error(fit, m, cal=ObservationCalendar()):
+    """sqrt(g' V g) at 40 digits from the exact values of the fit's floats."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        zeta, scale, shape = (Decimal(v) for v in (fit.exceedance_rate, fit.scale, fit.shape))
+        log_r = (Decimal(m) * Decimal(cal.obs_per_year) * zeta).ln()
+        if abs(fit.shape) < SHAPE_SWITCH_TOL:
+            g = (scale / zeta, log_r, scale * log_r * log_r / 2)
+        else:
+            rx = (shape * log_r).exp()
+            g = (scale * rx / zeta, (rx - 1) / shape,
+                 scale * (-(rx - 1) / shape ** 2 + rx * log_r / shape))
+        v = [[Decimal(x) for x in row] for row in fit.covariance.tolist()]
+        var = (zeta * (1 - zeta) / fit.n_total * g[0] ** 2
+               + sum(v[i][j] * g[i + 1] * g[j + 1] for i in range(2) for j in range(2)))
+        return float(var.sqrt())
+
+
+def _brentq_band(fit, level, cal=ObservationCalendar()):
+    """The period band's ends by scipy's brentq on the same gap and brackets."""
+    fixed, cov, z = returns._delta_inputs(fit, cal, 0.95)
+
+    def gap(log_m, side):
+        at, se = returns._delta(10.0 ** log_m, fixed, cov)
+        return at + side * z * se - level
+
+    m_hat = fv.return_period(fit, level, cal)
+    m_min = 1.0001 / (cal.obs_per_year * fit.exceedance_rate)
+    lo, mid, hi = (math.log10(m) for m in (m_min, max(m_hat, m_min * 1.01), 1e7))
+    m_lo = (m_min if gap(lo, 1.0) >= 0.0
+            else 10.0 ** brentq(gap, lo, mid, args=(1.0,), xtol=1e-12))
+    m_hi = (math.inf if gap(hi, -1.0) < 0.0
+            else 10.0 ** brentq(gap, mid, hi, args=(-1.0,), xtol=1e-12))
+    return m_hat, m_lo, m_hi
+
+
+class TestDeltaLayer:
+    @pytest.mark.parametrize("cov", [PAPER_COV, CORRELATED_COV], ids=["diagonal", "correlated"])
+    @pytest.mark.parametrize("shape", DELTA_SHAPES)
+    def test_std_error_matches_a_40_digit_reference(self, shape, cov):
+        fit = reference_fit(cov, shape)
+        for m in DELTA_PERIODS:
+            got, want = fv.return_level_ci(fit, m).std_error, _decimal_std_error(fit, m)
+            assert abs(got / want - 1.0) <= 1e-14, (m, got, want)
+
+    @pytest.mark.parametrize("cov", [PAPER_COV, CORRELATED_COV], ids=["diagonal", "correlated"])
+    @pytest.mark.parametrize("shape", DELTA_SHAPES)
+    def test_slopes_match_a_central_difference(self, shape, cov):
+        # r * d/dr is d/dlog(m): difference the level and standard error over
+        # log m +- 1e-5
+        fixed, v, _ = returns._delta_inputs(reference_fit(cov, shape), ObservationCalendar(), 0.95)
+        h = 1e-5
+        for m in DELTA_PERIODS:
+            _, _, level_slope, se_slope = returns._delta(m, fixed, v, slope=True)
+            up = returns._delta(m * math.exp(h), fixed, v)
+            down = returns._delta(m * math.exp(-h), fixed, v)
+            for got, plus, minus in ((level_slope, up[0], down[0]), (se_slope, up[1], down[1])):
+                want = (plus - minus) / (2.0 * h)
+                assert abs(got / want - 1.0) <= 1e-6, (m, got, want)
+
+    # the tight fit's bands end at finite upper roots, which mc_fit_study never reaches
+    @pytest.mark.parametrize("cov, shape, level", [
+        (PAPER_COV, 0.26, 45e-4), (PAPER_COV, 0.26, 200e-4), (PAPER_COV, 0.26, 3.6e-4),
+        (PAPER_COV / 100.0, 0.26, 45e-4), (PAPER_COV / 100.0, 0.26, 200e-4),
+        (CORRELATED_COV, 0.26, 45e-4), (PAPER_COV, 0.06, 45e-4), (PAPER_COV, 3.3e-4, 45e-4),
+        (PAPER_COV, 1e-5, 45e-4), (PAPER_COV, 1e-7, 45e-4), (PAPER_COV, -0.2, 1.5e-3),
+        (PAPER_COV / 100.0, -0.2, 1.5e-3)])
+    def test_band_ends_match_brentq(self, cov, shape, level):
+        fit = reference_fit(cov, shape)
+        got, want = fv.return_period_band(fit, level), _brentq_band(fit, level)
+        assert got[0] == want[0]
+        for g, w in zip(got[1:], want[1:]):
+            assert g == w == math.inf or abs(g / w - 1.0) <= 1e-10, (got, want)
+
+    def test_nan_band_raises_convergence_error(self):
+        fit = reference_fit(np.full((2, 2), math.nan))
+        with pytest.raises(ConvergenceError, match="no sign change"):
+            fv.return_period_band(fit, 45e-4)
+
+    def test_newton_gives_up_at_its_cap(self):
+        # finite values of opposite sign at the ends, NaN between them
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return (1.0, 1.0) if x == 1.0 else (math.nan, math.nan)
+
+        with pytest.raises(ConvergenceError, match="evaluations"):
+            returns._bracketed_newton(fn, 0.0, 1.0, -1.0, 1e-12)
+        assert len(calls) == returns._NEWTON_MAX_EVALS
+
+    def test_newton_finds_a_root_from_either_end(self):
+        def fn(x):
+            return x ** 3 - 2.0, 3.0 * x * x
+
+        for a, b in ((0.0, 2.0), (2.0, 0.0)):
+            root = returns._bracketed_newton(fn, a, b, fn(a)[0], 1e-12)
+            assert abs(root - 2.0 ** (1.0 / 3.0)) <= 1e-15
 
 
 class TestNonFinitePeriod:
