@@ -1,4 +1,5 @@
-"""The CSV table format of every artifact flarevt writes or reads.
+"""The CSV table format of every artifact flarevt writes or reads, and the
+typed values of its JSON documents (:func:`to_json`, :func:`from_json`).
 
 A table is a header line, then one line per row with comma-separated
 fields.  A float field is the shortest round-trip ``repr`` of its value,
@@ -8,7 +9,9 @@ or empty for NaN; an integer field is its decimal text; a stamp is
 
 from __future__ import annotations
 
+import typing
 from fractions import Fraction
+from numbers import Real
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -658,3 +661,61 @@ def read_table(data: str | bytes, header: str, kinds: dict) -> Table:
             raise  # pragma: no cover - unreachable
         columns.append(to_minutes(values, row_text, j) if kind.kind == "M" else values)
     return Table(tuple(columns), empty, row_text)
+
+
+# JSON documents.  A value's kind is float, int, bool or str; a list, tuple[X, ...]
+# or tuple[X, X, ...] of one length; X | None, X or null; or a layout, a dict
+# from key to kind, an object with those keys.
+
+def json_object(value, where: str, error=ParseError) -> dict:
+    """``value`` if it is a JSON object; ``error`` naming ``where`` if not."""
+    if not isinstance(value, dict):
+        raise error(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
+def to_json(kind, value):
+    """``value`` as JSON of declared ``kind``.  A layout's value is an object
+    with an attribute per key, a tuple kind's any sequence or array (its items
+    row-major), and a number is written as its kind's type."""
+    if isinstance(kind, dict):
+        return {key: to_json(item, getattr(value, key)) for key, item in kind.items()}
+    if type(None) in typing.get_args(kind):  # X | None
+        if value is None:
+            return None
+        kind, _ = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        return [to_json(typing.get_args(kind)[0], v) for v in np.ravel(value).tolist()]
+    return kind(value)
+
+
+def from_json(kind, value, where: str, error=ParseError):
+    """A JSON value as declared ``kind``, a layout's as a dict by key.  ``error``
+    names the key (``where.key[i]``) of a value of another type or length, or
+    of a layout's missing key; keys a layout does not name are left unread.  An
+    int takes only integral numbers, and no number takes ``true`` or ``false``."""
+    if isinstance(kind, dict):
+        doc = json_object(value, where, error)
+        for key in kind:
+            if key not in doc:
+                raise error(f"{where} has no key {key!r}")
+        return {key: from_json(item, doc[key], f"{where}.{key}", error)
+                for key, item in kind.items()}
+    if type(None) in typing.get_args(kind):  # X | None
+        if value is None:
+            return None
+        kind, _ = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        item, *rest = typing.get_args(kind)
+        length = "" if rest == [Ellipsis] else f" of length {1 + len(rest)}"
+        if not isinstance(value, (list, tuple)) or length and len(value) != 1 + len(rest):
+            raise error(f"{where} must be a list{length}, got {value!r}")
+        return tuple(from_json(item, v, f"{where}[{i}]", error) for i, v in enumerate(value))
+    if kind is str or kind is bool:
+        ok = isinstance(value, kind)
+    else:  # int or float; an int takes only integral numbers
+        ok = (isinstance(value, Real) and not isinstance(value, bool)
+              and (kind is float or isinstance(value, int) or float(value).is_integer()))
+    if not ok:
+        raise error(f"{where} must be of type {kind.__name__}, got {value!r}")
+    return kind(value)

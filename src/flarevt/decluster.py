@@ -12,13 +12,14 @@ sequence quantifies how much serial dependence survives a given gap.
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from . import ingest
-from ._table import check_nonnegative, read_table, table_text
+from ._table import check_nonnegative, from_json, json_object, read_table, table_text, to_json
 from .errors import DomainError, InsufficientDataError, ParseError, ZeroVarianceError
 from .ingest import FluxSeries
 
@@ -99,14 +100,13 @@ class EventCatalog:
         return table_text(_CSV_HEADER, *(getattr(self, name) for name in _COLUMNS))
 
     def to_json_dict(self) -> dict:
-        return {
-            "decluster_threshold": float(self.decluster_threshold),
-            "gap_minutes": int(self.gap_minutes),
-            "n_events": len(self),
-            "n_total_observations": int(self.n_total_observations),
-            "span_years": float(self.span_years),
-            "missing_minutes_policy": self.missing_minutes_policy,
-        }
+        return {**to_json(_META_JSON, self), "n_events": len(self)}
+
+
+# catalog.json: each field of EventCatalog's that is not an event column, as
+# its declared kind, and the event count, which is written and not read
+_META_JSON = {name: kind for name, kind in typing.get_type_hints(EventCatalog).items()
+              if name not in _COLUMNS}
 
 
 def catalog_from_files(csv_data: str | bytes, meta: dict) -> EventCatalog:
@@ -114,26 +114,14 @@ def catalog_from_files(csv_data: str | bytes, meta: dict) -> EventCatalog:
 
     A malformed table, or a peak flux that is not finite and >= 0, raises
     ParseError naming its 1-based line, and a missing or ill-typed metadata
-    value raises ParseError naming the key or the metadata.
+    value raises ParseError naming its key; a missing policy is the default.
     """
     columns, empty, row_text = read_table(csv_data, _CSV_HEADER, _COLUMNS)
     if np.any(empty):
         raise ParseError("bad peak_fluxes value ''", row_text(int(np.argmax(empty)))[0])
     check_nonnegative(columns[1], row_text, 1, "peak_flux")
-    try:
-        return EventCatalog(
-            *columns,
-            decluster_threshold=float(meta["decluster_threshold"]),
-            gap_minutes=int(meta["gap_minutes"]),
-            n_total_observations=int(meta["n_total_observations"]),
-            span_years=float(meta["span_years"]),
-            missing_minutes_policy=str(meta.get("missing_minutes_policy",
-                                                MISSING_MINUTES_POLICY)),
-        )
-    except KeyError as exc:
-        raise ParseError(f"catalog metadata has no key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad catalog metadata: {exc}") from None
+    meta = {"missing_minutes_policy": MISSING_MINUTES_POLICY, **json_object(meta, "catalog")}
+    return EventCatalog(*columns, **from_json(_META_JSON, meta, "catalog"))
 
 
 def decluster(series: FluxSeries, threshold: float = DEFAULT_THRESHOLD,

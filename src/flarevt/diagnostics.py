@@ -37,7 +37,6 @@ class MrlCurve:
     mean_excess: np.ndarray
     ci_halfwidth: np.ndarray
     n_exceed: np.ndarray
-    ci_level: float
 
     def __post_init__(self):
         u0 = np.asarray(self.u0, dtype=np.float64)
@@ -122,8 +121,7 @@ def mean_excess_curve(peaks, u_grid=None, ci_level: float = 0.95) -> MrlCurve:
         half_out.append(z * s / np.sqrt(n))
         n_out.append(n)
     return MrlCurve(np.array(u0_out), np.array(mean_out),
-                    np.array(half_out), np.array(n_out, dtype=np.int64),
-                    ci_level=ci_level)
+                    np.array(half_out), np.array(n_out, dtype=np.int64))
 
 
 def probability_plot(fit: GpdFit, excesses) -> ProbabilityPlot:

@@ -15,11 +15,13 @@ not identifiable from excess data and has no field here.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
+from ._table import from_json, to_json
 from .errors import ConvergenceError, DomainError, InsufficientDataError, ParseError
 
 __all__ = [
@@ -123,6 +125,14 @@ class GpdFit:
     def exceedance_rate(self) -> float:
         """Fraction of observations exceeding the threshold."""
         return self.n_excesses / self.n_total
+
+
+# fit.json: each key is the GpdFit attribute of that name, as its kind: the
+# covariance row-major, the convergence block as FitConvergence declares it
+_FIT_JSON = {"threshold": float, "scale": float, "shape": float,
+             "covariance": tuple[float, float, float, float] | None,
+             "std_errors": tuple[float, float] | None, "n_excesses": int, "n_total": int,
+             "log_likelihood": float, "convergence": typing.get_type_hints(FitConvergence)}
 
 
 def _as_excess_array(y) -> np.ndarray:
@@ -490,56 +500,16 @@ def fit_gpd(excesses, *, threshold: float = 0.0, n_total: int | None = None,
 
 def fit_to_json_dict(fit: GpdFit) -> dict:
     """JSON-ready dict: covariance row-major, diagnostics inlined."""
-    return {
-        "threshold": float(fit.threshold),
-        "scale": float(fit.scale),
-        "shape": float(fit.shape),
-        "covariance": None if fit.covariance is None
-        else [float(v) for v in np.asarray(fit.covariance).ravel()],
-        "std_errors": None if fit.std_errors is None
-        else [float(v) for v in fit.std_errors],
-        "n_excesses": int(fit.n_excesses),
-        "n_total": int(fit.n_total),
-        "log_likelihood": float(fit.log_likelihood),
-        "convergence": {
-            "converged": fit.convergence.converged,
-            "iterations": fit.convergence.iterations,
-            "function_evals": fit.convergence.function_evals,
-            "restarts": fit.convergence.restarts,
-            "message": fit.convergence.message,
-        },
-    }
-
-
-def _std_errors(values) -> tuple[float, float]:
-    pair = np.array(values, dtype=float)
-    if pair.shape != (2,):
-        raise ValueError(f"std_errors must be two numbers, got {values!r}")
-    return tuple(pair.tolist())
+    return to_json(_FIT_JSON, fit)
 
 
 def fit_from_json_dict(doc: dict) -> GpdFit:
     """The fit a ``fit_to_json_dict`` document describes; ParseError for a bad document."""
+    values = from_json(_FIT_JSON, doc, "fit")
+    cov, convergence = values.pop("covariance"), values.pop("convergence")
     try:
-        conv = doc["convergence"]
-        cov = doc["covariance"]
-        return GpdFit(
-            threshold=float(doc["threshold"]),
-            params=GpdParams(float(doc["scale"]), float(doc["shape"])),
-            covariance=None if cov is None else np.array(cov, float).reshape(2, 2),
-            std_errors=None if doc["std_errors"] is None else _std_errors(doc["std_errors"]),
-            n_excesses=int(doc["n_excesses"]),
-            n_total=int(doc["n_total"]),
-            log_likelihood=float(doc["log_likelihood"]),
-            convergence=FitConvergence(
-                converged=bool(conv["converged"]),
-                iterations=int(conv["iterations"]),
-                function_evals=int(conv["function_evals"]),
-                restarts=int(conv["restarts"]),
-                message=str(conv["message"]),
-            ),
-        )
-    except KeyError as exc:
-        raise ParseError(f"fit document has no key {exc}") from None
-    except (TypeError, ValueError) as exc:
+        params = GpdParams(values.pop("scale"), values.pop("shape"))
+        return GpdFit(params=params, covariance=None if cov is None else np.reshape(cov, (2, 2)),
+                      convergence=FitConvergence(**convergence), **values)
+    except DomainError as exc:  # a value out of its domain, as a scale <= 0
         raise ParseError(f"bad fit document: {exc}") from None

@@ -19,15 +19,15 @@ import math
 import os
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, is_dataclass, replace
-from numbers import Real
+from dataclasses import dataclass, is_dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
-from ._table import check_nonnegative, read_table, table_text
+from ._table import (check_nonnegative, from_json, json_object, read_table, table_text,
+                     to_json)
 from .decluster import (DEFAULT_GAP_MINUTES, DEFAULT_THRESHOLD, EventCatalog,
                         GapSweepCurve, checked_gaps, checked_rule, decluster, gap_sweep)
 from .diagnostics import (MrlCurve, ProbabilityPlot, default_threshold_grid,
@@ -120,7 +120,7 @@ class PipelineConfig:
     def from_dict(cls, doc: dict) -> "PipelineConfig":
         """The config a JSON document describes; its ``inputs`` are left to
         :meth:`from_json_file`."""
-        doc = {key: value for key, value in _object(doc, "config").items()
+        doc = {key: value for key, value in json_object(doc, "config", DomainError).items()
                if key != "inputs"}
         return cls(**_fields_from_json(cls, doc, "config"))
 
@@ -144,7 +144,7 @@ def coerce_input_spec(entry, default_ingest: IngestConfig) -> InputSpec:
     """Accept a bare path or a {path, overrides...} mapping."""
     if isinstance(entry, (str, os.PathLike)):
         return InputSpec(str(entry), default_ingest)
-    overrides = dict(_object(entry, "input"))
+    overrides = dict(json_object(entry, "input", DomainError))
     path = overrides.pop("path", None)
     if not isinstance(path, str):
         raise DomainError(f"an input needs a 'path' string, got {entry!r}")
@@ -156,69 +156,44 @@ def coerce_input_spec(entry, default_ingest: IngestConfig) -> InputSpec:
 # config documents, derived from the dataclass fields
 # ---------------------------------------------------------------------------
 
-def _object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise DomainError(f"{where} must be a JSON object, got {value!r}")
-    return value
-
-
 def _to_json(tp, value):
     """``value`` of declared type ``tp`` as JSON, numbers as their declared type."""
-    if is_dataclass(tp):
-        hints = typing.get_type_hints(tp)
-        doc: dict = {}
-        for f in fields(tp):
-            *group, key = _NESTED_PATH.get(f.name, (f.name,))
-            target = doc.setdefault(group[0], {}) if group else doc
-            target[key] = _to_json(hints[f.name], getattr(value, f.name))
-        return doc
-    if typing.get_origin(tp) is tuple:
-        return [_to_json(typing.get_args(tp)[0], item) for item in value]
-    return tp(value)
+    if not is_dataclass(tp):
+        return to_json(tp, value)
+    doc: dict = {}
+    for name, kind in typing.get_type_hints(tp).items():
+        *group, key = _NESTED_PATH.get(name, (name,))
+        target = doc.setdefault(group[0], {}) if group else doc
+        target[key] = _to_json(kind, getattr(value, name))
+    return doc
 
 
 def _fields_from_json(cls, doc, where: str) -> dict:
     """Keyword arguments for dataclass ``cls`` from its JSON object.
 
-    Each value is coerced to its field's declared type; a key naming no
-    field is rejected.
+    Each value is read as its field's declared type, a dataclass from its
+    own object; a key naming no field is rejected.
     """
     hints = typing.get_type_hints(cls)
-    field_at = {_NESTED_PATH.get(f.name, (f.name,)): f.name for f in fields(cls)}
+    field_at = {_NESTED_PATH.get(name, (name,)): name for name in hints}
     groups = {path[0] for path in field_at if len(path) == 2}
     leaves = []
-    for key, value in _object(doc, where).items():
+    for key, value in json_object(doc, where, DomainError).items():
         if key in groups:
             leaves.extend(((key, sub), item) for sub, item
-                          in _object(value, f"{where}.{key}").items())
+                          in json_object(value, f"{where}.{key}", DomainError).items())
         else:
             leaves.append(((key,), value))
     unknown = sorted(".".join(path) for path, _ in leaves if path not in field_at)
     if unknown:
         raise DomainError(f"unknown keys in {where}: {unknown}")
-    return {field_at[path]: _from_json(hints[field_at[path]], value,
-                                       ".".join((where,) + path))
-            for path, value in leaves}
-
-
-def _from_json(tp, value, where: str):
-    """A JSON value as declared type ``tp``; a value of another type is rejected."""
-    if is_dataclass(tp):
-        return tp(**_fields_from_json(tp, value, where))
-    if typing.get_origin(tp) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise DomainError(f"{where} must be a list, got {value!r}")
-        item_type = typing.get_args(tp)[0]
-        return tuple(_from_json(item_type, item, f"{where}[{i}]")
-                     for i, item in enumerate(value))
-    if tp is str:
-        ok = isinstance(value, str)
-    else:  # int or float; an int field takes only integral numbers
-        ok = (isinstance(value, Real) and not isinstance(value, bool)
-              and (tp is float or float(value).is_integer()))
-    if not ok:
-        raise DomainError(f"{where} must be of type {tp.__name__}, got {value!r}")
-    return tp(value)
+    kwargs = {}
+    for path, value in leaves:
+        name, at = field_at[path], ".".join((where,) + path)
+        kind = hints[name]
+        kwargs[name] = (kind(**_fields_from_json(kind, value, at)) if is_dataclass(kind)
+                        else from_json(kind, value, at, DomainError))
+    return kwargs
 
 
 # ---------------------------------------------------------------------------

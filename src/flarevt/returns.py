@@ -72,7 +72,11 @@ def _level(threshold: float, scale: float, shape: float, r: float) -> float:
     """Level exceeded on average once per ``r`` expected exceedances."""
     if abs(shape) < SHAPE_SWITCH_TOL:
         return threshold + scale * math.log(r)
-    return threshold + (scale / shape) * (r ** shape - 1.0)
+    try:
+        return threshold + (scale / shape) * (r ** shape - 1.0)
+    except OverflowError:
+        raise DomainError(f"the level exceeded once per {r:g} expected exceedances is "
+                          "beyond the largest double") from None
 
 
 def return_level(fit: GpdFit, m: float,
@@ -208,6 +212,8 @@ def _delta(m: float, fixed: tuple, cov: tuple, slope: bool = False):
     var_zeta, var_scale, cov_scale_shape, var_shape = cov
     var = (var_zeta * g_zeta * g_zeta + var_scale * g_scale * g_scale
            + 2.0 * cov_scale_shape * g_scale * g_shape + var_shape * g_shape * g_shape)
+    if not var < math.inf and all(map(math.isfinite, cov)):  # a gradient term overflowed
+        raise DomainError(f"the {m:g}-year level's standard error is beyond the largest double")
     se = math.sqrt(max(var, 0.0))
     if not slope:
         return level, se
@@ -291,7 +297,6 @@ class ReturnLevelCurve:
     ci_high: np.ndarray
     asym_low: np.ndarray
     asym_high: np.ndarray
-    ci_level: float
 
     def to_csv_text(self) -> str:
         return table_text("m_years,level,ci_low,ci_high,asym_ci_low,asym_ci_high",
@@ -319,7 +324,7 @@ def return_curve(fit: GpdFit, m_grid,
     cis = [_interval(m, fixed, cov, z, ci_level) for m in grid.tolist()]
     columns = (np.array([getattr(ci, name) for ci in cis])
                for name in ("level", "low", "high", "asym_low", "asym_high"))
-    return ReturnLevelCurve(grid, *columns, ci_level)
+    return ReturnLevelCurve(grid, *columns)
 
 
 # even bisection alone narrows the band's widest bracket, 8 decades of m,

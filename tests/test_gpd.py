@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import time
 import warnings
@@ -10,7 +12,7 @@ from scipy.optimize import minimize
 
 import flarevt as fv
 from flarevt import (ConvergenceError, DomainError, FitConvergence, GpdParams,
-                     InsufficientDataError, gpd)
+                     InsufficientDataError, ParseError, gpd)
 from flarevt.gpd import (_P_COEF, _Q_COEF, _SERIES_TOL, MIN_EXCESSES, SHAPE_SWITCH_TOL,
                          _covariance, _loglik_derivatives, fit_from_json_dict,
                          fit_to_json_dict)
@@ -285,6 +287,20 @@ class TestFit:
         assert -1.0 < fit.shape < 0.0
         assert fit.covariance is not None
         assert all(np.isfinite(fit.std_errors)) and min(fit.std_errors) > 0.0
+
+    @pytest.mark.parametrize("limit,value,reason", [
+        ("_MAX_HALVINGS", 0, "no step raised the likelihood"),
+        ("_MAX_ITER", 1, "no convergence in 1 iterations"),
+    ])
+    def test_exhausted_search_raises_with_its_reason(self, limit, value, reason, monkeypatch):
+        monkeypatch.setattr(gpd, limit, value)
+        y = fv.gpd_sample(GpdParams(1.0, 0.2), 200, seed=6)
+        with pytest.raises(ConvergenceError, match="did not converge") as caught:
+            fv.fit_gpd(y)
+        diagnostics = caught.value.diagnostics
+        assert not diagnostics.converged
+        assert diagnostics.message.startswith(f"{reason}; last iterate scale=")
+        assert diagnostics.iterations == 1
 
     def test_pinned_shape_at_or_below_minus_one_raises(self):
         y = fv.gpd_sample(GpdParams(1.0, -0.3), 200, seed=3)
@@ -642,3 +658,33 @@ class TestSerialization:
         assert back.n_excesses == fit.n_excesses
         np.testing.assert_array_equal(back.covariance, fit.covariance)
         assert back.convergence == fit.convergence
+
+    def test_fit_without_covariance_reads_back_equal(self):
+        y = fv.gpd_sample(GpdParams(1.0, 0.2), 200, seed=6)
+        fit = dataclasses.replace(fv.fit_gpd(y, threshold=0.5, n_total=1000),
+                                  covariance=None, std_errors=None)
+        doc = json.loads(json.dumps(fit_to_json_dict(fit)))
+        assert doc["covariance"] is None and doc["std_errors"] is None
+        back = fit_from_json_dict(doc)
+        assert back.covariance is None and back.std_errors is None
+        assert fit_to_json_dict(back) == doc
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("n_total", True, "fit.n_total must be of type int, got True"),
+        ("covariance", [1.0, 0.0, 0.0, [1.0]], r"fit.covariance\[3\] must be of type float"),
+        ("std_errors", [1.0], r"fit.std_errors must be a list of length 2, got \[1.0\]"),
+        ("convergence", {"converged": 1}, "fit.convergence.converged must be of type bool"),
+        ("convergence", {"iterations": 3.5}, "fit.convergence.iterations must be of type int"),
+        ("convergence", {"message": None}, "fit.convergence.message must be of type str"),
+    ])
+    def test_ill_typed_value_names_its_key(self, key, value, message):
+        doc = fit_to_json_dict(fv.fit_gpd(fv.gpd_sample(GpdParams(1.0, 0.2), 200, seed=6)))
+        if key == "convergence":
+            value = {**doc["convergence"], **value}
+        with pytest.raises(ParseError, match=message):
+            fit_from_json_dict({**doc, key: value})
+
+    def test_integral_float_count_reads_as_int(self):
+        doc = fit_to_json_dict(fv.fit_gpd(fv.gpd_sample(GpdParams(1.0, 0.2), 200, seed=6)))
+        back = fit_from_json_dict({**doc, "n_total": 200.0})
+        assert type(back.n_total) is int and back.n_total == 200

@@ -407,12 +407,33 @@ class TestCliStages:
         ("fit", "catalog.csv", lambda text: text.replace("peak_time", "peak_t\udce9me"),
          "line 1: invalid UTF-8 byte 0xe9"),
         ("fit", "catalog.json", lambda text: json_text({**json.loads(text), "span_years": "x"}),
-         "bad catalog metadata: could not convert string to float: 'x'"),
-        ("returns", "fit.json", lambda text: json_text([json.loads(text)]), "bad fit document"),
+         "catalog.span_years must be of type float, got 'x'"),
+        ("fit", "catalog.json", lambda text: json_text({**json.loads(text), "gap_minutes": 15.9}),
+         "catalog.gap_minutes must be of type int, got 15.9"),
+        ("diagnose", "catalog.json",
+         lambda text: json_text({**json.loads(text), "n_total_observations": True}),
+         "catalog.n_total_observations must be of type int, got True"),
+        ("fit", "catalog.json", lambda text: json_text([json.loads(text)]),
+         "catalog must be a JSON object, got [{"),
+        ("returns", "fit.json", lambda text: json_text([json.loads(text)]),
+         "fit must be a JSON object, got [{"),
         ("returns", "fit.json", lambda text: json_text({**json.loads(text), "scale": "x"}),
-         "bad fit document: could not convert string to float: 'x'"),
+         "fit.scale must be of type float, got 'x'"),
         ("returns", "fit.json", lambda text: json_text({**json.loads(text), "std_errors": "xy"}),
-         "bad fit document: could not convert string to float: 'xy'"),
+         "fit.std_errors must be a list of length 2, got 'xy'"),
+        ("returns", "fit.json", lambda text: json_text({**json.loads(text), "n_excesses": 171.5}),
+         "fit.n_excesses must be of type int, got 171.5"),
+        ("diagnose", "fit.json", lambda text: json_text({**json.loads(text), "n_total": "1000000"}),
+         "fit.n_total must be of type int, got '1000000'"),
+        ("returns", "fit.json", lambda text: json_text(
+            {**json.loads(text), "convergence": {**json.loads(text)["convergence"],
+                                                 "converged": "false"}}),
+         "fit.convergence.converged must be of type bool, got 'false'"),
+        ("returns", "fit.json", lambda text: json_text(
+            {**json.loads(text), "covariance": [[1e-10, 0.0], [0.0, 1e-2]]}),
+         "fit.covariance must be a list of length 4, got [[1e-10, 0.0], [0.0, 0.01]]"),
+        ("returns", "fit.json", lambda text: json_text({**json.loads(text), "scale": -1.0}),
+         "bad fit document: scale must be finite and > 0, got -1.0"),
         ("fit", "catalog.csv", lambda text: text.replace("peak_time,", "peak,"),
          "line 1: expected header"),
         ("diagnose", "catalog.csv", lambda text: text.replace(":00Z,0.0002", ":30Z,0.0002"),
@@ -471,6 +492,22 @@ class TestCliStages:
         err = capsys.readouterr().err
         assert err == "error: level 1e+300 has a return period beyond the largest double\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("option,value,message", [
+        ("--level", "45e-4", "error: the level exceeded once per "),
+        ("--years", "150", "error: the 150-year level's standard error is beyond "),
+    ])
+    def test_returns_past_a_double_fails_the_stage(self, option, value, message, tmp_path,
+                                                   capsys):
+        # a large positive shape: the level or its standard error overflows a double
+        _write_stage_inputs(tmp_path)
+        doc = json.loads((tmp_path / "fit.json").read_text())
+        (tmp_path / "fit.json").write_text(json_text({**doc, "threshold": 1e-4, "shape": 45.0}))
+        assert main(["returns", "--fit", str(tmp_path / "fit.json"), option, value]
+                    ) == STAGE_EXIT_CODES["returns"]
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert err.endswith("is beyond the largest double\n")
 
     def test_python_dash_m_runs_the_cli(self):
         env = {**os.environ, "PYTHONPATH": str(Path(fv.__file__).parents[1])}  # src/
@@ -590,6 +627,40 @@ class TestCliRun:
                      "--fixed-clock"]) == 0
         assert (tmp_path / "flarevt_out" / "report.json").is_file()
 
+    def test_per_input_ingest_overrides(self, synth_csv, tmp_path, capsys):
+        # each input's own divisor scales that file alone, and ingest.json records it
+        lines = Path(synth_csv).read_text().splitlines()
+        half = len(lines) // 2
+        paths = (tmp_path / "early.csv", tmp_path / "late.csv")
+        paths[0].write_text("\n".join(lines[:half]) + "\n")
+        paths[1].write_text("\n".join([lines[0]] + lines[half:]) + "\n")
+        divisors = (0.5, 2.0)
+        doc = {"ingest": {"scaling_divisor": 1.0, "saturation_level": 1.0},
+               "gpd_threshold": 1e-4,
+               "inputs": [{"path": str(path), "scaling_divisor": divisor}
+                          for path, divisor in zip(paths, divisors)]}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out),
+                     "--fixed-clock"]) == 0
+        infos = json.loads((out / "ingest.json").read_text())["files"]
+        assert [(info["file"], info["scaling_divisor"]) for info in infos] == [
+            ("early.csv", 0.5), ("late.csv", 2.0)]
+        raw = [fv.read_flux_csv(path) for path in paths]
+        series = fv.read_flux_csv(out / "series.csv")
+        np.testing.assert_array_equal(
+            series.timestamps, np.concatenate([r.timestamps for r in raw]))
+        np.testing.assert_array_equal(
+            series.flux, np.concatenate([r.flux / d for r, d in zip(raw, divisors)]))
+
+        doc["inputs"][1]["divisor"] = 2.0
+        config_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "bad")]) == 2
+        assert capsys.readouterr().err == "error: unknown keys in input: ['divisor']\n"
+        assert not (tmp_path / "bad").exists()
+
     def test_out_dir_in_config_is_usage_error(self, synth_csv, tmp_path, capsys):
         # the output directory is run_pipeline's argument and --out, not a config key
         config_path = tmp_path / "config.json"
@@ -647,6 +718,7 @@ class TestCliRun:
         {"ingest": {"missing_sentinels": [float("nan")]}},
         {"sweep_gaps": {"hi": 2**63}},
         {"sweep_gaps": {"hi": 10**20}},
+        {"sweep_gaps": {"hi": 10**400}},  # past a double: an integer, refused by its range
         {"sweep_gaps": {"lo": 10**20, "hi": 10**20}},
         {"sweep_gaps": {"lo": 0}},
         {"sweep_gaps": {"lo": 5, "hi": 4}},
@@ -807,6 +879,16 @@ class TestConfig:
         assert huge["x1e+304_return_period"]["note"] == (
             "level 1e+300 has a return period beyond the largest double")
         assert huge["x45_return_period"] == rows["x45_return_period"]
+
+    def test_band_past_a_double_is_a_note(self):
+        fit = fv.fit_gpd(fv.gpd_sample(fv.GpdParams(3e-4, 0.2), 300, seed=5),
+                         threshold=3.5e-4, n_total=1_000_000)
+        rows = build_scenarios(replace(fit, params=fv.GpdParams(fit.scale, 45.0)),
+                               PipelineConfig(scenario_years=()))
+        for key in ("x45_return_period", "x200_return_period"):
+            assert rows[key]["note"].startswith("the level exceeded once per ")
+            assert rows[key]["note"].endswith(" is beyond the largest double")
+            assert "return_period_years" not in rows[key]
 
     def test_untyped_error_fails_the_returns_stage(self, synth_csv, tmp_path, monkeypatch):
         # only the library's typed errors become a scenario note

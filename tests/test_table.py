@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 from decimal import Decimal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 import flarevt as fv
 from flarevt import ParseError
 from flarevt.decluster import MISSING_MINUTES_POLICY, EventCatalog, catalog_from_files
-from flarevt._table import (_decimal_values, _shortest_digits, read_floats, table_bytes,
-                            table_text)
+from flarevt._table import (_decimal_values, _shortest_digits, from_json, read_floats,
+                            table_bytes, table_text, to_json)
 from flarevt.pipeline import excesses_from_csv_text, excesses_to_csv_text
 
 from helpers import FLOAT_TEXTS, make_series
@@ -105,6 +106,78 @@ class TestCatalogErrors:
         text = CATALOG_HEADER + "\n\n" + self.ROW.replace("0.0002", "")
         with pytest.raises(ParseError, match="line 3: bad peak_fluxes value ''"):
             catalog_from_files(text, self.META)
+
+
+class TestCatalogMetadata:
+    def test_reads_back_equal_without_a_policy(self):
+        catalog = _catalog([(0, 0, 3, 2e-4, 4)])
+        meta = _meta(catalog)
+        assert meta == {"decluster_threshold": 1e-4, "gap_minutes": 15, "n_events": 1,
+                        "n_total_observations": 1000, "span_years": 0.5,
+                        "missing_minutes_policy": MISSING_MINUTES_POLICY}
+        del meta["missing_minutes_policy"]
+        back = catalog_from_files(catalog.to_csv_text(), meta)
+        assert back == catalog and back.missing_minutes_policy == MISSING_MINUTES_POLICY
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("n_total_observations", 1e3 + 0.5, "catalog.n_total_observations must be of type int"),
+        ("span_years", "0.5", "catalog.span_years must be of type float, got '0.5'"),
+        ("missing_minutes_policy", 1, "catalog.missing_minutes_policy must be of type str"),
+    ])
+    def test_ill_typed_value_names_its_key(self, key, value, message):
+        with pytest.raises(ParseError, match=message):
+            catalog_from_files(CATALOG_HEADER + "\n", {**TestCatalogErrors.META, key: value})
+
+    def test_missing_key_and_non_object_are_named(self):
+        meta = {k: v for k, v in TestCatalogErrors.META.items() if k != "gap_minutes"}
+        with pytest.raises(ParseError, match="catalog has no key 'gap_minutes'"):
+            catalog_from_files(CATALOG_HEADER + "\n", meta)
+        with pytest.raises(ParseError, match=r"catalog must be a JSON object, got \[\]"):
+            catalog_from_files(CATALOG_HEADER + "\n", [])
+
+
+class TestJsonKinds:
+    LAYOUT = {"count": int, "ratio": float, "flag": bool, "name": str,
+              "pair": tuple[float, float] | None, "items": tuple[str, ...],
+              "block": {"inner": int}}
+
+    def test_values_read_as_their_kind_and_write_back(self):
+        doc = {"count": 3.0, "ratio": 1, "flag": False, "name": "x", "pair": None,
+               "items": ["a", "b"], "block": {"inner": 10 ** 400}, "unread": object()}
+        values = from_json(self.LAYOUT, doc, "doc")
+        assert values == {"count": 3, "ratio": 1.0, "flag": False, "name": "x", "pair": None,
+                          "items": ("a", "b"), "block": {"inner": 10 ** 400}}
+        assert type(values["count"]) is int and type(values["ratio"]) is float
+        as_object = SimpleNamespace(**{**values, "block": SimpleNamespace(inner=1)})
+        assert to_json(self.LAYOUT, as_object) == {
+            "count": 3, "ratio": 1.0, "flag": False, "name": "x", "pair": None,
+            "items": ["a", "b"], "block": {"inner": 1}}
+
+    def test_a_tuple_kind_writes_an_array_row_major(self):
+        kind = tuple[float, float, float, float] | None
+        assert to_json(kind, np.array([[1.0, 2.0], [3.0, 4.0]])) == [1.0, 2.0, 3.0, 4.0]
+        assert from_json(kind, [1, 2, 3, 4], "cov") == (1.0, 2.0, 3.0, 4.0)
+
+    @pytest.mark.parametrize("kind,value,message", [
+        (int, True, "v must be of type int, got True"),
+        (float, False, "v must be of type float, got False"),
+        (int, 1.5, "v must be of type int, got 1.5"),
+        (int, math.inf, "v must be of type int, got inf"),
+        (bool, 0, "v must be of type bool, got 0"),
+        (str, None, "v must be of type str, got None"),
+        (tuple[float, ...], "ab", "v must be a list, got 'ab'"),
+        (tuple[float, float] | None, [1.0, 2.0, 3.0], "v must be a list of length 2"),
+        (tuple[str, ...], ["a", 1], r"v\[1\] must be of type str, got 1"),
+        ({"k": int}, {}, "v has no key 'k'"),
+        ({"k": int}, {"k": {}}, "v.k must be of type int"),
+    ])
+    def test_a_value_of_another_kind_is_refused_by_key(self, kind, value, message):
+        with pytest.raises(ParseError, match=message):
+            from_json(kind, value, "v")
+
+    def test_the_error_type_is_the_callers(self):
+        with pytest.raises(fv.DomainError, match="v must be a JSON object, got 1"):
+            from_json({"k": int}, 1, "v", fv.DomainError)
 
 
 def _repr_lines(values) -> str:
