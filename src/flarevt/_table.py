@@ -1,5 +1,6 @@
-"""The CSV table format of every artifact flarevt writes or reads, and the
-typed values of its JSON documents (:func:`to_json`, :func:`from_json`).
+"""The CSV table format of every artifact flarevt writes or reads, the records
+that hold its tables (:class:`TableRecord`), and the typed values of its JSON
+documents (:func:`to_json`, :func:`from_json`).
 
 A table is a header line, then one line per row with comma-separated
 fields.  A float field is the shortest round-trip ``repr`` of its value,
@@ -10,13 +11,14 @@ or empty for NaN; an integer field is its decimal text; a stamp is
 from __future__ import annotations
 
 import typing
+from dataclasses import fields
 from fractions import Fraction
 from numbers import Real
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import EmptyInputError, ParseError
+from .errors import DomainError, EmptyInputError, ParseError
 
 # Shortest round-trip float text for a whole array at once.  A float x in
 # [1e-290, 1e290) with decimal exponent e (10**e <= x < 10**(e+1)) is scaled
@@ -569,6 +571,40 @@ def table_bytes(*columns: np.ndarray) -> bytes:
 def table_text(header: str, *columns: np.ndarray) -> str:
     """A whole table: its header line and a line for each row."""
     return header + "\n" + table_bytes(*columns).decode("ascii")
+
+
+def _same(a, b) -> bool:
+    """Equal field values: arrays by dtype and values, NaN equal to NaN and NaT to NaT."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return type(a) is type(b) and a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+    return a == b or (a != a and b != b)
+
+
+class Record:
+    """A frozen dataclass, declared with ``eq=False``, that compares by value field
+    by field (:func:`_same`); it holds arrays, so it is not hashable."""
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+class TableRecord(Record):
+    """A record written as a CSV table: ``HEADER`` is its header, and ``COLUMNS`` maps
+    each column's field, in CSV order, to its dtype, which the field holds as a read-only
+    copy; all of one length.  Neither is annotated, or get_type_hints would list it."""
+
+    def __post_init__(self):
+        columns = [np.array(getattr(self, name), dtype=t) for name, t in self.COLUMNS.items()]
+        if any(column.ndim != 1 or column.shape != columns[0].shape for column in columns):
+            raise DomainError(f"{type(self).__name__} columns must be parallel 1-d arrays")
+        for name, column in zip(self.COLUMNS, columns):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    def to_csv_text(self) -> str:
+        return table_text(self.HEADER, *(getattr(self, name) for name in self.COLUMNS))
 
 
 class Table(NamedTuple):

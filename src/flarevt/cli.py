@@ -130,24 +130,33 @@ def _load_catalog(events_path, meta_path):
     return catalog_from_files(Path(events_path).read_bytes(), read_json(meta_path))
 
 
+def _usage(message: str) -> int:
+    """A usage error: ``message`` on stderr, and exit 2."""
+    print(message, file=sys.stderr)
+    return 2
+
+
 def _cmd_fit(args) -> int:
     if args.excesses:
+        if args.meta:
+            return _usage("fit: --meta goes with --events; with --excesses, --n-total "
+                          "gives the observation count")
+        if args.out_excesses:
+            return _usage("fit: --out-excesses goes with --events; --excesses is an "
+                          "excess list already")
         excesses = excesses_from_csv_text(Path(args.excesses).read_bytes())
         n_total = args.n_total if args.n_total is not None else excesses.size
     else:
         if not args.meta:
-            print("fit: --events needs --meta (the catalog metadata JSON)",
-                  file=sys.stderr)
-            return 2
+            return _usage("fit: --events needs --meta (the catalog metadata JSON)")
         if args.n_total is not None:
-            print("fit: --n-total goes with --excesses; with --events the "
-                  "catalog metadata gives it", file=sys.stderr)
-            return 2
+            return _usage("fit: --n-total goes with --excesses; with --events the "
+                          "catalog metadata gives it")
         catalog = _load_catalog(args.events, args.meta)
         excesses = catalog.excesses_over(args.threshold)
         n_total = catalog.n_total_observations
     fit = fit_gpd(excesses, threshold=args.threshold, n_total=n_total)
-    if args.events and args.out_excesses:
+    if args.out_excesses:
         write_artifact(args.out_excesses, excesses_to_csv_text(excesses))
     write_artifact(args.out, fit_to_json_dict(fit))
     se = fit.std_errors
@@ -177,34 +186,30 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_returns(args) -> int:
+    if args.level is None and args.years is None and not args.out:
+        return _usage("returns: nothing to do (give --level, --years, or --out)")
+    if args.m_grid and not args.out:
+        return _usage("returns: --m-grid shapes the curve that --out writes; give --out with it")
     fit = fit_from_json_dict(read_json(args.fit))
     cal = ObservationCalendar(args.obs_per_year)
-    did_something = False
     if args.level is not None:
         m_hat, m_lo, m_hi = return_period_band(fit, args.level, cal, args.ci)
         hi_txt = "inf" if np.isinf(m_hi) else f"{m_hi:.1f}"
         print(f"level {args.level:g} W/m^2 (X{x_class(args.level):g}): "
               f"return period {m_hat:.1f} years "
               f"[{args.ci*100:g}% CI {m_lo:.1f} - {hi_txt} years]")
-        did_something = True
     if args.years is not None:
         ci = return_level_ci(fit, args.years, cal, args.ci)
         print(f"{args.years:g}-year return level: {ci.level:.6g} W/m^2 "
               f"(X{x_class(ci.level):.1f}) "
               f"[{args.ci*100:g}% CI X{x_class(ci.asym_low):.1f} - "
               f"X{x_class(ci.asym_high):.1f}]")
-        did_something = True
     if args.out:
         grid = (np.geomspace(*args.m_grid) if args.m_grid
                 else return_period_grid(fit, PipelineConfig(obs_per_year=cal.obs_per_year)))
         curve = return_curve(fit, grid, cal, args.ci)
         write_artifact(args.out, curve.to_csv_text())
         print(f"returns: {curve.m.size} grid points -> {args.out}")
-        did_something = True
-    if not did_something:
-        print("returns: nothing to do (give --level, --years, or --out)",
-              file=sys.stderr)
-        return 2
     return 0
 
 
@@ -225,9 +230,7 @@ def _cmd_run(args) -> int:
         config, config_inputs = PipelineConfig(), []
     inputs = list(config_inputs) + list(args.inputs or [])
     if not inputs:
-        print("run: no input files (give positional paths or config 'inputs')",
-              file=sys.stderr)
-        return 2
+        return _usage("run: no input files (give positional paths or config 'inputs')")
     report = run_pipeline(config, inputs, args.out, fixed_clock=args.fixed_clock)
     fit = report["fit"]
     print(f"run: report -> {Path(args.out) / 'report.json'}")
@@ -296,12 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--excesses", help="serialized excess list CSV")
     group.add_argument("--events", help="event catalog CSV (with --meta)")
-    p.add_argument("--meta", help="catalog metadata JSON (required with --events)")
+    p.add_argument("--meta", help="catalog metadata JSON (with --events, and required there)")
     p.add_argument("--threshold", type=_flag(float, checked_threshold), required=True)
     p.add_argument("--n-total", type=int,
                    help="total observation count (only with --excesses)")
     p.add_argument("--out", required=True, help="fit JSON")
-    p.add_argument("--out-excesses", help="also write the extracted excess list")
+    p.add_argument("--out-excesses", help="also write the extracted excess list (with --events)")
     p.set_defaults(handler=_cmd_fit, stage="fit")
 
     p = sub.add_parser("diagnose", help="mean-residual-life and probability plot")
@@ -323,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_flag(float, lambda v: PipelineConfig(scenario_levels=(v,))))
     p.add_argument("--years", help="return period to evaluate",
                    type=_flag(float, lambda v: PipelineConfig(scenario_years=(v,))))
-    p.add_argument("--m-grid", help="'lo:hi:count' log-spaced grid for --out",
+    p.add_argument("--m-grid", help="'lo:hi:count' log-spaced grid for --out (only with it)",
                    type=_flag(_log_grid, lambda g: PipelineConfig(
                        m_grid_lo=g[0], m_grid_hi=g[1], m_grid_count=g[2])))
     p.add_argument("--obs-per-year", type=_flag(float, ObservationCalendar),

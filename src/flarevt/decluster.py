@@ -13,13 +13,13 @@ sequence quantifies how much serial dependence survives a given gap.
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import ingest
-from ._table import check_nonnegative, from_json, json_object, read_table, table_text, to_json
+from ._table import TableRecord, check_nonnegative, from_json, json_object, read_table, to_json
 from .errors import DomainError, InsufficientDataError, ParseError, ZeroVarianceError
 from .ingest import FluxSeries
 
@@ -46,15 +46,8 @@ MISSING_MINUTES_POLICY = "missing-or-absent-minutes-count-as-quiet"
 _I64_MAX = np.iinfo(np.int64).max
 
 
-# the catalog's event columns, in CSV order, and the dtype each is stored in
-_COLUMNS = dict(peak_times="datetime64[m]", peak_fluxes=np.float64,
-                cluster_starts="datetime64[m]", cluster_ends="datetime64[m]",
-                cluster_sample_counts=np.int64)
-_CSV_HEADER = "peak_time,peak_flux,cluster_start,cluster_end,cluster_samples"
-
-
 @dataclass(frozen=True, eq=False)
-class EventCatalog:
+class EventCatalog(TableRecord):
     """Declustered events plus the observation bookkeeping for rate estimates.
 
     One frozen array per event column: ``cluster_starts``/``cluster_ends``
@@ -62,6 +55,11 @@ class EventCatalog:
     ``cluster_sample_counts`` counts them.  The policy for missing
     minutes is recorded in ``missing_minutes_policy``.
     """
+
+    HEADER = "peak_time,peak_flux,cluster_start,cluster_end,cluster_samples"
+    COLUMNS = dict(peak_times="datetime64[m]", peak_fluxes=np.float64,
+                   cluster_starts="datetime64[m]", cluster_ends="datetime64[m]",
+                   cluster_sample_counts=np.int64)
 
     peak_times: np.ndarray
     peak_fluxes: np.ndarray
@@ -74,20 +72,6 @@ class EventCatalog:
     span_years: float
     missing_minutes_policy: str = MISSING_MINUTES_POLICY
 
-    def __post_init__(self):
-        for name, dtype in _COLUMNS.items():
-            column = np.array(getattr(self, name), dtype=dtype)
-            if column.shape != np.shape(self.peak_times) or column.ndim != 1:
-                raise DomainError("event columns must be parallel 1-d arrays")
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EventCatalog):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
-                   for f in fields(self))
-
     def __len__(self) -> int:
         return int(self.peak_fluxes.size)
 
@@ -96,17 +80,14 @@ class EventCatalog:
         peaks = self.peak_fluxes
         return peaks[peaks > threshold] - threshold
 
-    def to_csv_text(self) -> str:
-        return table_text(_CSV_HEADER, *(getattr(self, name) for name in _COLUMNS))
-
     def to_json_dict(self) -> dict:
         return {**to_json(_META_JSON, self), "n_events": len(self)}
 
 
 # catalog.json: each field of EventCatalog's that is not an event column, as
-# its declared kind, and the event count, which is written and not read
+# its declared kind, and the event count, which the reader checks where given
 _META_JSON = {name: kind for name, kind in typing.get_type_hints(EventCatalog).items()
-              if name not in _COLUMNS}
+              if name not in EventCatalog.COLUMNS}
 
 
 def catalog_from_files(csv_data: str | bytes, meta: dict) -> EventCatalog:
@@ -114,13 +95,19 @@ def catalog_from_files(csv_data: str | bytes, meta: dict) -> EventCatalog:
 
     A malformed table, or a peak flux that is not finite and >= 0, raises
     ParseError naming its 1-based line, and a missing or ill-typed metadata
-    value raises ParseError naming its key; a missing policy is the default.
+    value, or an ``n_events`` other than the table's row count, raises
+    ParseError naming its key; a missing policy is the default, and a
+    missing ``n_events`` is not checked.
     """
-    columns, empty, row_text = read_table(csv_data, _CSV_HEADER, _COLUMNS)
+    columns, empty, row_text = read_table(csv_data, EventCatalog.HEADER, EventCatalog.COLUMNS)
     if np.any(empty):
         raise ParseError("bad peak_fluxes value ''", row_text(int(np.argmax(empty)))[0])
     check_nonnegative(columns[1], row_text, 1, "peak_flux")
     meta = {"missing_minutes_policy": MISSING_MINUTES_POLICY, **json_object(meta, "catalog")}
+    rows = len(columns[0])
+    if "n_events" in meta and from_json(int, meta["n_events"], "catalog.n_events") != rows:
+        raise ParseError(f"catalog.n_events is {meta['n_events']!r}, but the event table's "
+                         f"row count is {rows}")
     return EventCatalog(*columns, **from_json(_META_JSON, meta, "catalog"))
 
 
@@ -188,13 +175,16 @@ def lag1_autocorrelation(values) -> float:
     return float(dev[:-1] @ dev[1:]) / denom
 
 
-@dataclass(frozen=True)
-class GapSweepCurve:
+@dataclass(frozen=True, eq=False)
+class GapSweepCurve(TableRecord):
     """Lag-1 autocorrelation of event peaks as a function of the gap.
 
     A NaN autocorrelation marks a gap where the statistic is unavailable
     (fewer than 3 events, or constant peaks).
     """
+
+    HEADER = "gap_minutes,lag1_autocorrelation,event_count"
+    COLUMNS = dict(gaps=np.int64, lag1=np.float64, event_counts=np.int64)
 
     gaps: np.ndarray
     lag1: np.ndarray
@@ -202,13 +192,7 @@ class GapSweepCurve:
 
     def __post_init__(self):
         object.__setattr__(self, "gaps", checked_gaps(self.gaps))
-        object.__setattr__(self, "lag1", np.asarray(self.lag1, dtype=np.float64))
-        object.__setattr__(self, "event_counts",
-                           np.asarray(self.event_counts, dtype=np.int64))
-
-    def to_csv_text(self) -> str:
-        return table_text("gap_minutes,lag1_autocorrelation,event_count",
-                          self.gaps, self.lag1, self.event_counts)
+        super().__post_init__()
 
 
 def checked_rule(threshold: float,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._table import table_text
+from ._table import TableRecord
 from .errors import DomainError, InsufficientDataError
 from .gpd import GpdFit, gpd_cdf
 from .returns import normal_quantile
@@ -26,12 +26,13 @@ __all__ = [
     "probability_plot",
 ]
 
-_MRL_COLUMNS = ("u0", "mean_excess", "ci_halfwidth", "n_exceed")
-
-
-@dataclass(frozen=True)
-class MrlCurve:
+@dataclass(frozen=True, eq=False)
+class MrlCurve(TableRecord):
     """Mean excess over a threshold grid, with normal confidence halfwidths."""
+
+    HEADER = "u0,mean_excess,ci_halfwidth,n_exceed"
+    COLUMNS = dict(u0=np.float64, mean_excess=np.float64, ci_halfwidth=np.float64,
+                   n_exceed=np.int64)
 
     u0: np.ndarray
     mean_excess: np.ndarray
@@ -39,28 +40,21 @@ class MrlCurve:
     n_exceed: np.ndarray
 
     def __post_init__(self):
-        u0 = np.asarray(self.u0, dtype=np.float64)
-        if u0.size and np.any(np.diff(u0) <= 0):
+        super().__post_init__()
+        if np.any(np.diff(self.u0) <= 0):
             raise DomainError("u0 grid must be strictly increasing")
-        object.__setattr__(self, "u0", u0)
-        for name in ("mean_excess", "ci_halfwidth"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        object.__setattr__(self, "n_exceed", np.asarray(self.n_exceed, dtype=np.int64))
-
-    def to_csv_text(self) -> str:
-        return table_text(",".join(_MRL_COLUMNS), *(getattr(self, n) for n in _MRL_COLUMNS))
 
 
-@dataclass(frozen=True)
-class ProbabilityPlot:
+@dataclass(frozen=True, eq=False)
+class ProbabilityPlot(TableRecord):
     """Empirical plotting positions against fitted model probabilities."""
+
+    HEADER = "empirical,model"
+    COLUMNS = dict(empirical=np.float64, model=np.float64)
 
     empirical: np.ndarray
     model: np.ndarray
     max_abs_deviation_from_diagonal: float
-
-    def to_csv_text(self) -> str:
-        return table_text("empirical,model", self.empirical, self.model)
 
 
 def default_threshold_grid(lo: float, peaks, count: int = 200) -> np.ndarray:
@@ -115,13 +109,11 @@ def mean_excess_curve(peaks, u_grid=None, ci_level: float = 0.95) -> MrlCurve:
         if n < 2:
             continue
         exc = x_sorted[lo:] - u0
-        s = float(exc.std(ddof=1))
         u0_out.append(float(u0))
         mean_out.append(float(exc.mean()))
-        half_out.append(z * s / np.sqrt(n))
+        half_out.append(z * float(exc.std(ddof=1)) / np.sqrt(n))
         n_out.append(n)
-    return MrlCurve(np.array(u0_out), np.array(mean_out),
-                    np.array(half_out), np.array(n_out, dtype=np.int64))
+    return MrlCurve(u0_out, mean_out, half_out, n_out)
 
 
 def probability_plot(fit: GpdFit, excesses) -> ProbabilityPlot:
@@ -137,8 +129,4 @@ def probability_plot(fit: GpdFit, excesses) -> ProbabilityPlot:
     k = y.size
     empirical = np.arange(1, k + 1, dtype=np.float64) / (k + 1)
     model = np.atleast_1d(gpd_cdf(y, fit.params))
-    return ProbabilityPlot(
-        empirical=empirical,
-        model=model,
-        max_abs_deviation_from_diagonal=float(np.max(np.abs(model - empirical))),
-    )
+    return ProbabilityPlot(empirical, model, float(np.max(np.abs(model - empirical))))

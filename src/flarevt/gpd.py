@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from ._table import from_json, to_json
+from ._table import Record, from_json, to_json
 from .errors import ConvergenceError, DomainError, InsufficientDataError, ParseError
 
 __all__ = [
@@ -86,8 +86,8 @@ class FitConvergence:
     message: str
 
 
-@dataclass(frozen=True)
-class GpdFit:
+@dataclass(frozen=True, eq=False)
+class GpdFit(Record):
     """A fitted excess model: threshold, parameters, and uncertainty.
 
     ``covariance`` is the 2x2 inverse observed information over
@@ -504,9 +504,17 @@ def fit_to_json_dict(fit: GpdFit) -> dict:
 
 
 def fit_from_json_dict(doc: dict) -> GpdFit:
-    """The fit a ``fit_to_json_dict`` document describes; ParseError for a bad document."""
+    """The fit a ``fit_to_json_dict`` document describes; ParseError for a bad
+    document, as for ``std_errors`` other than the square roots of the
+    covariance's diagonal, or other than null beside a null covariance."""
     values = from_json(_FIT_JSON, doc, "fit")
     cov, convergence = values.pop("covariance"), values.pop("convergence")
+    roots = None if cov is None else tuple(math.sqrt(v) if v >= 0.0 else math.nan
+                                           for v in cov[::3])
+    if values["std_errors"] != roots:
+        want = ("null beside a null covariance" if roots is None
+                else f"{list(roots)}, the square roots of the covariance's diagonal")
+        raise ParseError(f"fit.std_errors must be {want}, got {doc['std_errors']!r}")
     try:
         params = GpdParams(values.pop("scale"), values.pop("shape"))
         return GpdFit(params=params, covariance=None if cov is None else np.reshape(cov, (2, 2)),

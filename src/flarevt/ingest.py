@@ -20,8 +20,8 @@ from typing import IO
 
 import numpy as np
 
-from ._table import (LAST_STAMP, STAMP_WIDTH, check_nonnegative, read_floats, read_stamps,
-                     read_table, table_bytes)
+from ._table import (LAST_STAMP, STAMP_WIDTH, Record, check_nonnegative, read_floats,
+                     read_stamps, read_table, table_bytes)
 from .errors import DomainError, EmptyInputError, OrderingError, ParseError
 from .gpd import GpdParams, gpd_quantile
 
@@ -46,8 +46,8 @@ _BUILD_BLOCK_ROWS = 1 << 16  # rows FluxSeries copies and checks at a time
 _NAT_TICKS = np.iinfo(np.int64).min  # NaT as an int64 datetime64
 
 
-@dataclass(frozen=True)
-class FluxSeries:
+@dataclass(frozen=True, eq=False)
+class FluxSeries(Record):
     """Time-ordered minute-cadence flux samples.
 
     ``timestamps`` is a strictly increasing ``datetime64[m]`` array with no NaT and

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._table import table_text
+from ._table import TableRecord
 from .errors import CiUnavailableError, ConvergenceError, DomainError, InfiniteReturnError
 from .gpd import SHAPE_SWITCH_TOL, GpdFit
 
@@ -283,13 +283,16 @@ def return_level_ci(fit: GpdFit, m: float,
     return _interval(m, *_delta_inputs(fit, cal, ci_level), ci_level)
 
 
-@dataclass(frozen=True)
-class ReturnLevelCurve:
+@dataclass(frozen=True, eq=False)
+class ReturnLevelCurve(TableRecord):
     """Return level against return period with confidence bands.
 
     ``ci_low``/``ci_high`` hold the symmetric delta interval;
     ``asym_low``/``asym_high`` the preferred asymmetric variant.
     """
+
+    HEADER = "m_years,level,ci_low,ci_high,asym_ci_low,asym_ci_high"
+    COLUMNS = dict.fromkeys("m level ci_low ci_high asym_low asym_high".split(), np.float64)
 
     m: np.ndarray
     level: np.ndarray
@@ -297,11 +300,6 @@ class ReturnLevelCurve:
     ci_high: np.ndarray
     asym_low: np.ndarray
     asym_high: np.ndarray
-
-    def to_csv_text(self) -> str:
-        return table_text("m_years,level,ci_low,ci_high,asym_ci_low,asym_ci_high",
-                          self.m, self.level, self.ci_low, self.ci_high,
-                          self.asym_low, self.asym_high)
 
 
 def return_curve(fit: GpdFit, m_grid,
@@ -322,9 +320,8 @@ def return_curve(fit: GpdFit, m_grid,
             f"m_grid must start above the mean inter-exceedance time {m_min:.4g} years")
     fixed, cov, z = _delta_inputs(fit, cal, ci_level)
     cis = [_interval(m, fixed, cov, z, ci_level) for m in grid.tolist()]
-    columns = (np.array([getattr(ci, name) for ci in cis])
-               for name in ("level", "low", "high", "asym_low", "asym_high"))
-    return ReturnLevelCurve(grid, *columns)
+    return ReturnLevelCurve(grid, *([getattr(ci, name) for ci in cis]
+                                    for name in ("level", "low", "high", "asym_low", "asym_high")))
 
 
 # even bisection alone narrows the band's widest bracket, 8 decades of m,

@@ -325,6 +325,22 @@ class TestCliStages:
         assert "--n-total" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["fit", "--excesses", "excesses.csv", "--threshold", "1e-4", "--out", "out_fit.json",
+          "--out-excesses", "out_excesses.csv"], "--out-excesses"),
+        (["fit", "--excesses", "excesses.csv", "--meta", "catalog.json", "--threshold", "1e-4",
+          "--out", "out_fit.json"], "--meta"),
+        (["returns", "--fit", "fit.json", "--years", "150", "--m-grid", "1:100:5"], "--m-grid"),
+    ], ids=["fit-out-excesses", "fit-meta", "returns-m-grid"])
+    def test_flag_the_command_would_drop_is_usage_error(self, argv, flag, tmp_path, monkeypatch,
+                                                        capsys):
+        # refused before any input is read: the inputs named do not exist
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{argv[0]}: {flag} ") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("grid", ["1:10", "1:10:x", "0:10:5", "10:1:5"])
     def test_malformed_m_grid_is_usage_error(self, grid, tmp_path):
         # a readable fit, so that only the grid can make the command fail
@@ -434,6 +450,18 @@ class TestCliStages:
          "fit.covariance must be a list of length 4, got [[1e-10, 0.0], [0.0, 0.01]]"),
         ("returns", "fit.json", lambda text: json_text({**json.loads(text), "scale": -1.0}),
          "bad fit document: scale must be finite and > 0, got -1.0"),
+        ("fit", "catalog.json", lambda text: json_text({**json.loads(text), "n_events": 999}),
+         "catalog.n_events is 999, but the event table's row count is 1"),
+        ("diagnose", "catalog.json", lambda text: json_text({**json.loads(text), "n_events": 0}),
+         "catalog.n_events is 0, but the event table's row count is 1"),
+        ("fit", "catalog.json", lambda text: json_text({**json.loads(text), "n_events": 1.5}),
+         "catalog.n_events must be of type int, got 1.5"),
+        ("returns", "fit.json", lambda text: json_text({**json.loads(text), "std_errors": [1.0, 2.0]}),
+         "the square roots of the covariance's diagonal, got [1.0, 2.0]"),
+        ("diagnose", "fit.json", lambda text: json_text({**json.loads(text), "std_errors": None}),
+         "the square roots of the covariance's diagonal, got None"),
+        ("returns", "fit.json", lambda text: json_text({**json.loads(text), "covariance": None}),
+         "fit.std_errors must be null beside a null covariance, got ["),
         ("fit", "catalog.csv", lambda text: text.replace("peak_time,", "peak,"),
          "line 1: expected header"),
         ("diagnose", "catalog.csv", lambda text: text.replace(":00Z,0.0002", ":30Z,0.0002"),

@@ -135,6 +135,79 @@ class TestCatalogMetadata:
         with pytest.raises(ParseError, match=r"catalog must be a JSON object, got \[\]"):
             catalog_from_files(CATALOG_HEADER + "\n", [])
 
+    def test_n_events_is_checked_against_the_rows_where_given(self):
+        text = CATALOG_HEADER + "\n" + TestCatalogErrors.ROW
+        assert len(catalog_from_files(text, {**TestCatalogErrors.META, "n_events": 1})) == 1
+        with pytest.raises(ParseError, match="catalog.n_events is 2, but the event table's "
+                                             "row count is 1"):
+            catalog_from_files(text, {**TestCatalogErrors.META, "n_events": 2})
+
+
+_STAMPS = np.datetime64("2000-01-01T00:00", "m") + np.arange(4)
+# each record type, built from arrays of its own, and the scalar field a copy
+# changes (None where a record has only columns)
+RECORDS = {
+    "FluxSeries": (fv.FluxSeries, dict(timestamps=_STAMPS, flux=[1e-4, np.nan, 2e-4, 0.0]), None),
+    "EventCatalog": (EventCatalog, dict(
+        peak_times=_STAMPS[:2], peak_fluxes=[2e-4, 3e-4], cluster_starts=_STAMPS[:2],
+        cluster_ends=_STAMPS[1:3], cluster_sample_counts=[1, 2], decluster_threshold=1e-4,
+        gap_minutes=15, n_total_observations=4, span_years=1e-5), "span_years"),
+    "GapSweepCurve": (fv.GapSweepCurve, dict(gaps=[1, 2, 30], lag1=[np.nan, 0.25, -0.5],
+                                             event_counts=[9, 5, 3]), None),
+    "MrlCurve": (fv.MrlCurve, dict(u0=[1e-4, 2e-4], mean_excess=[3e-4, np.nan],
+                                   ci_halfwidth=[1e-5, 2e-5], n_exceed=[5, 2]), None),
+    "ProbabilityPlot": (fv.ProbabilityPlot, dict(empirical=[0.25, 0.5, 0.75],
+                                                 model=[0.2, 0.55, 0.7],
+                                                 max_abs_deviation_from_diagonal=0.05),
+                        "max_abs_deviation_from_diagonal"),
+    "ReturnLevelCurve": (fv.ReturnLevelCurve, dict(
+        m=[10.0, 100.0], level=[1e-3, 4e-3], ci_low=[5e-4, 1e-3], ci_high=[2e-3, 8e-3],
+        asym_low=[6e-4, 2e-3], asym_high=[2e-3, np.inf]), None),
+    "GpdFit": (fv.GpdFit, dict(
+        threshold=1e-4, params=fv.GpdParams(3e-4, 0.2), covariance=[[1e-10, 0.0], [0.0, 1e-2]],
+        std_errors=(1e-5, 0.1), n_excesses=10, n_total=100, log_likelihood=-5.0,
+        convergence=fv.FitConvergence(True, 1, 1, 0, "")), "log_likelihood"),
+}
+
+
+def _build(kind: str, **changes):
+    """A record of ``kind`` from copies of its arrays, with ``changes``."""
+    cls, values, _ = RECORDS[kind]
+    return cls(**{key: np.array(v) if isinstance(v, (list, np.ndarray)) else v
+                  for key, v in {**values, **changes}.items()})
+
+
+def _changed(column: np.ndarray) -> np.ndarray:
+    """A copy of ``column`` with its last value moved on: a stamp by a minute, a
+    number by one (NaN or inf to 0.5), so that an increasing column stays so."""
+    out = column.copy().ravel()
+    if out.dtype.kind == "M":
+        out[-1] += np.timedelta64(1, "m")
+    else:
+        out[-1] = out[-1] + 1 if np.isfinite(out[-1]) else 0.5
+    return out.reshape(column.shape)
+
+
+@pytest.mark.parametrize("kind", RECORDS)
+def test_records_compare_by_value_and_hold_read_only_columns(kind):
+    record, scalar = _build(kind), RECORDS[kind][2]
+    columns = [name for name, value in vars(record).items() if isinstance(value, np.ndarray)]
+    assert record == _build(kind) and not record != _build(kind)  # NaN equals NaN
+    for name in columns:
+        assert record != _build(kind, **{name: _changed(getattr(record, name))})
+        column = getattr(record, name)
+        assert not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[-1]
+    if scalar is not None:
+        assert record != _build(kind, **{scalar: getattr(record, scalar) + 1})
+    shorter = _build(kind, **{name: getattr(record, name)[:1] for name in columns})
+    other_kind = _build("MrlCurve" if kind == "GapSweepCurve" else "GapSweepCurve")
+    others = [shorter, None, 1, "x", other_kind]
+    assert all(record != other and not record == other for other in others)
+    with pytest.raises(TypeError):
+        hash(record)
+
 
 class TestJsonKinds:
     LAYOUT = {"count": int, "ratio": float, "flag": bool, "name": str,
