@@ -144,8 +144,11 @@ def _cmd_fit(args) -> int:
         if args.out_excesses:
             return _usage("fit: --out-excesses goes with --events; --excesses is an "
                           "excess list already")
+        if args.n_total is None:
+            return _usage("fit: --excesses needs --n-total, the count of observations the "
+                          "excesses were drawn from")
         excesses = excesses_from_csv_text(Path(args.excesses).read_bytes())
-        n_total = args.n_total if args.n_total is not None else excesses.size
+        n_total = args.n_total
     else:
         if not args.meta:
             return _usage("fit: --events needs --meta (the catalog metadata JSON)")
@@ -302,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meta", help="catalog metadata JSON (with --events, and required there)")
     p.add_argument("--threshold", type=_flag(float, checked_threshold), required=True)
     p.add_argument("--n-total", type=int,
-                   help="total observation count (only with --excesses)")
+                   help="total observation count (with --excesses, and required there)")
     p.add_argument("--out", required=True, help="fit JSON")
     p.add_argument("--out-excesses", help="also write the extracted excess list (with --events)")
     p.set_defaults(handler=_cmd_fit, stage="fit")

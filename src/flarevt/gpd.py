@@ -55,9 +55,9 @@ class GpdParams:
     shape: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.scale) and self.scale > 0.0):
+        if not (math.isfinite(self.scale) and self.scale > 0.0):
             raise DomainError(f"scale must be finite and > 0, got {self.scale}")
-        if not np.isfinite(self.shape):
+        if not math.isfinite(self.shape):
             raise DomainError(f"shape must be finite, got {self.shape}")
 
     @property
@@ -109,7 +109,7 @@ class GpdFit(Record):
         if self.n_excesses > self.n_total:
             raise DomainError("n_excesses cannot exceed n_total")
         if self.covariance is not None:
-            cov = np.asarray(self.covariance, dtype=float)
+            cov = np.array(self.covariance, dtype=float)  # a copy: the caller's stays writable
             cov.setflags(write=False)
             object.__setattr__(self, "covariance", cov)
 
@@ -188,10 +188,10 @@ def gpd_loglik(excesses, params: GpdParams) -> float:
     y = _as_excess_array(excesses)
     if y.size == 0:
         raise InsufficientDataError("need at least one excess")
-    y_max = float(y.max())
-    if not (0.0 <= float(y.min()) and y_max < math.inf):  # NaN fails both
+    y_max = float(np.maximum.reduce(y))   # y.max(), without ndarray.max's wrappers
+    if not (0.0 <= float(np.minimum.reduce(y)) and y_max < math.inf):  # NaN fails both
         raise DomainError("excesses must be finite and >= 0")
-    return float(_loglik_derivatives(y, params.scale, params.shape, y_max)[0])
+    return _loglik_derivatives(y, params.scale, params.shape, y_max)[0]
 
 
 def gpd_sample(params: GpdParams, count: int, seed: int) -> np.ndarray:
@@ -247,8 +247,14 @@ _ARMIJO = 1e-4        # sufficient-increase fraction of the predicted gain
 _QUADRATIC = 1e-4     # below this decrement a full Newton step is taken
 
 
+def _term_buffer(n: int) -> tuple:
+    """A (6, n) buffer for the summed terms of _loglik_derivatives, and its rows."""
+    t = np.empty((6, n))
+    return (t, *t)
+
+
 def _loglik_derivatives(y: np.ndarray, scale: float, shape: float,
-                        y_max: float | None = None):
+                        y_max: float | None = None, terms: tuple | None = None):
     """Log-likelihood, score and observed information at (scale, shape).
 
     The score and information are over (log scale, shape), from the
@@ -261,9 +267,10 @@ def _loglik_derivatives(y: np.ndarray, scale: float, shape: float,
 
     and the information is minus the matrix of second derivatives.
     Inside the SHAPE_SWITCH_TOL band the log-likelihood is the
-    exponential limit -n log(scale) - sum y / scale.  ``y_max`` is
-    ``y.max()`` where the caller holds it.  Outside the support the
-    result is ``(-inf, None, None)``.
+    exponential limit -n log(scale) - sum y / scale.  ``y_max`` is ``y.max()``
+    and ``terms`` a ``_term_buffer(y.size)``, where the caller holds them.
+    Returns Python floats, ``ll, [g_t, g_x], [[i_tt, i_tx], [i_tx, i_xx]]``,
+    or ``(-inf, None, None)`` outside the support.
     """
     a = shape * y / scale      # one rounding for the support test and log1p
     exponential = abs(shape) < SHAPE_SWITCH_TOL
@@ -272,8 +279,7 @@ def _loglik_derivatives(y: np.ndarray, scale: float, shape: float,
         return -math.inf, None, None
     # the six summed terms go into the rows of one buffer, reduced in one
     # call: a row-wise add.reduce is the same pairwise sum as each row's .sum()
-    t = np.empty((6, y.size))
-    zu, zuu, zuzu, h_terms, q_terms, ll_terms = t
+    t, zu, zuu, zuzu, h_terms, q_terms, ll_terms = terms or _term_buffer(y.size)
     if exponential:
         np.copyto(ll_terms, y)                      # the exponential limit sums y
     else:
@@ -298,33 +304,31 @@ def _loglik_derivatives(y: np.ndarray, scale: float, shape: float,
         q_terms -= np.multiply(au, au, out=au)
     s1, s2, s3, h, q, s_ll = np.add.reduce(t, axis=1).tolist()
     tail = s_ll / scale if exponential else (1.0 + 1.0 / shape) * s_ll
-    ll = -(y.size * np.log(scale) + tail)
+    ll = -(y.size * float(np.log(scale)) + tail)
     if not series:
         h, q = h / shape**2, q / shape**3
     w = 1.0 + shape
-    score = np.array([w * s1 - y.size, h - s1])
-    info = np.array([[w * s2, w * s3 - s1],
-                     [w * s3 - s1, q - s3]])
-    return ll, score, info
+    i_tx = w * s3 - s1
+    return ll, [w * s1 - y.size, h - s1], [[w * s2, i_tx], [i_tx, q - s3]]
 
 
-def _ascent_step(score: np.ndarray, info: np.ndarray, fixed_shape: bool):
+def _ascent_step(score: list, info: list, fixed_shape: bool):
     """Newton step as a pair of floats, and whether the information was
     positive definite.
 
     An indefinite information matrix gets its eigenvalues replaced by
     their magnitudes, which keeps the step an ascent direction.
     """
-    (i_tt, i_tx), (_, i_xx) = info.tolist()
-    g_t, g_x = score.tolist()
-    if fixed_shape:  # concave in log scale for shape > -1: info[0, 0] > 0
+    (i_tt, i_tx), (_, i_xx) = info
+    g_t, g_x = score
+    if fixed_shape:  # concave in log scale for shape > -1: i_tt > 0
         return (g_t / i_tt, 0.0), True
     det = i_tt * i_xx - i_tx * i_tx
     if i_tt > 0.0 and det > 0.0:
         return ((i_xx * g_t - i_tx * g_x) / det, (i_tt * g_x - i_tx * g_t) / det), True
-    lam, vec = np.linalg.eigh(info)
+    lam, vec = np.linalg.eigh(np.array(info))
     lam = np.maximum(np.abs(lam), 1e-12 * np.abs(lam).max())
-    return tuple((vec @ ((vec.T @ score) / lam)).tolist()), False
+    return tuple((vec @ ((vec.T @ np.array(score)) / lam)).tolist()), False
 
 
 def _maximize(y: np.ndarray, y_max: float, scale: float, shape: float, fixed_shape: bool):
@@ -340,12 +344,14 @@ def _maximize(y: np.ndarray, y_max: float, scale: float, shape: float, fixed_sha
     ``y.max()``.  Returns the last iterate (log scale, shape) as floats,
     its log-likelihood, score and information, and the diagnostics.
 
-    The iterate, the step and the decrement are Python floats, at a
-    fraction of numpy's cost on two elements.  Every state, the start
-    included, is evaluated at ``exp(log scale)``, the scale the fit reports.
+    The iterate, step, decrement, score and information are Python floats,
+    at a fraction of numpy's cost on two elements, and every evaluation
+    writes its terms into one buffer.  Every state, the start included, is
+    evaluated at ``exp(log scale)``, the scale the fit reports.
     """
+    terms = _term_buffer(y.size)
     log_scale = math.log(scale)
-    ll, score, info = _loglik_derivatives(y, math.exp(log_scale), shape, y_max)
+    ll, score, info = _loglik_derivatives(y, math.exp(log_scale), shape, y_max, terms)
     evals, halvings = 1, 0
     for it in range(1, _MAX_ITER + 1):
         if shape < -1.0 + _SHAPE_FLOOR:
@@ -353,7 +359,7 @@ def _maximize(y: np.ndarray, y_max: float, scale: float, shape: float, fixed_sha
                 False, it - 1, evals, halvings,
                 _failure_message(y, log_scale, shape, "shape reached the -1 corner"))
         (step_t, step_x), regular = _ascent_step(score, info, fixed_shape)
-        g_t, g_x = score.tolist()
+        g_t, g_x = score
         decrement = g_t * step_t + g_x * step_x
         if regular and decrement < _DECREMENT_TOL:
             return (log_scale, shape), ll, score, info, FitConvergence(
@@ -366,7 +372,8 @@ def _maximize(y: np.ndarray, y_max: float, scale: float, shape: float, fixed_sha
         for _ in range(_MAX_HALVINGS):
             trial_t, trial_x = log_scale + alpha * step_t, shape + alpha * step_x
             if trial_x > -1.0:
-                ll_t, score_t, info_t = _loglik_derivatives(y, math.exp(trial_t), trial_x, y_max)
+                ll_t, score_t, info_t = _loglik_derivatives(y, math.exp(trial_t), trial_x, y_max,
+                                                          terms)
                 evals += 1
                 if score_t is not None and ll_t >= ll + alpha * gain:
                     break
@@ -388,24 +395,22 @@ def _failure_message(y: np.ndarray, log_scale: float, shape: float, reason: str)
             f"1 + shape*max(y)/scale={1.0 + shape * float(y.max()) / scale:.3g}")
 
 
-def _covariance(score: np.ndarray, info: np.ndarray, scale: float, fixed_shape: bool):
-    """Inverse observed information over (scale, shape) and standard errors.
+def _covariance(score: list, info: list, scale: float, fixed_shape: bool):
+    """Inverse observed information over (scale, shape), as nested lists, and standard errors.
 
     ``score`` and ``info`` are over (log scale, shape) at the optimum; a
     pinned shape has no variance.  (None, None) where the information is
     not positive definite.
     """
-    (i_tt, i_tx), (_, i_xx) = info.tolist()
+    (i_tt, i_tx), (_, i_xx) = info
     # chain rule from log scale; the score term vanishes at the optimum
-    i_ss, i_sx = (i_tt + score.tolist()[0]) / scale**2, i_tx / scale
+    i_ss, i_sx = (i_tt + score[0]) / scale**2, i_tx / scale
     det = i_ss if fixed_shape else i_ss * i_xx - i_sx * i_sx  # of the 1x1 or 2x2 block
     if not (i_ss > 0.0 and det > 0.0):
         return None, None
-    if fixed_shape:
-        cov = np.array([[1.0 / i_ss, 0.0], [0.0, 0.0]])
-    else:
-        cov = np.array([[i_xx, -i_sx], [-i_sx, i_ss]]) / det
-    return cov, (math.sqrt(cov[0, 0]), math.sqrt(cov[1, 1]))
+    v_ss, v_sx, v_xx = (1.0 / i_ss, 0.0, 0.0) if fixed_shape else (
+        i_xx / det, -i_sx / det, i_ss / det)
+    return [[v_ss, v_sx], [v_sx, v_xx]], (math.sqrt(v_ss), math.sqrt(v_xx))
 
 
 def checked_threshold(threshold: float) -> float:
@@ -461,8 +466,8 @@ def fit_gpd(excesses, *, threshold: float = 0.0, n_total: int | None = None,
     if y.size < MIN_EXCESSES:
         raise InsufficientDataError(
             f"need at least {MIN_EXCESSES} excesses, got {y.size}")
-    y_max = float(y.max())
-    if not (0.0 <= float(y.min()) and y_max < math.inf):  # NaN fails both
+    y_max = float(np.maximum.reduce(y))   # y.max(), without ndarray.max's wrappers
+    if not (0.0 <= float(np.minimum.reduce(y)) and y_max < math.inf):  # NaN fails both
         raise DomainError("excesses must be finite and >= 0")
     mean = float(np.add.reduce(y)) / y.size   # as y.mean() rounds it
     if mean <= 0.0:
@@ -489,7 +494,7 @@ def fit_gpd(excesses, *, threshold: float = 0.0, n_total: int | None = None,
         std_errors=std,
         n_excesses=int(y.size),
         n_total=int(n_total),
-        log_likelihood=float(ll),
+        log_likelihood=ll,
         convergence=convergence,
     )
 

@@ -316,6 +316,32 @@ class TestFit:
         assert fit.scale > 0.9 * y.max()
         assert fit.std_errors[1] == 0.0
 
+    def test_covariance_is_copied_not_frozen_in_the_callers_array(self):
+        c = np.eye(2)
+        fit = fv.GpdFit(threshold=0.0, params=GpdParams(1.0, 0.1), covariance=c,
+                        std_errors=(1.0, 1.0), n_excesses=20, n_total=100,
+                        log_likelihood=-1.0,
+                        convergence=FitConvergence(True, 1, 1, 0, "Newton decrement below tolerance"))
+        assert c.flags.writeable and np.array_equal(c, np.eye(2))
+        assert not fit.covariance.flags.writeable and np.array_equal(fit.covariance, c)
+        c[0, 0] = 5.0
+        assert fit.covariance[0, 0] == 1.0
+
+    def test_callers_excesses_untouched_and_fit_as_a_contiguous_copy(self):
+        # the fit's term buffer is its own: a read-only sample and a strided
+        # view fit as their contiguous copies do, and are left as they were
+        sample = fv.gpd_sample(GpdParams(1.0, 0.2), 400, seed=9)
+        frozen = sample.copy()
+        frozen.setflags(write=False)
+        for y in (frozen, sample[::2]):
+            before = y.copy()
+            fit, want = fv.fit_gpd(y), fv.fit_gpd(np.array(y))
+            assert np.array_equal(y, before)
+            values = [fit.scale, fit.shape, fit.log_likelihood, *fit.covariance.ravel()]
+            wanted = [want.scale, want.shape, want.log_likelihood, *want.covariance.ravel()]
+            assert [float(v).hex() for v in values] == [float(v).hex() for v in wanted]
+        assert not frozen.flags.writeable and sample[::2].base is sample
+
     @pytest.mark.parametrize("shape", [math.nan, math.inf, -math.inf])
     def test_non_finite_pinned_shape_rejected_before_any_likelihood(self, shape, monkeypatch):
         def no_likelihood(*args):
@@ -383,16 +409,16 @@ class TestShapeNearZero:
         fd_t = (loglik(t + h, shape) - loglik(t - h, shape)) / (2 * h)
         fd_tt = (loglik(t + h, shape) - 2 * ll + loglik(t - h, shape)) / h**2
         np.testing.assert_allclose(score[0], fd_t, rtol=1e-5)
-        np.testing.assert_allclose(info[0, 0], -fd_tt, rtol=1e-5)
+        np.testing.assert_allclose(info[0][0], -fd_tt, rtol=1e-5)
         if abs(shape) > 2 * h:
             fd_x = (loglik(t, shape + h) - loglik(t, shape - h)) / (2 * h)
             fd_xx = (loglik(t, shape + h) - 2 * ll + loglik(t, shape - h)) / h**2
             fd_tx = (loglik(t + h, shape + h) - loglik(t + h, shape - h)
                      - loglik(t - h, shape + h) + loglik(t - h, shape - h)) / (4 * h * h)
             np.testing.assert_allclose(score[1], fd_x, rtol=1e-5)
-            np.testing.assert_allclose(info[1, 1], -fd_xx, rtol=1e-5)
-            np.testing.assert_allclose(info[0, 1], -fd_tx, rtol=1e-5)
-        assert info[0, 1] == info[1, 0]
+            np.testing.assert_allclose(info[1][1], -fd_xx, rtol=1e-5)
+            np.testing.assert_allclose(info[0][1], -fd_tx, rtol=1e-5)
+        assert info[0][1] == info[1][0]
 
 
 def _derivatives_by_row_sums(y, scale, shape):
@@ -425,7 +451,7 @@ def test_derivatives_equal_per_term_sums(shape):
         y = rng.exponential(1.0, n)
         scale = max(1.1 * float(y.mean()), -2.0 * shape * float(y.max()))  # in the support
         _, score, info = _loglik_derivatives(y, scale, shape)
-        assert (score.tolist(), info.tolist()) == _derivatives_by_row_sums(y, scale, shape), n
+        assert (score, info) == _derivatives_by_row_sums(y, scale, shape), n
 
 
 def _loglik_by_sum(y, scale, shape):
@@ -451,7 +477,7 @@ def test_loglik_equals_its_formula(shape):
         for sample in samples:
             ll, score, info = _loglik_derivatives(sample, scale, shape)
             assert ll == _loglik_by_sum(sample, scale, shape), n
-            assert (score.tolist(), info.tolist()) == _derivatives_by_row_sums(
+            assert (score, info) == _derivatives_by_row_sums(
                 sample, scale, shape), n
 
 
@@ -479,13 +505,13 @@ def test_series_test_from_the_sample_maximum(shape, scale):
         sides.add(abs(shape) * (y_max / scale) < _SERIES_TOL)
         ll, score, info = _loglik_derivatives(y, scale, shape, y_max)
         ll_0, score_0, info_0 = _loglik_derivatives(y, scale, shape)
-        assert (ll, score.tolist(), info.tolist()) == (ll_0, score_0.tolist(), info_0.tolist())
-        assert (score.tolist(), info.tolist()) == _derivatives_by_row_sums(y, scale, shape)
+        assert (ll, score, info) == (ll_0, score_0, info_0)
+        assert (score, info) == _derivatives_by_row_sums(y, scale, shape)
     assert sides == {True, False}
     at_switch = _at_series_switch(shape, scale, 0)
     for y in (0.2 * at_switch, 5.0 * at_switch):  # well inside the series band, well past it
         got = _loglik_derivatives(y, scale, shape, float(y.max()))
-        assert (got[0], got[1].tolist(), got[2].tolist()) == (
+        assert got == (
             _loglik_by_sum(y, scale, shape), *_derivatives_by_row_sums(y, scale, shape))
 
 

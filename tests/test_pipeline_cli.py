@@ -68,8 +68,8 @@ for argv in (
         ["sweep", "--series", f"{d}/series.csv", "--out", f"{d}/sweep.csv"],
         ["fit", "--events", f"{d}/catalog.csv", "--meta", f"{d}/catalog.json",
          "--threshold", "1e-4", "--out", f"{d}/fit.json", "--out-excesses", f"{d}/excesses.csv"],
-        ["fit", "--excesses", f"{d}/excesses.csv", "--threshold", "1e-4",
-         "--out", f"{d}/fit_from_excesses.json"]):
+        ["fit", "--excesses", f"{d}/excesses.csv", "--n-total", "10512",  # synth's minutes
+         "--threshold", "1e-4", "--out", f"{d}/fit_from_excesses.json"]):
     assert cli.main(argv) == 0, argv
 print("after the stages:", scipy_modules())
 """
@@ -312,6 +312,16 @@ class TestCliStages:
                      "--out", str(out)]) == 2
         assert "--meta" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_fit_excesses_without_n_total_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # the excess count is no observation count: a fit at exceedance rate 1
+        # would have no return levels; refused before the input, which does not exist
+        monkeypatch.chdir(tmp_path)
+        assert main(["fit", "--excesses", "excesses.csv", "--threshold", "1e-4",
+                     "--out", "out_fit.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fit: --excesses needs --n-total") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
     def test_fit_events_with_n_total_is_usage_error(self, synth_csv, pipeline_config,
                                                     tmp_path, capsys):
